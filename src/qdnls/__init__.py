@@ -37,7 +37,7 @@ from .basis import (
     sector_dimension,
     translate,
 )
-from .eigensolve import Spectrum, eigh, eigvals_real_tridiag_plus_corners
+from .eigensolve import Spectrum, eigh
 from .errors import (
     BandOverlapError,
     CapacityError,
@@ -74,6 +74,7 @@ from .perturbation import (
     h42_matrix,
     onsite_energy,
     pattern_energy,
+    pt_band,
 )
 
 __version__ = "0.1.0"

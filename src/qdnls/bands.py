@@ -25,17 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MomentumBasis, Occ, SectorOrbits, momentum_grid
-from .eigensolve import eigh
+from .basis import MomentumBasis, Occ
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
 from .hamiltonian import KSpectrum, ModelParams, momentum_spectra
-from .perturbation import (
-    coeffs22,
-    h22_matrix,
-    h33_matrix,
-    h42_matrix,
-    pattern_energy,
-)
+from .perturbation import coeffs22, pt_band
 
 ADJACENCY_TAGS = ("adjacent", "separated", "n/a")
 
@@ -94,7 +87,7 @@ class PatternClass:
 @dataclass(frozen=True)
 class Classification:
     """Best pattern of an eigenvector; pattern is None when nothing clears
-    the threshold."""
+    the threshold or the state holds no boson."""
 
     pattern: PatternClass | None
     weight: float
@@ -135,11 +128,12 @@ def classify_block(vectors, basis, threshold: float = 0.5) -> list[Classificatio
     for j in range(mat.shape[1]):
         col = totals[:, j]
         weight = float(col.max())
-        if not weight > threshold:
-            out.append(Classification(None, weight))
-            continue
         # deterministic tie break on the pattern itself
         pid = max(np.flatnonzero(col == weight), key=lambda i: plist[i])
+        if not weight > threshold or not plist[pid]:
+            # the n = 0 vacuum has no clump to name
+            out.append(Classification(None, weight))
+            continue
         members = np.flatnonzero(ids == pid)
         dominant = members[int(np.argmax(amp2[members, j]))]
         out.append(Classification(PatternClass(plist[pid], adjacency_of(states[dominant])), weight))
@@ -184,26 +178,6 @@ class BandReport:
 
     def tagged(self, tag: str) -> list[BandPoint]:
         return [p for p in self.points if p.tag == tag]
-
-
-_PT_BUILDERS = {(2, 2): h22_matrix, (4, 2): h42_matrix, (3, 3): h33_matrix}
-
-
-def _pt_band_eigenvalues(params: ModelParams, pattern) -> dict[int, np.ndarray] | None:
-    """Per-momentum perturbative band energies, or None when no closed form
-    applies (pattern without one, even f, resonant parameters)."""
-    build = _PT_BUILDERS.get(tuple(pattern))
-    if build is None:
-        return None
-    try:
-        offset = pattern_energy(pattern, params)
-        out = {}
-        for k in momentum_grid(params.f):
-            out[k.l] = np.sort(eigh(build(params, k)).eigenvalues) + offset
-        return out
-    except (ValidationError, ResonanceError):
-        # even f or resonant couplings: the closed form does not apply
-        return None
 
 
 def _merge_degenerate_tags(energies: list[float], tags: list[str], scale: float) -> list[str]:
@@ -252,7 +226,11 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
     points: list[BandPoint] = []
     counts: dict[int, tuple[int, int]] = {}
     notes: list[str] = []
-    pt_eigs = _pt_band_eigenvalues(params, pat)
+    try:
+        pt_eigs = pt_band(params, pat)
+    except (ValidationError, ResonanceError):
+        # no closed form, even f or resonant couplings: nothing to compare against
+        pt_eigs = None
     pt_residuals: dict[int, float | None] | None = {} if pt_eigs is not None else None
 
     for ksp in spectra:

@@ -1,10 +1,13 @@
 """Occupation basis for bosons on a periodic ring, translation orbits, momentum sectors.
 
-States are plain tuples of site occupations.  The sector (f sites, n bosons) is
-enumerated in descending lexicographic order, so the first state is |n 0 ... 0>
-and the last |0 ... 0 n>.  Translation orbits use the lexicographically maximal
-rotation as representative, which puts the largest occupation first and matches
-the usual shorthand for class labels such as |22> or |202>.
+The sector (f sites, n bosons) is enumerated in descending lexicographic
+order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>; a state's
+index in that order is its rank, and `rank_rows` ranks a whole integer array.
+`SectorOrbits` holds the sector as one integer table: occupation rows in rank
+order, per-row orbit index and shift, orbit representatives and periods, and
+the single-boson `hops` out of any set of rows.  An orbit is represented by
+its lexicographically maximal rotation (the lowest rank), which puts the
+largest occupation first and matches the usual class labels |22> or |202>.
 
 The Bloch state attached to an orbit with representative |r> and period d at
 crystal momentum k = 2 pi l / f is
@@ -16,8 +19,11 @@ and exists exactly when l * d = 0 (mod f).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, ValidationError
 
@@ -27,9 +33,9 @@ DEFAULT_STATE_CAP = 10**7
 
 
 def check_sector(f, n):
-    if not isinstance(f, int) or f < 2:
+    if isinstance(f, bool) or not isinstance(f, int) or f < 2:
         raise ValidationError(f"need an integer ring size f >= 2, got {f!r}")
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValidationError(f"need an integer boson count n >= 0, got {n!r}")
 
 
@@ -39,22 +45,27 @@ def sector_dimension(f: int, n: int) -> int:
     return math.comb(n + f - 1, n)
 
 
-def enumerate_sector(f: int, n: int, max_states: int | None = None) -> list[Occ]:
-    """All occupation vectors of the (f, n) sector in descending lexicographic order."""
+def _occupations(f: int, n: int, max_states: int | None = None) -> np.ndarray:
+    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order."""
     dim = sector_dimension(f, n)
     cap = DEFAULT_STATE_CAP if max_states is None else max_states
     if dim > cap:
         raise CapacityError(f"sector (f={f}, n={n}) has {dim} states, above the cap {cap}")
-    return list(_compositions(f, n))
+    occ = np.full((1, 1), n, dtype=np.int64)
+    for _ in range(f - 1):
+        # split the last column (bosons not yet placed) into the next site and
+        # the rest, the next site taking the most bosons first
+        rest = occ[:, -1]
+        parent = np.repeat(np.arange(len(occ)), rest + 1)
+        start = np.cumsum(rest + 1) - (rest + 1)
+        head = rest[parent] - (np.arange(len(parent)) - start[parent])
+        occ = np.column_stack([occ[parent, :-1], head, rest[parent] - head])
+    return occ
 
 
-def _compositions(sites, total):
-    if sites == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(sites - 1, total - head):
-            yield (head,) + tail
+def enumerate_sector(f: int, n: int, max_states: int | None = None) -> list[Occ]:
+    """All occupation vectors of the (f, n) sector in descending lexicographic order."""
+    return [tuple(row) for row in _occupations(f, n, max_states).tolist()]
 
 
 def check_state(state):
@@ -62,23 +73,34 @@ def check_state(state):
         raise ValidationError(f"not a valid occupation vector: {state!r}")
 
 
-def rank(state) -> int:
-    """Index of `state` in the descending-lex enumeration of its own sector.
+@functools.lru_cache(maxsize=64)
+def _rank_table(f: int, n: int) -> np.ndarray:
+    """table[t, m] = comb(t - 1 + m, m) for t >= 1, and 0 for t = 0."""
+    # row n + 1 bounds every rank, so a sector too large for int64 raises here
+    table = np.array([[math.comb(t - 1 + m, m) if t else 0 for m in range(f)]
+                      for t in range(n + 2)], dtype=np.int64)
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
 
-    Computed combinatorially (no table), inverse of `enumerate_sector` indexing.
+
+def rank_rows(rows) -> np.ndarray:
+    """Index of each occupation row in the descending-lex enumeration of its sector.
+
+    A state is preceded by every state that shares its sites 0 .. j-1 and holds
+    more bosons on site j.  With t bosons on the m = f - 1 - j sites after j
+    there are comb(t - 1 + m, m) such states; the rank sums them over j.
     """
+    rows = np.asarray(rows, dtype=np.int64)
+    f = rows.shape[1]
+    after = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # bosons on the sites after j < f - 1
+    table = _rank_table(f, int(after.max(initial=0)))
+    return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
+
+
+def rank(state) -> int:
+    """Index of `state` in the descending-lex enumeration of its own sector."""
     check_state(state)
-    f = len(state)
-    r = 0
-    rem = sum(state)
-    for j, occ in enumerate(state[:-1]):
-        m = f - j - 1
-        u = rem - occ - 1
-        # states sharing the prefix but with a larger occupation at site j come first
-        if u >= 0:
-            r += math.comb(u + m, m)
-        rem -= occ
-    return r
+    return int(rank_rows([state])[0])
 
 
 def translate(state, t: int) -> Occ:
@@ -91,22 +113,12 @@ def translate(state, t: int) -> Occ:
     return s[-t:] + s[:-t]
 
 
-def _period(state):
-    for t in range(1, len(state) + 1):
-        if translate(state, t) == state:
-            return t
-
-
 @dataclass(frozen=True)
 class TranslationOrbit:
     """Equivalence class of a state under ring translations."""
 
     rep: Occ
     period: int
-
-    @property
-    def size(self) -> int:
-        return self.period
 
     def members(self) -> list[Occ]:
         """The distinct rotations T^u |rep> for u = 0 .. period-1."""
@@ -116,40 +128,67 @@ class TranslationOrbit:
 def orbit_of(state) -> TranslationOrbit:
     """Translation orbit of a state: lex-maximal representative, minimal period."""
     check_state(state)
-    s = tuple(state)
-    members = [s]
-    r = translate(s, 1)
-    while r != s:
-        members.append(r)
-        r = translate(r, 1)
+    members = {translate(state, t) for t in range(len(state))}
     return TranslationOrbit(rep=max(members), period=len(members))
 
 
 class SectorOrbits:
-    """All translation orbits of one (f, n) sector, ordered by representative.
+    """Integer table of one (f, n) sector and its translation orbits.
 
-    `locate` maps every state of the sector to (orbit index, shift u) such that
-    state == translate(orbits[index].rep, u).
+    `occ[i]` is the state of rank i.  Orbits are ordered by representative;
+    orbit g has representative row `reps[g]` and period `periods[g]`, and
+    `orbits[g]` carries both as a TranslationOrbit.  Every row i satisfies
+    occ[i] == translate(orbits[orbit_of[i]].rep, shift_of[i]) with
+    0 <= shift_of[i] < period.
     """
 
     def __init__(self, f: int, n: int, max_states: int | None = None):
-        states = enumerate_sector(f, n, max_states)
-        self.f = f
-        self.n = n
-        self.dim = len(states)
-        orbits: list[TranslationOrbit] = []
-        locate: dict[Occ, tuple[int, int]] = {}
-        for s in states:
-            if s in locate:
-                continue
-            # descending-lex enumeration meets each orbit at its maximal rotation first
-            orb = TranslationOrbit(rep=s, period=_period(s))
-            idx = len(orbits)
-            orbits.append(orb)
-            for u in range(orb.period):
-                locate[translate(s, u)] = (idx, u)
-        self.orbits = orbits
-        self.locate = locate
+        occ = _occupations(f, n, max_states)
+        self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
+        # rot[i, t] is the rank of T^t |state i>; the representative has the lowest
+        rot = np.stack([rank_rows(np.roll(occ, t, axis=1)) for t in range(f)], axis=1)
+        rep_rank = rot.min(axis=1)
+        self.reps = np.flatnonzero(rep_rank == np.arange(self.dim))
+        self.orbit_of = np.searchsorted(self.reps, rep_rank)
+        self.periods = f // (rot[self.reps] == rep_rank[self.reps, None]).sum(axis=1)
+        # T^t0 |state> = |rep> at the first such t0, so |state> = T^(-t0) |rep>
+        self.shift_of = -rot.argmin(axis=1) % self.periods[self.orbit_of]
+        self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
+                       for r, d in zip(occ[self.reps].tolist(), self.periods.tolist())]
+
+    def locate(self, state) -> tuple[int, int] | None:
+        """(orbit index g, shift u) with state == translate(orbits[g].rep, u);
+        None when the state is not in this sector."""
+        s = np.asarray(state)
+        if s.shape != (self.f,) or s.dtype.kind != "i" or s.min() < 0 or s.sum() != self.n:
+            return None
+        i = rank_rows(s[None])[0]
+        return int(self.orbit_of[i]), int(self.shift_of[i])
+
+    def hops(self, rows):
+        """Single-boson hops out of the given rows, as arrays (src, dst, amp).
+
+        One entry per boson moved from site s to s + 1 and to s - 1 (mod f),
+        in (row, site, direction) order with +1 first; `amp` is the bosonic
+        amplitude sqrt(n_s (n_t + 1)).  The hopping term puts -epsilon * amp
+        at H[dst, src]; on f = 2 both directions reach the same state.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        occ = self.occ[rows]
+        f = self.f
+        keys, dsts, amps = [], [], []
+        for s in range(f):
+            live = np.flatnonzero(occ[:, s])
+            for d, t in enumerate(((s + 1) % f, (s - 1) % f)):
+                moved = occ[live]
+                moved[:, s] -= 1
+                moved[:, t] += 1
+                keys.append((live * f + s) * 2 + d)
+                dsts.append(rank_rows(moved))
+                amps.append(np.sqrt(occ[live, s] * (occ[live, t] + 1.0)))
+        key = np.concatenate(keys)
+        order = np.argsort(key)
+        return rows[key[order] // (2 * f)], np.concatenate(dsts)[order], np.concatenate(amps)[order]
 
 
 @dataclass(frozen=True)

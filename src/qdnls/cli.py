@@ -34,10 +34,8 @@ from .perturbation import (
     band22_asymptotic,
     coeffs33,
     continuum42_bounds,
-    h22_matrix,
-    h33_matrix,
-    h42_matrix,
     pattern_energy,
+    pt_band,
 )
 
 CSV_COLUMNS = ("l", "k", "index", "energy", "band", "weight")
@@ -62,7 +60,6 @@ class RunConfig:
     threshold: float = 0.5
     out: str | None = None
     fmt: str = "csv"
-    threads: int = 1
     scaling: bool = False
 
     def payload(self) -> dict:
@@ -187,7 +184,6 @@ def _common(fn):
         click.option("--out", type=click.Path(dir_okay=False), default=None,
                      help="Output path; stdout when omitted."),
         click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"),
-        click.option("--threads", type=int, default=1, show_default=True),
     ]
     for opt in reversed(options):
         fn = opt(fn)
@@ -202,12 +198,11 @@ def main():
 # ------------------------------------------------------------------- spectrum
 
 
-def _spectrum_rows(params: ModelParams, threshold: float, threads: int,
-                   k_select: int | None):
+def _spectrum_rows(params: ModelParams, threshold: float, k_select: int | None):
     grid = momentum_grid(params.f)
     if k_select is not None:
         grid = [kidx for kidx in grid if kidx.l == k_select]
-    spectra = momentum_spectra(params, want_vectors=True, threads=threads, grid=grid)
+    spectra = momentum_spectra(params, want_vectors=True, grid=grid)
     rows = []
     for ksp in spectra:
         labels = classify_block(ksp.spectrum.eigenvectors, ksp.block.basis, threshold)
@@ -223,15 +218,15 @@ def _spectrum_rows(params: ModelParams, threshold: float, threads: int,
               help="Momentum grid label to restrict to, or 'all'.")
 @click.option("--threshold", type=float, default=0.5, show_default=True,
               help="Classification weight threshold.")
-def spectrum(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads,
+def spectrum(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt,
              k_text, threshold):
     """Momentum-resolved exact spectrum with per-state pattern labels."""
 
     def action():
         params = _resolve_params(config_path, f, n, gamma1, gamma2, epsilon, model)
         config = RunConfig(params=params, k_select=_parse_k(k_text, params.f),
-                           threshold=threshold, out=out, fmt=fmt, threads=threads)
-        rows = _spectrum_rows(params, threshold, threads, config.k_select)
+                           threshold=threshold, out=out, fmt=fmt)
+        rows = _spectrum_rows(params, threshold, config.k_select)
         _write_output(config, CSV_COLUMNS, rows)
 
     _run(action)
@@ -264,7 +259,7 @@ def _band_extras(report: BandReport) -> dict:
 @click.option("--pattern", "pattern_text", required=True,
               help="Occupation pattern, e.g. '2,2' or '4,2'.")
 @click.option("--threshold", type=float, default=0.5, show_default=True)
-def band(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads,
+def band(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt,
          pattern_text, threshold):
     """Extract one pattern band with line/continuum tags."""
 
@@ -272,8 +267,8 @@ def band(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads,
         params = _resolve_params(config_path, f, n, gamma1, gamma2, epsilon, model)
         pattern = _parse_pattern(pattern_text)
         config = RunConfig(params=params, pattern=pattern, threshold=threshold,
-                           out=out, fmt=fmt, threads=threads)
-        spectra = momentum_spectra(params, want_vectors=True, threads=threads)
+                           out=out, fmt=fmt)
+        spectra = momentum_spectra(params, want_vectors=True)
         report = extract_band(params, pattern, threshold=threshold,
                               on_overlap="warn", spectra=spectra)
         gs = ground_state(spectra, threshold)
@@ -313,44 +308,31 @@ def _asymptotics(params: ModelParams, pattern, k: MomentumIndex) -> dict:
     return {}
 
 
-_PT_BUILDERS = {(2, 2): h22_matrix, (4, 2): h42_matrix, (3, 3): h33_matrix}
-
-
 @main.command()
 @_common
 @click.option("--pattern", "pattern_text", required=True,
               help="Pattern with a closed perturbative form: '2,2', '4,2' or '3,3'.")
 @click.option("--k", "k_text", default="all", show_default=True)
-def pt(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads,
+def pt(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt,
        pattern_text, k_text):
     """Perturbative band energies and their asymptotic formulas."""
 
     def action():
         params = _resolve_params(config_path, f, n, gamma1, gamma2, epsilon, model)
         pattern = _parse_pattern(pattern_text)
-        build = _PT_BUILDERS.get(pattern)
-        if build is None:
-            raise ValidationError(
-                f"no closed perturbative form for pattern {pattern}; "
-                f"supported: 2,2 / 4,2 / 3,3")
-        if sum(pattern) != params.n:
-            raise ValidationError(
-                f"pattern {pattern} holds {sum(pattern)} bosons, the sector has n = {params.n}")
         config = RunConfig(params=params, pattern=pattern,
-                           k_select=_parse_k(k_text, params.f), out=out, fmt=fmt,
-                           threads=threads)
-        offset = pattern_energy(pattern, params)
+                           k_select=_parse_k(k_text, params.f), out=out, fmt=fmt)
         grid = momentum_grid(params.f)
         if config.k_select is not None:
             grid = [kidx for kidx in grid if kidx.l == config.k_select]
+        energies_at = pt_band(params, pattern, grid)
         extra_cols: list[str] = []
         rows = []
         for kidx in grid:
-            energies = np.sort(eigh(build(params, kidx)).eigenvalues) + offset
             asym = _asymptotics(params, pattern, kidx)
             if not extra_cols:
                 extra_cols = list(asym)
-            for idx, energy in enumerate(energies):
+            for idx, energy in enumerate(energies_at[kidx.l]):
                 rows.append((kidx.l, kidx.k, idx, float(energy), "pt", 1.0)
                             + tuple(asym[c] for c in extra_cols))
         _write_output(config, CSV_COLUMNS + tuple(extra_cols), rows)
@@ -361,18 +343,15 @@ def pt(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads,
 # -------------------------------------------------------------------- compare
 
 
-def _compare_once(params: ModelParams, pattern, threshold: float, threads: int):
-    spectra = momentum_spectra(params, want_vectors=True, threads=threads)
+def _compare_once(params: ModelParams, pattern, threshold: float):
+    spectra = momentum_spectra(params, want_vectors=True)
     report = extract_band(params, pattern, threshold=threshold,
                           on_overlap="warn", spectra=spectra)
     if report.pt_residuals is None:
         raise ValidationError(
             f"no perturbative reference for pattern {report.pattern} at f = {params.f}; "
             f"closed forms need an odd site count and one of 2,2 / 4,2 / 3,3")
-    build = _PT_BUILDERS[tuple(report.pattern)]
-    offset = pattern_energy(report.pattern, params)
-    pt_of = {kidx.l: np.sort(eigh(build(params, kidx)).eigenvalues) + offset
-             for kidx in momentum_grid(params.f)}
+    pt_of = pt_band(params, report.pattern)
     rows = []
     for l in sorted(report.counts):
         pts = sorted(report.points_at(l), key=lambda p: p.energy)
@@ -393,7 +372,7 @@ def _compare_once(params: ModelParams, pattern, threshold: float, threads: int):
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 @click.option("--scaling", is_flag=True, default=False,
               help="Repeat at eps, eps/2, eps/4 and report residual decay.")
-def compare(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads,
+def compare(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt,
             pattern_text, threshold, scaling):
     """Exact band against the perturbative prediction, per momentum."""
 
@@ -401,8 +380,8 @@ def compare(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads
         params = _resolve_params(config_path, f, n, gamma1, gamma2, epsilon, model)
         pattern = _parse_pattern(pattern_text)
         config = RunConfig(params=params, pattern=pattern, threshold=threshold,
-                           out=out, fmt=fmt, threads=threads, scaling=scaling)
-        rows, stats, report = _compare_once(params, pattern, threshold, threads)
+                           out=out, fmt=fmt, scaling=scaling)
+        rows, stats, report = _compare_once(params, pattern, threshold)
         extras = _band_extras(report)
         extras.update(stats)
         if scaling:
@@ -414,7 +393,7 @@ def compare(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads
                 params_i = ModelParams(f=params.f, n=params.n, gamma1=params.gamma1,
                                        gamma2=params.gamma2, epsilon=eps_i,
                                        model=params.model)
-                _, stats_i, _ = _compare_once(params_i, pattern, threshold, threads)
+                _, stats_i, _ = _compare_once(params_i, pattern, threshold)
                 table.append({"epsilon": eps_i, "max_residual": stats_i["max_residual"]})
             for i in range(1, len(table)):
                 prev, cur = table[i - 1]["max_residual"], table[i]["max_residual"]
@@ -430,13 +409,13 @@ def compare(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads
 
 @main.command()
 @_common
-def oracle(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt, threads):
+def oracle(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt):
     """Dense full-sector eigenvalues, no translation symmetry; a brute-force
     cross-check for the momentum blocks."""
 
     def action():
         params = _resolve_params(config_path, f, n, gamma1, gamma2, epsilon, model)
-        config = RunConfig(params=params, out=out, fmt=fmt, threads=threads)
+        config = RunConfig(params=params, out=out, fmt=fmt)
         energies = eigh(full_matrix(params)).eigenvalues
         rows = [(None, None, idx, float(e), "oracle", None)
                 for idx, e in enumerate(np.sort(energies))]

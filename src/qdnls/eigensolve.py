@@ -54,30 +54,3 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
         raise NumericalError(f"eigenvector Gram deviation {gram_dev:.3e} exceeds {ORTHO_TOL:g}")
     return Spectrum(eigenvalues=w, eigenvectors=v if want_vectors else None,
                     residual_bound=residual_bound)
-
-
-def eigvals_real_tridiag_plus_corners(diag, offdiag, corner=0.0) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian tridiagonal matrix with ring corners.
-
-    `diag` is the real diagonal (length m), `offdiag` the subdiagonal (length
-    m - 1, superdiagonal is its conjugate), and `corner` sits at [0, m-1] with
-    its conjugate at [m-1, 0].  For m <= 2 the corner overlaps the off-diagonal
-    band and the entries are summed.  Convenience path for the small effective
-    matrices; equivalent to eigh of the materialized matrix.
-    """
-    d = np.asarray(diag, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise ValidationError("diag must be a non-empty 1d real array")
-    m = d.size
-    a = np.zeros((m, m), dtype=complex)
-    a[np.diag_indices(m)] = d
-    if m > 1:
-        off = np.asarray(offdiag, dtype=complex)
-        if off.shape != (m - 1,):
-            raise ValidationError(f"offdiag must have length {m - 1}, got shape {off.shape}")
-        rows = np.arange(1, m)
-        a[rows, rows - 1] = off
-        a[rows - 1, rows] = off.conj()
-        a[0, m - 1] += corner
-        a[m - 1, 0] += np.conj(corner)
-    return eigh(a).eigenvalues

@@ -17,13 +17,16 @@ block element between orbits r' and r at momentum k is
     sqrt(d_r / d_r') * sum_{u=0}^{d_r'-1} exp(i k u) <T^u rep_r'| H |rep_r>
 
 with the Bloch convention of `basis` (phase exp(-i k t) on T^t |rep>).
+
+The dense oracle and the blocks share one hop table, `SectorOrbits.hops`: the
+oracle takes the hops out of every state, a block those out of its orbit
+representatives, each destination folded onto its orbit with a Bloch phase.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +34,8 @@ import numpy as np
 from .basis import (
     MomentumBasis,
     MomentumIndex,
-    Occ,
     SectorOrbits,
     check_sector,
-    enumerate_sector,
     momentum_basis,
     momentum_grid,
     sector_dimension,
@@ -77,7 +78,8 @@ class ModelParams:
         check_sector(self.f, self.n)
         for name in ("gamma1", "gamma2", "epsilon"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v) or v < 0):
                 raise ValidationError(f"{name} must be a finite non-negative number, got {v!r}")
         if self.model not in MODELS:
             raise ValidationError(f"model must be one of {MODELS}, got {self.model!r}")
@@ -85,34 +87,10 @@ class ModelParams:
             raise ValidationError("model h1 has no three-body term; set gamma2 = 0 or use model h2")
 
 
-def diagonal_energy(state, params: ModelParams) -> float:
-    """Zero-hopping energy of an occupation vector."""
-    e = 0.0
-    for c in state:
-        e += -params.gamma1 * c * (c - 1) + params.gamma2 * c * (c - 1) * (c - 2)
-    return e
-
-
-def hop_element(src, s: int, direction: int):
-    """Move one boson from site s to site s + direction (mod f).
-
-    Returns (destination state, bosonic amplitude sqrt(n_s (n_t + 1))), or None
-    when site s is empty.  The hopping operator carries an extra factor
-    -epsilon per element.
-    """
-    if direction not in (1, -1):
-        raise ValidationError(f"direction must be +1 or -1, got {direction!r}")
-    f = len(src)
-    if not 0 <= s < f:
-        raise ValidationError(f"site index {s} outside ring of size {f}")
-    ns = src[s]
-    if ns == 0:
-        return None
-    t = (s + direction) % f
-    occ = list(src)
-    occ[s] -= 1
-    occ[t] += 1
-    return tuple(occ), math.sqrt(ns * (src[t] + 1))
+def diagonal_energy(state, params: ModelParams):
+    """Zero-hopping energy of an occupation vector, or of each row of an array of them."""
+    c = np.asarray(state, dtype=float)
+    return (-params.gamma1 * c * (c - 1) + params.gamma2 * c * (c - 1) * (c - 2)).sum(axis=-1)
 
 
 def full_matrix(params: ModelParams) -> np.ndarray:
@@ -124,18 +102,10 @@ def full_matrix(params: ModelParams) -> np.ndarray:
     cap = dense_cap()
     if dim > cap:
         raise CapacityError(f"sector dimension {dim} exceeds the dense cap {cap}")
-    states = enumerate_sector(params.f, params.n)
-    index = {s: i for i, s in enumerate(states)}
-    h = np.zeros((dim, dim))
-    for i, s in enumerate(states):
-        h[i, i] = diagonal_energy(s, params)
-        for site in range(params.f):
-            for direction in (1, -1):
-                hop = hop_element(s, site, direction)
-                if hop is None:
-                    continue
-                dst, amp = hop
-                h[index[dst], i] += -params.epsilon * amp
+    sector = SectorOrbits(params.f, params.n)
+    h = np.diag(diagonal_energy(sector.occ, params))
+    src, dst, amp = sector.hops(np.arange(dim))
+    np.add.at(h, (dst, src), -params.epsilon * amp)
     return h
 
 
@@ -163,36 +133,27 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     if dim > cap:
         raise CapacityError(f"momentum block dimension {dim} exceeds the dense cap {cap}")
     sec = basis.sector
-    diag = np.array([diagonal_energy(orb.rep, params) for orb in basis.orbits])
+    reps = sec.reps[basis.orbit_indices]
+    col_of = np.full(len(sec.orbits), -1)
+    col_of[basis.orbit_indices] = np.arange(dim)
+    src, dst, amp = sec.hops(reps)
+    # destination orbits without weight at this momentum drop out
+    keep = col_of[sec.orbit_of[dst]] >= 0
+    g_src, g_dst = sec.orbit_of[src[keep]], sec.orbit_of[dst[keep]]
+    theta = 2 * np.pi * k.l * sec.shift_of[dst[keep]] / params.f
     v = np.zeros((dim, dim), dtype=complex)
-    f = params.f
-    for col, gi in enumerate(basis.orbit_indices):
-        orb = sec.orbits[gi]
-        for site in range(f):
-            for direction in (1, -1):
-                hop = hop_element(orb.rep, site, direction)
-                if hop is None:
-                    continue
-                dst, amp = hop
-                gj, shift = sec.locate[dst]
-                row = basis.local_index.get(gj)
-                if row is None:
-                    # destination orbit carries no weight at this momentum
-                    continue
-                dj = sec.orbits[gj].period
-                v[row, col] += (-params.epsilon * amp
-                                * math.sqrt(orb.period / dj)
-                                * np.exp(2j * np.pi * k.l * shift / f))
+    np.add.at(v, (col_of[g_dst], col_of[g_src]),
+              -params.epsilon * amp[keep] * np.sqrt(sec.periods[g_src] / sec.periods[g_dst])
+              * np.exp(1j * theta))
     v = 0.5 * (v + v.conj().T)
-    return basis, diag, v
+    return basis, diagonal_energy(sec.occ[reps], params), v
 
 
 def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None) -> MomentumBlock:
     """Hamiltonian block at momentum k over the Bloch orbit basis."""
     basis, diag, v = block_parts(params, k, sector)
-    h = v
-    h[np.diag_indices(basis.dim)] += diag
-    return MomentumBlock(k=k, basis=basis, matrix=h)
+    v[np.diag_indices(basis.dim)] += diag
+    return MomentumBlock(k=k, basis=basis, matrix=v)
 
 
 @dataclass
@@ -204,26 +165,25 @@ class KSpectrum:
     spectrum: Spectrum
 
 
-def momentum_spectra(params: ModelParams, want_vectors: bool = True, threads: int = 1,
+def momentum_spectra(params: ModelParams, want_vectors: bool = True,
                      sector: SectorOrbits | None = None,
                      grid: list[MomentumIndex] | None = None) -> list[KSpectrum]:
     """Assemble and diagonalize momentum blocks, ordered by grid label l.
 
     By default every momentum on the canonical grid is solved; pass a
-    subset of grid labels to restrict the work.
+    subset of grid labels to restrict the work.  A momentum that no orbit
+    carries gets an empty block and an empty spectrum.
     """
-    if not isinstance(threads, int) or threads < 1:
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
     if sector is None:
         sector = SectorOrbits(params.f, params.n)
     if grid is None:
         grid = momentum_grid(params.f)
-
-    def solve(kidx):
+    out = []
+    for kidx in grid:
         block = assemble_block(params, kidx, sector)
-        return KSpectrum(k=kidx, block=block, spectrum=eigh(block.matrix, want_vectors=want_vectors))
-
-    if threads == 1:
-        return [solve(kidx) for kidx in grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(solve, grid))
+        if block.basis.dim:
+            spectrum = eigh(block.matrix, want_vectors=want_vectors)
+        else:
+            spectrum = Spectrum(np.zeros(0), np.zeros((0, 0), complex) if want_vectors else None, 0.0)
+        out.append(KSpectrum(k=kidx, block=block, spectrum=spectrum))
+    return out

@@ -25,7 +25,8 @@ Closed forms implemented here, for odd f = 2 sigma + 1:
   Gamma = (9/2) (2 gamma2 - gamma1) / (gamma1 - 6 gamma2).
 
 All three return only the order-eps^2 correction; add `pattern_energy` for
-absolute energies.  `bw_second_order_block` builds the same object numerically
+absolute energies, or call `pt_band` for the absolute band energies at every
+momentum.  `bw_second_order_block` builds the same object numerically
 from single-boson hops for any degenerate family of classes and is the
 independent check of the closed forms.
 """
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentumIndex, SectorOrbits
+from .basis import MomentumIndex, SectorOrbits, momentum_grid
+from .eigensolve import eigh
 from .errors import PTValidityWarning, ResonanceError, ResonanceWarning, ValidationError
 from .hamiltonian import ModelParams, block_parts
 
@@ -303,6 +305,31 @@ def h33_matrix(params: ModelParams, k=None) -> np.ndarray:
     return np.diag(diag)
 
 
+PT_BUILDERS = {(2, 2): h22_matrix, (4, 2): h42_matrix, (3, 3): h33_matrix}
+
+
+def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = None
+            ) -> dict[int, np.ndarray]:
+    """Absolute second-order band energies {l: ascending energies} of a pattern
+    with a closed form, over the canonical momentum grid or the given one.
+
+    Raises ValidationError for a pattern without a closed form, a boson count
+    other than n or an even ring, and ResonanceError for resonant couplings.
+    """
+    pattern = tuple(pattern)
+    build = PT_BUILDERS.get(pattern)
+    if build is None:
+        raise ValidationError(
+            f"no closed perturbative form for pattern {pattern}; supported: 2,2 / 4,2 / 3,3")
+    if sum(pattern) != params.n:
+        raise ValidationError(
+            f"pattern {pattern} holds {sum(pattern)} bosons, the sector has n = {params.n}")
+    offset = pattern_energy(pattern, params)
+    if grid is None:
+        grid = momentum_grid(params.f)
+    return {k.l: np.sort(eigh(build(params, k)).eigenvalues) + offset for k in grid}
+
+
 # ------------------------------------------------- numeric second-order block
 
 
@@ -325,7 +352,7 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     p_idx = []
     seen = set()
     for orb in classes:
-        located = sector.locate.get(orb.rep)
+        located = sector.locate(orb.rep)
         if located is None or located[1] != 0:
             raise ValidationError(f"{orb.rep!r} is not an orbit representative of this sector")
         j = local_of_global.get(located[0])

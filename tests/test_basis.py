@@ -108,9 +108,11 @@ def test_orbits_partition_the_sector(f, n):
 def test_locate_gives_rep_and_shift(f, n):
     sector = SectorOrbits(f, n)
     for state in enumerate_sector(f, n):
-        gi, shift = sector.locate[state]
+        gi, shift = sector.locate(state)
         assert translate(sector.orbits[gi].rep, shift) == state
         assert 0 <= shift < sector.orbits[gi].period
+    assert sector.locate((n + 1,) + (0,) * (f - 1)) is None
+    assert sector.locate((0,) * (f + 1)) is None
 
 
 def test_orbit_of_short_period():

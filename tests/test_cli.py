@@ -75,9 +75,14 @@ def test_zero_hopping_spectrum_is_diagonal(runner):
     assert all(float(r[5]) == 1.0 for r in rows)
 
 
-def test_threads_do_not_change_output(runner):
-    base = ["spectrum", "--f", "5", "--n", "4", "--gamma1", "3", "--eps", "0.3"]
-    assert invoke_ok(runner, base).output == invoke_ok(runner, base + ["--threads", "2"]).output
+def test_empty_sector_spectrum_has_one_vacuum_row(runner):
+    # n = 0: only l = 0 carries the vacuum; the other momentum blocks are empty
+    args = ["--f", "5", "--n", "0", "--gamma1", "1"]
+    _, header, rows = parse_csv(invoke_ok(runner, ["spectrum", *args]).output)
+    assert header == list(CSV_COLUMNS)
+    assert rows == [["0", "0", "0", "0", "unclassified", "1"]]
+    _, _, oracle_rows = parse_csv(invoke_ok(runner, ["oracle", *args]).output)
+    assert [row[3] for row in oracle_rows] == [rows[0][3]]
 
 
 def test_validation_failure_leaves_no_file(runner, tmp_path):

@@ -1,11 +1,11 @@
-"""Certified Hermitian eigensolver and the tridiagonal-plus-corners helper."""
+"""Certified Hermitian eigensolver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdnls import NumericalError, Spectrum, ValidationError, eigh, eigvals_real_tridiag_plus_corners
+from qdnls import NumericalError, Spectrum, ValidationError, eigh
 from qdnls.eigensolve import ORTHO_TOL, RESIDUAL_RTOL
 
 
@@ -70,36 +70,3 @@ def test_unitary_conjugation_preserves_spectrum(dim, seed):
     w2 = eigh(q @ h @ q.conj().T).eigenvalues
     assert np.abs(w1 - w2).max() <= 1e-9 * max(1.0, np.abs(w1).max())
 
-
-# ------------------------------------------- tridiagonal with winding corners
-
-
-def test_tridiag_corners_matches_dense_construction():
-    rng = np.random.default_rng(11)
-    for dim in (3, 5, 8):
-        diag = rng.standard_normal(dim)
-        off = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
-        corner = complex(rng.standard_normal(), rng.standard_normal())
-        dense = np.diag(diag).astype(complex)
-        for j in range(dim - 1):
-            dense[j + 1, j] = off[j]
-            dense[j, j + 1] = np.conj(off[j])
-        dense[0, dim - 1] += corner
-        dense[dim - 1, 0] += np.conj(corner)
-        got = eigvals_real_tridiag_plus_corners(diag, off, corner)
-        want = np.linalg.eigvalsh(dense)
-        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-
-
-def test_tridiag_corner_overlap_adds_for_two_sites():
-    # at dim 2 the corner coincides with the off-diagonal entry and adds to it
-    got = eigvals_real_tridiag_plus_corners([0.0, 0.0], [1.0], 0.5)
-    assert np.allclose(got, [-1.5, 1.5])
-
-
-def test_tridiag_plain_matches_toeplitz_formula():
-    # free tridiagonal with zero corner: eigenvalues 2 cos(pi j / (m + 1))
-    m = 9
-    got = eigvals_real_tridiag_plus_corners(np.zeros(m), np.ones(m - 1), 0.0)
-    want = np.sort(2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1)))
-    assert np.abs(got - want).max() < 1e-12

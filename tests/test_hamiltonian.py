@@ -1,21 +1,29 @@
 """Diagonal energies, hopping, momentum blocks, and the dense cross-check."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdnls import (
     CapacityError,
     MomentumIndex,
     ModelParams,
+    SectorOrbits,
     ValidationError,
     assemble_block,
     diagonal_energy,
     eigh,
     enumerate_sector,
     full_matrix,
+    momentum_grid,
     momentum_spectra,
+    rank,
 )
-from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap, hop_element
+from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap
 
 
 def test_params_validation():
@@ -27,6 +35,11 @@ def test_params_validation():
         # the first model has no three-boson term
         ModelParams(f=2, n=1, gamma1=1.0, gamma2=0.5, model="h1")
     ModelParams(f=2, n=1, gamma1=1.0, gamma2=0.5, model="h2")
+    # booleans are not counts or couplings
+    for bad in ({"f": True}, {"n": True}, {"gamma1": True}, {"gamma2": False},
+                {"epsilon": True}):
+        with pytest.raises(ValidationError):
+            ModelParams(**{"f": 2, "n": 1, "gamma1": 1.0, **bad})
 
 
 def test_single_clump_energies():
@@ -55,14 +68,15 @@ def test_diagonal_energy_is_additive_over_sites():
 
 
 def test_hop_element_amplitudes():
-    # boson moves from site s to s+direction with sqrt(n_src (n_dst + 1))
-    dst, amp = hop_element((2, 1, 0), 0, 1)
-    assert dst == (1, 2, 0)
-    assert amp == pytest.approx(np.sqrt(2.0 * 2.0))
-    dst, amp = hop_element((2, 1, 0), 0, -1)
-    assert dst == (1, 1, 1)
-    assert amp == pytest.approx(np.sqrt(2.0))
-    assert hop_element((2, 0, 1), 1, 1) is None
+    # boson moves from site s to s+direction with sqrt(n_src (n_dst + 1)),
+    # listed by site and then direction +1, -1; empty sites contribute nothing
+    sector = SectorOrbits(3, 3)
+    src, dst, amp = sector.hops([rank((2, 1, 0))])
+    assert [tuple(sector.occ[d]) for d in dst] == [(1, 2, 0), (1, 1, 1), (2, 0, 1), (3, 0, 0)]
+    assert amp == pytest.approx(np.sqrt([2.0 * 2.0, 2.0, 1.0, 3.0]))
+    assert list(src) == [rank((2, 1, 0))] * 4
+    _, dst, _ = sector.hops([rank((2, 0, 1))])
+    assert [tuple(sector.occ[d]) for d in dst] == [(1, 1, 1), (1, 0, 2), (3, 0, 0), (2, 1, 0)]
 
 
 def test_two_site_spectrum_doubles_the_bond():
@@ -145,3 +159,67 @@ def test_dense_cap_and_env_override(monkeypatch):
     monkeypatch.setenv(DENSE_CAP_ENV, "10")
     with pytest.raises(CapacityError):
         full_matrix(ModelParams(f=4, n=3, gamma1=1.0))
+
+
+# ---------------------------------------------- properties on random sectors
+
+
+def dense_from_definition(params):
+    """H of the module docstring, built state by state without the hop table."""
+    f, n = params.f, params.n
+    states = sorted((tuple(sites.count(s) for s in range(f))
+                     for sites in itertools.combinations_with_replacement(range(f), n)),
+                    reverse=True)
+    index = {state: i for i, state in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    for i, state in enumerate(states):
+        h[i, i] = sum(-params.gamma1 * c * (c - 1) + params.gamma2 * c * (c - 1) * (c - 2)
+                      for c in state)
+        for s in range(f):
+            for t in ((s + 1) % f, (s - 1) % f):
+                if state[s] == 0:
+                    continue
+                moved = list(state)
+                moved[s] -= 1
+                moved[t] += 1
+                h[index[tuple(moved)], i] -= params.epsilon * math.sqrt(state[s] * (state[t] + 1))
+    return h
+
+
+random_params = st.builds(
+    ModelParams,
+    f=st.integers(2, 7),
+    n=st.integers(0, 5),
+    gamma1=st.floats(0.0, 5.0),
+    gamma2=st.floats(0.0, 5.0),
+    epsilon=st.floats(0.0, 2.0),
+)
+
+
+@given(random_params)
+@settings(max_examples=30, deadline=None)
+def test_full_matrix_matches_the_hamiltonian_definition(params):
+    want = dense_from_definition(params)
+    got = full_matrix(params)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@given(random_params)
+@settings(max_examples=30, deadline=None)
+def test_momentum_spectra_union_equals_dense_spectrum(params):
+    dense = eigh(full_matrix(params)).eigenvalues
+    union = np.sort(np.concatenate([ks.spectrum.eigenvalues
+                                    for ks in momentum_spectra(params, want_vectors=False)]))
+    assert union.size == dense.size
+    assert np.abs(union - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+
+
+@given(random_params)
+@settings(max_examples=30, deadline=None)
+def test_opposite_momentum_blocks_are_conjugate(params):
+    sector = SectorOrbits(params.f, params.n)
+    for k in momentum_grid(params.f):
+        plus = assemble_block(params, k, sector).matrix
+        minus = assemble_block(params, MomentumIndex(-k.l, params.f), sector).matrix
+        assert np.array_equal(minus, plus.conj())

@@ -214,7 +214,7 @@ def test_first_order_coupling_vanishes_between_pair_classes():
     cls = classes_of(sector, (2, 2))
     for k in momentum_grid(11)[:3]:
         basis, _, v = block_parts(params, k, sector)
-        rows = [basis.local_index[sector.locate[orb.rep][0]] for orb in cls]
+        rows = [basis.local_index[sector.locate(orb.rep)[0]] for orb in cls]
         assert np.abs(v[np.ix_(rows, rows)]).max() == 0.0
 
 
