@@ -32,7 +32,6 @@ from .basis import (
     enumerate_sector,
     momentum_basis,
     momentum_grid,
-    orbit_of,
     rank,
     sector_dimension,
     translate,

@@ -5,6 +5,10 @@ site counts, e.g. (2, 2) or (4, 2)) by the squared-amplitude weight the
 eigenvector carries on basis states of that pattern.  A state counts as
 classified only when the best pattern's weight strictly exceeds the
 threshold, so an even two-way split at threshold 0.5 stays unclassified.
+The basis states are the integer occupation rows of the orbit
+representatives; the rank of each row sorted largest first keys its
+pattern, so one `np.unique` groups the rows, and the weights of a whole
+block of eigenvectors are summed per group at once.
 
 Two-clump bands split further: an eigenvalue whose dominant basis state
 has the clumps on neighbouring sites is tagged "line", the rest
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MomentumBasis, Occ
+from .basis import MomentumBasis, Occ, rank_rows
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
 from .hamiltonian import KSpectrum, ModelParams, momentum_spectra
 from .perturbation import coeffs22, pt_band
@@ -93,54 +97,58 @@ class Classification:
     weight: float
 
 
-def _basis_states(basis) -> list[Occ]:
-    if isinstance(basis, MomentumBasis):
-        return [orb.rep for orb in basis.orbits]
-    return list(basis)
+def _pattern_groups(basis: MomentumBasis):
+    """Basis rows, a pattern group id per row, and each group's pattern.
+
+    The rows are the orbit representatives of the basis.  A row sorted largest
+    first is itself a state of the sector, so its rank keys the pattern; ranks
+    ascend as patterns descend, so the largest pattern has group id 0.
+    """
+    sector = basis.sector
+    rows = sector.occ[sector.reps[basis.orbit_indices]]
+    _, first, ids = np.unique(rank_rows(-np.sort(-rows, axis=1)),
+                              return_index=True, return_inverse=True)
+    return rows, ids, [pattern_of(rows[i].tolist()) for i in first]
 
 
-def classify_block(vectors, basis, threshold: float = 0.5) -> list[Classification]:
-    """Classify each column of `vectors` over one basis.
+def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> list[Classification]:
+    """Classify each column of `vectors`, one amplitude per orbit of `basis`.
 
-    `basis` is either a MomentumBasis (one amplitude per orbit) or a plain
-    sequence of occupation tuples matching the vector entries.  The weight
-    of a pattern is the squared amplitude summed over basis states with
-    that pattern; classification requires the best weight to exceed the
-    threshold strictly, so an even split stays unclassified.
+    The weight of a pattern is the squared amplitude summed over basis states
+    with that pattern; classification requires the best weight to exceed the
+    threshold strictly, so an even split stays unclassified.  Equal best
+    weights go to the largest pattern, and the adjacency tag comes from the
+    first of its states with the largest amplitude.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
-    states = _basis_states(basis)
     mat = np.asarray(vectors, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != len(states):
+    if mat.ndim != 2 or mat.shape[0] != basis.dim:
         raise ValidationError("vector length does not match the basis")
+    if not mat.shape[1]:
+        return []
     amp2 = np.abs(mat) ** 2
-    if mat.shape[1] and float(np.abs(amp2.sum(axis=0) - 1.0).max()) > 1e-8:
+    if float(np.abs(amp2.sum(axis=0) - 1.0).max()) > 1e-8:
         raise ValidationError("vector is not normalized")
-    patterns: dict[tuple[int, ...], int] = {}
-    ids = np.empty(len(states), dtype=int)
-    for i, state in enumerate(states):
-        ids[i] = patterns.setdefault(pattern_of(state), len(patterns))
-    plist = list(patterns)
-    totals = np.zeros((len(plist), mat.shape[1]))
+    rows, ids, patterns = _pattern_groups(basis)
+    totals = np.zeros((len(patterns), mat.shape[1]))
     np.add.at(totals, ids, amp2)
+    weights = totals.max(axis=0)
+    # the first of the tied groups holds the largest pattern
+    best = np.argmax(totals == weights, axis=0)
+    dominant = np.argmax(np.where(ids[:, None] == best, amp2, -1.0), axis=0)
     out = []
-    for j in range(mat.shape[1]):
-        col = totals[:, j]
-        weight = float(col.max())
-        # deterministic tie break on the pattern itself
-        pid = max(np.flatnonzero(col == weight), key=lambda i: plist[i])
-        if not weight > threshold or not plist[pid]:
+    for weight, pid, i in zip(weights.tolist(), best, dominant):
+        if not weight > threshold or not patterns[pid]:
             # the n = 0 vacuum has no clump to name
             out.append(Classification(None, weight))
-            continue
-        members = np.flatnonzero(ids == pid)
-        dominant = members[int(np.argmax(amp2[members, j]))]
-        out.append(Classification(PatternClass(plist[pid], adjacency_of(states[dominant])), weight))
+        else:
+            out.append(Classification(
+                PatternClass(patterns[pid], adjacency_of(rows[i].tolist())), weight))
     return out
 
 
-def classify_state(vector, basis, threshold: float = 0.5) -> Classification:
+def classify_state(vector, basis: MomentumBasis, threshold: float = 0.5) -> Classification:
     """Assign a single eigenvector to its dominant occupation pattern."""
     vec = np.asarray(vector, dtype=complex)
     if vec.ndim != 1:
@@ -220,8 +228,6 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
     two_clump = len(pat) == 2
     if spectra is None:
         spectra = momentum_spectra(params, want_vectors=True)
-    sector = spectra[0].block.basis.sector
-    class_orbits = [orb for orb in sector.orbits if pattern_of(orb.rep) == pat]
 
     points: list[BandPoint] = []
     counts: dict[int, tuple[int, int]] = {}
@@ -236,8 +242,9 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
     for ksp in spectra:
         if ksp.spectrum.eigenvectors is None:
             raise ValidationError("band extraction needs eigenvectors; solve with want_vectors=True")
-        basis = ksp.block.basis
-        expected = sum(1 for orb in class_orbits if ksp.k.compatible(orb))
+        basis = ksp.basis
+        _, ids, patterns = _pattern_groups(basis)
+        expected = int(np.count_nonzero(ids == patterns.index(pat))) if pat in patterns else 0
         if basis.dim == 0:
             counts[ksp.k.l] = (0, expected)
             continue
@@ -259,7 +266,7 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
                     for _, _, c in selected]
         else:
             tags = ["n/a"] * len(selected)
-        scale = max(1.0, float(np.abs(ksp.spectrum.eigenvalues).max())) if basis.dim else 1.0
+        scale = max(1.0, float(np.abs(ksp.spectrum.eigenvalues).max()))
         tags = _merge_degenerate_tags([e for _, e, _ in selected], tags, scale)
         for (idx, energy, cls), tag in zip(selected, tags):
             points.append(BandPoint(l=ksp.k.l, k=ksp.k.k, index=idx, energy=energy,
@@ -300,7 +307,7 @@ def ground_state(spectra: list[KSpectrum], threshold: float = 0.5) -> GroundStat
     ksp, idx, energy = best
     if ksp.spectrum.eigenvectors is None:
         raise ValidationError("ground-state classification needs eigenvectors")
-    cls = classify_state(ksp.spectrum.eigenvectors[:, idx], ksp.block.basis, threshold)
+    cls = classify_state(ksp.spectrum.eigenvectors[:, idx], ksp.basis, threshold)
     return GroundState(l=ksp.k.l, k=ksp.k.k, energy=energy, classification=cls)
 
 

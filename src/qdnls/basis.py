@@ -8,6 +8,8 @@ order, per-row orbit index and shift, orbit representatives and periods, and
 the single-boson `hops` out of any set of rows.  An orbit is represented by
 its lexicographically maximal rotation (the lowest rank), which puts the
 largest occupation first and matches the usual class labels |22> or |202>.
+A momentum basis is an index array into that table: the orbits, in sector
+order, whose period admits the momentum.
 
 The Bloch state attached to an orbit with representative |r> and period d at
 crystal momentum k = 2 pi l / f is
@@ -120,17 +122,6 @@ class TranslationOrbit:
     rep: Occ
     period: int
 
-    def members(self) -> list[Occ]:
-        """The distinct rotations T^u |rep> for u = 0 .. period-1."""
-        return [translate(self.rep, u) for u in range(self.period)]
-
-
-def orbit_of(state) -> TranslationOrbit:
-    """Translation orbit of a state: lex-maximal representative, minimal period."""
-    check_state(state)
-    members = {translate(state, t) for t in range(len(state))}
-    return TranslationOrbit(rep=max(members), period=len(members))
-
 
 class SectorOrbits:
     """Integer table of one (f, n) sector and its translation orbits.
@@ -208,10 +199,6 @@ class MomentumIndex:
     def k(self) -> float:
         return 2.0 * math.pi * self.l / self.f
 
-    def compatible(self, orbit: TranslationOrbit) -> bool:
-        """An orbit of period d carries momentum l iff l * d = 0 (mod f)."""
-        return (self.l * orbit.period) % self.f == 0
-
 
 def momentum_grid(f: int) -> list[MomentumIndex]:
     """Conventional momentum labels: -sigma .. sigma for odd f = 2 sigma + 1, else 0 .. f-1."""
@@ -224,16 +211,12 @@ def momentum_grid(f: int) -> list[MomentumIndex]:
 
 @dataclass
 class MomentumBasis:
-    """Bloch-symmetrized orbit basis of one momentum sector."""
+    """Bloch-symmetrized orbit basis of one momentum sector: basis vector j is
+    the Bloch state of orbit `orbit_indices[j]` of `sector`."""
 
     k: MomentumIndex
     sector: SectorOrbits
-    orbit_indices: list
-    local_index: dict
-
-    @property
-    def orbits(self) -> list[TranslationOrbit]:
-        return [self.sector.orbits[g] for g in self.orbit_indices]
+    orbit_indices: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -241,11 +224,11 @@ class MomentumBasis:
 
 
 def momentum_basis(f: int, n: int, k: MomentumIndex, sector: SectorOrbits | None = None) -> MomentumBasis:
-    """Orbits of the (f, n) sector compatible with momentum k, in sector order."""
+    """Orbits of the (f, n) sector that carry momentum k (l * period = 0 mod f),
+    in sector order."""
     if sector is None:
         sector = SectorOrbits(f, n)
     if (sector.f, sector.n) != (f, n) or k.f != f:
         raise ValidationError("sector and momentum index do not match the requested (f, n)")
-    idx = [g for g, orb in enumerate(sector.orbits) if k.compatible(orb)]
-    return MomentumBasis(k=k, sector=sector, orbit_indices=idx,
-                         local_index={g: j for j, g in enumerate(idx)})
+    return MomentumBasis(k=k, sector=sector,
+                         orbit_indices=np.flatnonzero(k.l * sector.periods % f == 0))

@@ -11,9 +11,8 @@ Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import click
 import numpy as np
@@ -60,7 +59,6 @@ class RunConfig:
     threshold: float = 0.5
     out: str | None = None
     fmt: str = "csv"
-    scaling: bool = False
 
     def payload(self) -> dict:
         data = dict(asdict(self.params))
@@ -205,7 +203,7 @@ def _spectrum_rows(params: ModelParams, threshold: float, k_select: int | None):
     spectra = momentum_spectra(params, want_vectors=True, grid=grid)
     rows = []
     for ksp in spectra:
-        labels = classify_block(ksp.spectrum.eigenvectors, ksp.block.basis, threshold)
+        labels = classify_block(ksp.spectrum.eigenvectors, ksp.basis, threshold)
         for idx, (energy, cls) in enumerate(zip(ksp.spectrum.eigenvalues, labels)):
             band = cls.pattern.label if cls.pattern is not None else "unclassified"
             rows.append((ksp.k.l, ksp.k.k, idx, float(energy), band, cls.weight))
@@ -380,7 +378,7 @@ def compare(config_path, f, n, gamma1, gamma2, epsilon, model, out, fmt,
         params = _resolve_params(config_path, f, n, gamma1, gamma2, epsilon, model)
         pattern = _parse_pattern(pattern_text)
         config = RunConfig(params=params, pattern=pattern, threshold=threshold,
-                           out=out, fmt=fmt, scaling=scaling)
+                           out=out, fmt=fmt)
         rows, stats, report = _compare_once(params, pattern, threshold)
         extras = _band_extras(report)
         extras.update(stats)

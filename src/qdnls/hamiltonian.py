@@ -158,10 +158,11 @@ def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits |
 
 @dataclass
 class KSpectrum:
-    """A momentum block together with its eigendecomposition."""
+    """The eigendecomposition of one momentum block over its basis; the block
+    matrix itself is dropped once solved (`assemble_block` rebuilds it)."""
 
     k: MomentumIndex
-    block: MomentumBlock
+    basis: MomentumBasis
     spectrum: Spectrum
 
 
@@ -185,5 +186,5 @@ def momentum_spectra(params: ModelParams, want_vectors: bool = True,
             spectrum = eigh(block.matrix, want_vectors=want_vectors)
         else:
             spectrum = Spectrum(np.zeros(0), np.zeros((0, 0), complex) if want_vectors else None, 0.0)
-        out.append(KSpectrum(k=kidx, block=block, spectrum=spectrum))
+        out.append(KSpectrum(k=kidx, basis=block.basis, spectrum=spectrum))
     return out

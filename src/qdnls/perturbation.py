@@ -348,19 +348,16 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     if sector is None:
         sector = SectorOrbits(params.f, params.n)
     basis, diag, v = block_parts(params, k, sector)
-    local_of_global = basis.local_index
-    p_idx = []
-    seen = set()
+    p_idx: list[int] = []
     for orb in classes:
         located = sector.locate(orb.rep)
         if located is None or located[1] != 0:
             raise ValidationError(f"{orb.rep!r} is not an orbit representative of this sector")
-        j = local_of_global.get(located[0])
-        if j is None:
+        j = int(np.searchsorted(basis.orbit_indices, located[0]))
+        if j == basis.dim or basis.orbit_indices[j] != located[0]:
             raise ValidationError(f"class {orb.rep} carries no weight at momentum l={k.l}")
-        if j in seen:
+        if j in p_idx:
             raise ValidationError(f"duplicate class {orb.rep}")
-        seen.add(j)
         p_idx.append(j)
     p = np.array(p_idx, dtype=int)
     e0 = diag[p]
@@ -368,7 +365,7 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     if float(e0.max() - e0.min()) > 1e-9 * scale:
         raise ValidationError("classes are not degenerate at zero hopping")
     e_deg = float(e0[0])
-    q = np.array([j for j in range(basis.dim) if j not in seen], dtype=int)
+    q = np.setdiff1d(np.arange(basis.dim), p)
     v_pp = v[np.ix_(p, p)]
     h = v_pp
     if q.size:

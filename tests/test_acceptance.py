@@ -13,6 +13,7 @@ import numpy as np
 from qdnls import (
     ModelParams,
     SectorOrbits,
+    assemble_block,
     band22_asymptotic,
     bw_second_order_block,
     coeffs33,
@@ -175,7 +176,8 @@ def test_criterion_5_dense_oracle_equals_momentum_blocks():
             value_ok &= union.shape == dense.shape
             value_ok &= float(np.abs(union - dense).max()) <= 1e-9
             t_dense = float(np.trace(full_matrix(params)))
-            t_blocks = float(sum(np.trace(b.block.matrix).real for b in blocks))
+            t_blocks = float(sum(np.trace(assemble_block(params, b.k).matrix).real
+                                 for b in blocks))
             trace_ok &= abs(t_blocks - t_dense) <= 1e-10 * max(1.0, abs(t_dense))
     record(5, "dense oracle equals the momentum-block union", {
         "eigenvalue multisets agree to 1e-9": value_ok,

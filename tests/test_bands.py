@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qdnls import (
     BandOverlapError,
@@ -24,8 +26,25 @@ from qdnls import (
     mass_ratio_report,
     momentum_spectra,
 )
-from qdnls.basis import SectorOrbits, momentum_basis, momentum_grid
+from qdnls.basis import MomentumIndex, SectorOrbits, momentum_basis, momentum_grid
 from qdnls.bands import adjacency_of, normalize_pattern, pattern_of
+
+
+def basis_states(basis):
+    return [basis.sector.orbits[g].rep for g in basis.orbit_indices]
+
+
+def vector_on(basis, amplitudes):
+    """A vector over `basis` holding the given amplitude on each named orbit."""
+    states = basis_states(basis)
+    vec = np.zeros(basis.dim)
+    for rep, amp in amplitudes.items():
+        vec[states.index(rep)] = amp
+    return vec
+
+
+# f = 4, n = 4 at l = 0: every orbit, e.g. (2,2,0,0), (2,0,2,0), (2,1,1,0), (2,1,0,1)
+RING4 = momentum_basis(4, 4, MomentumIndex(0, 4))
 
 
 # ------------------------------------------------------------- pattern helpers
@@ -69,17 +88,17 @@ def test_pattern_class_requires_consistent_adjacency():
 
 
 def test_pure_states_classify_with_full_weight():
-    states = [(2, 0, 2, 0, 0), (2, 2, 0, 0, 0), (2, 1, 1, 0, 0)]
-    cls = classify_state([1.0, 0.0, 0.0], states)
+    basis = momentum_basis(5, 4, MomentumIndex(0, 5))
+    cls = classify_state(vector_on(basis, {(2, 0, 2, 0, 0): 1.0}), basis)
     assert cls.pattern == PatternClass((2, 2), "separated")
     assert cls.weight == pytest.approx(1.0)
-    cls = classify_state([0.0, 1.0, 0.0], states)
+    cls = classify_state(vector_on(basis, {(2, 2, 0, 0, 0): 1.0}), basis)
     assert cls.pattern.adjacency == "adjacent"
 
 
 def test_pure_bloch_state_classifies_by_orbit_representative():
     basis = momentum_basis(5, 6, momentum_grid(5)[2], SectorOrbits(5, 6))
-    target = next(i for i, orb in enumerate(basis.orbits) if pattern_of(orb.rep) == (3, 3))
+    target = next(i for i, rep in enumerate(basis_states(basis)) if pattern_of(rep) == (3, 3))
     vec = np.zeros(basis.dim)
     vec[target] = 1.0
     cls = classify_state(vec, basis)
@@ -87,34 +106,89 @@ def test_pure_bloch_state_classifies_by_orbit_representative():
     assert cls.weight == pytest.approx(1.0)
 
 
+# amplitudes of 1/2 on two (2,2) and two (2,1,1) orbits keep both pattern
+# weights at exactly 0.5; the (2,2) orbits are one adjacent, one separated
+EVEN_SPLIT = {(2, 2, 0, 0): 0.5, (2, 0, 2, 0): 0.5, (2, 1, 1, 0): 0.5, (2, 1, 0, 1): 0.5}
+
+
 def test_even_split_stays_unclassified_at_half():
-    # amplitudes of 1/2 keep both pattern weights at exactly 0.5
-    states = [(2, 2, 0, 0), (0, 2, 2, 0), (2, 1, 1, 0), (1, 2, 1, 0)]
-    cls = classify_state([0.5, 0.5, 0.5, 0.5], states)
+    cls = classify_state(vector_on(RING4, EVEN_SPLIT), RING4)
     assert cls.pattern is None
     assert cls.weight == 0.5
 
 
 def test_tie_above_threshold_breaks_deterministically():
-    states = [(2, 2, 0, 0), (0, 2, 2, 0), (2, 1, 1, 0), (1, 2, 1, 0)]
-    cls = classify_state([0.5, 0.5, 0.5, 0.5], states, threshold=0.4)
+    # the larger pattern wins the tie; its first equal-amplitude orbit tags it
+    cls = classify_state(vector_on(RING4, EVEN_SPLIT), RING4, threshold=0.4)
     assert cls.pattern == PatternClass((2, 2), "adjacent")
 
 
 def test_classify_validates_inputs():
-    states = [(2, 2, 0, 0), (2, 1, 1, 0)]
+    pure = vector_on(RING4, {(2, 2, 0, 0): 1.0})
     with pytest.raises(ValidationError):
-        classify_state([1.0, 0.0], states, threshold=0.0)
+        classify_state(pure, RING4, threshold=0.0)
     with pytest.raises(ValidationError):
-        classify_state([1.0, 0.0], states, threshold=1.2)
+        classify_state(pure, RING4, threshold=1.2)
+    with pytest.raises(ValidationError):          # not normalized
+        classify_state(vector_on(RING4, {(2, 2, 0, 0): 0.6, (2, 1, 1, 0): 0.6}), RING4)
     with pytest.raises(ValidationError):
-        classify_state([0.6, 0.6], states)          # not normalized
+        classify_state(np.append(pure, 0.0), RING4)  # wrong length
     with pytest.raises(ValidationError):
-        classify_state([1.0, 0.0, 0.0], states)     # wrong length
-    with pytest.raises(ValidationError):
-        classify_state(np.eye(2), states)           # not a single vector
+        classify_state(np.eye(RING4.dim), RING4)     # not a single vector
     # threshold 1.0 is allowed but nothing can strictly exceed it
-    assert classify_state([1.0, 0.0], states, threshold=1.0).pattern is None
+    assert classify_state(pure, RING4, threshold=1.0).pattern is None
+
+
+def reference_classification(vectors, basis, threshold):
+    """Classification read off state by state from pattern_of and adjacency_of."""
+    states = basis_states(basis)
+    amp2 = np.abs(np.asarray(vectors, dtype=complex)) ** 2
+    out = []
+    for j in range(amp2.shape[1]):
+        weights = {}
+        for state, a in zip(states, amp2[:, j].tolist()):
+            weights[pattern_of(state)] = weights.get(pattern_of(state), 0.0) + a
+        weight = max(weights.values())
+        best = max(p for p, w in weights.items() if w == weight)
+        if not weight > threshold or not best:
+            out.append(Classification(None, weight))
+            continue
+        members = [i for i, state in enumerate(states) if pattern_of(state) == best]
+        dominant = max(members, key=lambda i: amp2[i, j])  # the first of equal maxima
+        out.append(Classification(PatternClass(best, adjacency_of(states[dominant])), weight))
+    return out
+
+
+@given(st.integers(2, 7), st.integers(0, 5), st.data(),
+       st.sampled_from([0.25, 0.4, 0.5, 0.6, 1.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_classification_matches_per_state_reference(f, n, data, threshold, seed):
+    k = data.draw(st.sampled_from(momentum_grid(f)))
+    basis = momentum_basis(f, n, k)
+    assume(basis.dim > 0)
+    rng = np.random.default_rng(seed)
+    states = basis_states(basis)
+    columns = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            # equal amplitudes 1/sqrt(m) on up to three orbits of one pattern and
+            # up to three others: exact weight ties between patterns and between
+            # states of one pattern (m = 4 can split at exactly 0.5)
+            pat = data.draw(st.sampled_from(sorted({pattern_of(s) for s in states})))
+            own = [i for i, s in enumerate(states) if pattern_of(s) == pat]
+            others = data.draw(st.integers(0, min(basis.dim, 3)))
+            picked = {*rng.choice(own, min(len(own), 3), replace=False).tolist(),
+                      *rng.choice(basis.dim, others, replace=False).tolist()}
+            m = len(picked)
+            col = np.zeros(basis.dim, dtype=complex)
+            col[list(picked)] = rng.choice([-1.0, 1.0], m) / np.sqrt(m)
+        else:
+            col = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            col /= np.linalg.norm(col)
+        columns.append(col)
+    vectors = np.column_stack(columns)
+    assert classify_block(vectors, basis, threshold) == \
+        reference_classification(vectors, basis, threshold)
 
 
 def test_classified_count_decreases_with_threshold():
@@ -122,7 +196,7 @@ def test_classified_count_decreases_with_threshold():
     ksp = momentum_spectra(p)[3]
     counts = []
     for threshold in (0.2, 0.4, 0.6, 0.8):
-        out = classify_block(ksp.spectrum.eigenvectors, ksp.block.basis, threshold)
+        out = classify_block(ksp.spectrum.eigenvectors, ksp.basis, threshold)
         counts.append(sum(1 for c in out if c.pattern is not None))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] > counts[-1]

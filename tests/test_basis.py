@@ -1,5 +1,6 @@
 """Enumeration, ranking, translation orbits, and momentum bases."""
 
+import cmath
 import math
 
 import pytest
@@ -14,7 +15,6 @@ from qdnls import (
     enumerate_sector,
     momentum_basis,
     momentum_grid,
-    orbit_of,
     rank,
     sector_dimension,
     translate,
@@ -25,6 +25,17 @@ SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
 def sectors(draw_f=st.integers(2, 7), draw_n=st.integers(0, 6)):
     return st.tuples(draw_f, draw_n)
+
+
+def rotations(state):
+    """The distinct rotations of a state."""
+    return {translate(state, t) for t in range(len(state))}
+
+
+def orbit_of(state):
+    """(lex-maximal representative, period) of a state's translation orbit."""
+    members = rotations(state)
+    return max(members), len(members)
 
 
 # ----------------------------------------------------------------- enumeration
@@ -94,7 +105,7 @@ def test_orbits_partition_the_sector(f, n):
     assert sum(orb.period for orb in sector.orbits) == len(states)
     seen = set()
     for orb in sector.orbits:
-        members = set(orb.members())
+        members = rotations(orb.rep)
         assert len(members) == orb.period
         assert not members & seen
         seen |= members
@@ -116,9 +127,11 @@ def test_locate_gives_rep_and_shift(f, n):
 
 
 def test_orbit_of_short_period():
-    orb = orbit_of((1, 0, 1, 0))
-    assert orb.period == 2
-    assert orb.rep == (1, 0, 1, 0)
+    assert orbit_of((0, 1, 0, 1)) == ((1, 0, 1, 0), 2)
+    sector = SectorOrbits(4, 2)
+    for state in enumerate_sector(4, 2):
+        orb = sector.orbits[sector.locate(state)[0]]
+        assert (orb.rep, orb.period) == orbit_of(state)
 
 
 # ------------------------------------------------------------- momentum bases
@@ -135,10 +148,11 @@ def test_momentum_grid_labels():
 
 def test_compatibility_condition():
     # period-2 orbit on f=4 exists only at even momentum labels
-    orb = orbit_of((1, 0, 1, 0))
-    assert MomentumIndex(0, 4).compatible(orb)
-    assert not MomentumIndex(1, 4).compatible(orb)
-    assert MomentumIndex(2, 4).compatible(orb)
+    sector = SectorOrbits(4, 2)
+    g = sector.locate((1, 0, 1, 0))[0]
+    for l, carried in ((0, True), (1, False), (2, True), (3, False)):
+        basis = momentum_basis(4, 2, MomentumIndex(l, 4), sector)
+        assert (g in basis.orbit_indices) == carried
 
 
 @pytest.mark.parametrize("f,n", SMALL_SECTORS)
@@ -157,10 +171,15 @@ def test_block_dimensions_at_figure_sizes():
 @given(sectors(draw_n=st.integers(0, 5)))
 @settings(max_examples=30, deadline=None)
 def test_every_block_lists_only_compatible_orbits(fn):
+    # an orbit carries momentum k iff its Bloch sum over all f rotations,
+    # sum_t exp(-i k t) T^t |rep>, does not vanish
     f, n = fn
     sector = SectorOrbits(f, n)
     for k in momentum_grid(f):
         basis = momentum_basis(f, n, k, sector)
-        included = set(basis.orbit_indices)
+        assert list(basis.orbit_indices) == sorted(set(basis.orbit_indices.tolist()))
+        included = set(basis.orbit_indices.tolist())
         for gi, orb in enumerate(sector.orbits):
-            assert (gi in included) == k.compatible(orb)
+            amp = sum(cmath.exp(-1j * k.k * t) for t in range(f)
+                      if translate(orb.rep, t) == orb.rep)
+            assert (gi in included) == (abs(amp) > 1e-9)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_block_union_matches_dense_spectrum(f, n):
         assert np.abs(union - dense).max() <= 1e-9 * scale
         # trace splits exactly over the momentum blocks
         trace_full = np.trace(full_matrix(params))
-        trace_blocks = sum(np.trace(ks.block.matrix).real for ks in blocks)
+        trace_blocks = sum(np.trace(assemble_block(params, ks.k).matrix).real for ks in blocks)
         assert abs(trace_blocks - trace_full) <= 1e-10 * max(1.0, abs(trace_full))
 
 
@@ -223,3 +224,18 @@ def test_opposite_momentum_blocks_are_conjugate(params):
         plus = assemble_block(params, k, sector).matrix
         minus = assemble_block(params, MomentumIndex(-k.l, params.f), sector).matrix
         assert np.array_equal(minus, plus.conj())
+
+
+def test_solved_spectra_keep_no_block_matrices():
+    # after the solve only the eigenpairs (and the small sector table) stay
+    # alive; holding each block matrix as well would double the bytes
+    params = ModelParams(f=9, n=5, gamma1=10.0, epsilon=0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectra = momentum_spectra(params)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    vector_bytes = sum(ks.spectrum.eigenvectors.nbytes for ks in spectra)
+    assert held <= 1.5 * vector_bytes
