@@ -17,7 +17,6 @@ from .bands import (
     adjacency_of,
     band_mass,
     classify_block,
-    classify_state,
     effective_mass,
     extract_band,
     ground_state,

@@ -148,14 +148,6 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
     return out
 
 
-def classify_state(vector, basis: MomentumBasis, threshold: float = 0.5) -> Classification:
-    """Assign a single eigenvector to its dominant occupation pattern."""
-    vec = np.asarray(vector, dtype=complex)
-    if vec.ndim != 1:
-        raise ValidationError("classify_state expects a single vector")
-    return classify_block(vec[:, None], basis, threshold)[0]
-
-
 # ------------------------------------------------------------ band extraction
 
 
@@ -184,9 +176,6 @@ class BandReport:
     def points_at(self, l: int) -> list[BandPoint]:
         return [p for p in self.points if p.l == l]
 
-    def tagged(self, tag: str) -> list[BandPoint]:
-        return [p for p in self.points if p.tag == tag]
-
 
 def _merge_degenerate_tags(energies: list[float], tags: list[str], scale: float) -> list[str]:
     """Collapse conflicting tags inside numerically degenerate clusters."""
@@ -204,6 +193,17 @@ def _merge_degenerate_tags(energies: list[float], tags: list[str], scale: float)
     return out
 
 
+def sector_pattern(params: ModelParams, pattern) -> tuple[int, ...]:
+    """`pattern` largest first, checked to fit the sector of `params`."""
+    pat = normalize_pattern(pattern)
+    if sum(pat) != params.n:
+        raise ValidationError(
+            f"pattern {pat} holds {sum(pat)} bosons, the sector has n = {params.n}")
+    if len(pat) > params.f:
+        raise ValidationError(f"pattern {pat} needs more than f = {params.f} sites")
+    return pat
+
+
 def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
                  on_overlap: str = "raise",
                  spectra: list[KSpectrum] | None = None) -> BandReport:
@@ -217,12 +217,7 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
     perturbative band energies, when available, are compared against the
     selected exact ones in `pt_residuals`.
     """
-    pat = normalize_pattern(pattern)
-    if sum(pat) != params.n:
-        raise ValidationError(
-            f"pattern {pat} holds {sum(pat)} bosons, the sector has n = {params.n}")
-    if len(pat) > params.f:
-        raise ValidationError(f"pattern {pat} needs more than f = {params.f} sites")
+    pat = sector_pattern(params, pattern)
     if on_overlap not in ("raise", "warn"):
         raise ValidationError(f"on_overlap must be 'raise' or 'warn', got {on_overlap!r}")
     two_clump = len(pat) == 2
@@ -295,19 +290,19 @@ class GroundState:
 
 def ground_state(spectra: list[KSpectrum], threshold: float = 0.5) -> GroundState:
     """Global minimum over all momentum blocks, with its classification."""
-    best: tuple[KSpectrum, int, float] | None = None
+    best: tuple[KSpectrum, float] | None = None
     for ksp in spectra:
         if ksp.spectrum.eigenvalues.size == 0:
             continue
         energy = float(ksp.spectrum.eigenvalues[0])
-        if best is None or energy < best[2]:
-            best = (ksp, 0, energy)
+        if best is None or energy < best[1]:
+            best = (ksp, energy)
     if best is None:
         raise ValidationError("no eigenvalues to scan")
-    ksp, idx, energy = best
+    ksp, energy = best
     if ksp.spectrum.eigenvectors is None:
         raise ValidationError("ground-state classification needs eigenvectors")
-    cls = classify_state(ksp.spectrum.eigenvectors[:, idx], ksp.basis, threshold)
+    [cls] = classify_block(ksp.spectrum.eigenvectors[:, :1], ksp.basis, threshold)
     return GroundState(l=ksp.k.l, k=ksp.k.k, energy=energy, classification=cls)
 
 

@@ -19,7 +19,6 @@ from qdnls import (
     band22_asymptotic,
     band_mass,
     classify_block,
-    classify_state,
     effective_mass,
     extract_band,
     ground_state,
@@ -89,10 +88,10 @@ def test_pattern_class_requires_consistent_adjacency():
 
 def test_pure_states_classify_with_full_weight():
     basis = momentum_basis(5, 4, MomentumIndex(0, 5))
-    cls = classify_state(vector_on(basis, {(2, 0, 2, 0, 0): 1.0}), basis)
+    cls = classify_block(vector_on(basis, {(2, 0, 2, 0, 0): 1.0})[:, None], basis)[0]
     assert cls.pattern == PatternClass((2, 2), "separated")
     assert cls.weight == pytest.approx(1.0)
-    cls = classify_state(vector_on(basis, {(2, 2, 0, 0, 0): 1.0}), basis)
+    cls = classify_block(vector_on(basis, {(2, 2, 0, 0, 0): 1.0})[:, None], basis)[0]
     assert cls.pattern.adjacency == "adjacent"
 
 
@@ -101,7 +100,7 @@ def test_pure_bloch_state_classifies_by_orbit_representative():
     target = next(i for i, rep in enumerate(basis_states(basis)) if pattern_of(rep) == (3, 3))
     vec = np.zeros(basis.dim)
     vec[target] = 1.0
-    cls = classify_state(vec, basis)
+    cls = classify_block(vec[:, None], basis)[0]
     assert cls.pattern == PatternClass((3, 3), "adjacent")
     assert cls.weight == pytest.approx(1.0)
 
@@ -112,31 +111,29 @@ EVEN_SPLIT = {(2, 2, 0, 0): 0.5, (2, 0, 2, 0): 0.5, (2, 1, 1, 0): 0.5, (2, 1, 0,
 
 
 def test_even_split_stays_unclassified_at_half():
-    cls = classify_state(vector_on(RING4, EVEN_SPLIT), RING4)
+    cls = classify_block(vector_on(RING4, EVEN_SPLIT)[:, None], RING4)[0]
     assert cls.pattern is None
     assert cls.weight == 0.5
 
 
 def test_tie_above_threshold_breaks_deterministically():
     # the larger pattern wins the tie; its first equal-amplitude orbit tags it
-    cls = classify_state(vector_on(RING4, EVEN_SPLIT), RING4, threshold=0.4)
+    cls = classify_block(vector_on(RING4, EVEN_SPLIT)[:, None], RING4, threshold=0.4)[0]
     assert cls.pattern == PatternClass((2, 2), "adjacent")
 
 
 def test_classify_validates_inputs():
     pure = vector_on(RING4, {(2, 2, 0, 0): 1.0})
     with pytest.raises(ValidationError):
-        classify_state(pure, RING4, threshold=0.0)
+        classify_block(pure[:, None], RING4, threshold=0.0)
     with pytest.raises(ValidationError):
-        classify_state(pure, RING4, threshold=1.2)
+        classify_block(pure[:, None], RING4, threshold=1.2)
     with pytest.raises(ValidationError):          # not normalized
-        classify_state(vector_on(RING4, {(2, 2, 0, 0): 0.6, (2, 1, 1, 0): 0.6}), RING4)
+        classify_block(vector_on(RING4, {(2, 2, 0, 0): 0.6, (2, 1, 1, 0): 0.6})[:, None], RING4)
     with pytest.raises(ValidationError):
-        classify_state(np.append(pure, 0.0), RING4)  # wrong length
-    with pytest.raises(ValidationError):
-        classify_state(np.eye(RING4.dim), RING4)     # not a single vector
+        classify_block(np.append(pure, 0.0)[:, None], RING4)  # wrong length
     # threshold 1.0 is allowed but nothing can strictly exceed it
-    assert classify_state(pure, RING4, threshold=1.0).pattern is None
+    assert classify_block(pure[:, None], RING4, threshold=1.0)[0].pattern is None
 
 
 def reference_classification(vectors, basis, threshold):

@@ -105,15 +105,20 @@ def test_missing_parameters_fail_cleanly(runner):
 
 def test_json_output_round_trips_through_config(runner, tmp_path):
     out = tmp_path / "run.json"
-    invoke_ok(runner, ["spectrum", "--f", "5", "--n", "3", "--gamma1", "5",
-                       "--eps", "0.5", "--format", "json", "--out", str(out)])
+    invoke_ok(runner, ["spectrum", "--f", "5", "--n", "3", "--gamma1", "5", "--eps", "0.5",
+                       "--k", "2", "--threshold", "0.9", "--format", "json", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert doc["columns"] == list(CSV_COLUMNS)
+    assert len(doc["rows"]) == 7 and doc["config"]["threshold"] == 0.9
     again = tmp_path / "again.json"
     invoke_ok(runner, ["spectrum", "--config", str(out), "--format", "json",
                        "--out", str(again)])
     doc2 = json.loads(again.read_text())
     assert doc2 == doc
+    # a flag given on the command line still wins over the stored setting
+    every_k = json.loads(invoke_ok(runner, ["spectrum", "--config", str(out), "--k", "all",
+                                            "--format", "json"]).stdout)
+    assert len(every_k["rows"]) == 35 and every_k["config"]["threshold"] == 0.9
 
 
 def test_config_rejects_unknown_keys(runner, tmp_path):
@@ -132,6 +137,14 @@ def test_wrapped_config_rejects_unknown_keys(runner, tmp_path):
     result = runner.invoke(main, ["spectrum", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "unknown keys" in result.stderr and "tau" in result.stderr
+
+
+def test_wrapped_config_rejects_non_numeric_threshold(runner, tmp_path):
+    cfg = tmp_path / "bad_threshold.json"
+    cfg.write_text(json.dumps({"config": {"f": 5, "n": 3, "gamma1": 5.0, "threshold": "high"}}))
+    result = runner.invoke(main, ["spectrum", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "non-numeric threshold" in result.stderr
 
 
 def test_flags_override_config(runner, tmp_path):
@@ -236,6 +249,23 @@ def test_compare_scaling_shows_quartic_decay(runner):
     assert [entry["epsilon"] for entry in table] == [0.5, 0.25, 0.125]
     for entry in table[1:]:
         assert 10.0 < entry["decay_factor"] < 25.0
+
+
+def test_compare_scaling_without_residual_reports_no_decay(runner):
+    # nothing clears threshold 0.999 at eps, so that row has no residual
+    with pytest.warns(UserWarning, match="another band overlaps"):
+        result = invoke_ok(runner, ["compare", *FIG_FLAGS, "--pattern", "2,2", "--threshold",
+                                    "0.999", "--scaling", "--format", "json"])
+    table = json.loads(result.stdout)["scaling"]
+    assert table[0]["max_residual"] is None
+    assert table[1]["max_residual"] is not None and table[1]["decay_factor"] is None
+
+
+def test_compare_resonant_parameters_exit_4(runner):
+    result = runner.invoke(main, ["compare", "--f", "7", "--n", "6", "--gamma1", "3",
+                                  "--gamma2", "1", "--eps", "0.1", "--pattern", "4,2"])
+    assert result.exit_code == 4
+    assert "gamma1 - 3*gamma2" in result.stderr
 
 
 def test_compare_even_ring_exits_2(runner):
