@@ -8,6 +8,10 @@ order, per-row orbit index and shift, orbit representatives and periods, and
 the single-boson `hops` out of any set of rows.  An orbit is represented by
 its lexicographically maximal rotation (the lowest rank), which puts the
 largest occupation first and matches the usual class labels |22> or |202>.
+The table is built from two kernels on raw occupation rows, `canonical_rows`
+(representative, shift and period of each row) and `hop_moves` (the
+single-boson moves out of each row); the numeric perturbation reference calls
+the same two on the rows it reaches and needs no table.
 A momentum basis is an index array into that table: the orbits, in sector
 order, whose period admits the momentum.
 
@@ -115,6 +119,42 @@ def translate(state, t: int) -> Occ:
     return s[-t:] + s[:-t]
 
 
+def canonical_rows(rows):
+    """Canonical form of each occupation row over its f rotations, as arrays
+    (rep_rank, shift, period): the rank of its representative (its lowest-rank
+    rotation), the shift u with row == translate(rep, u) and 0 <= u < period,
+    and the period of its orbit.  Rows may come from different sectors."""
+    rows = np.asarray(rows, dtype=np.int64)
+    f = rows.shape[1]
+    # rot[i, t] is the rank of T^t |row i>; the representative has the lowest
+    rot = np.stack([rank_rows(np.roll(rows, t, axis=1)) for t in range(f)], axis=1)
+    rep_rank = rot.min(axis=1)
+    period = f // (rot == rep_rank[:, None]).sum(axis=1)
+    # T^t0 |row> = |rep> at the first such t0, so |row> = T^(-t0) |rep>
+    return rep_rank, -rot.argmin(axis=1) % period, period
+
+
+def hop_moves(occ):
+    """Single-boson moves out of occupation rows, as arrays (src, moved, amp).
+
+    One entry per boson moved from site s to s + 1 and to s - 1 (mod f), in
+    (row, site, direction) order with +1 first: `src` indexes the input rows,
+    `moved` is the destination row and `amp` the bosonic amplitude
+    sqrt(n_s (n_t + 1)).  The hopping term puts -epsilon * amp at
+    H[moved, row]; on f = 2 both directions reach the same state.
+    """
+    occ = np.asarray(occ, dtype=np.int64)
+    f = occ.shape[1]
+    # nonzero walks (row, site, direction) in C order; direction 0 is s + 1
+    src, s, d = np.nonzero(np.broadcast_to(occ[:, :, None] > 0, (*occ.shape, 2)))
+    t = (s + 1 - 2 * d) % f
+    moved = occ[src]
+    at = np.arange(len(src))
+    moved[at, s] -= 1
+    moved[at, t] += 1
+    return src, moved, np.sqrt(occ[src, s] * (occ[src, t] + 1.0))
+
+
 @dataclass(frozen=True)
 class TranslationOrbit:
     """Equivalence class of a state under ring translations."""
@@ -136,14 +176,10 @@ class SectorOrbits:
     def __init__(self, f: int, n: int, max_states: int | None = None):
         occ = _occupations(f, n, max_states)
         self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
-        # rot[i, t] is the rank of T^t |state i>; the representative has the lowest
-        rot = np.stack([rank_rows(np.roll(occ, t, axis=1)) for t in range(f)], axis=1)
-        rep_rank = rot.min(axis=1)
+        rep_rank, self.shift_of, period_of = canonical_rows(occ)
         self.reps = np.flatnonzero(rep_rank == np.arange(self.dim))
         self.orbit_of = np.searchsorted(self.reps, rep_rank)
-        self.periods = f // (rot[self.reps] == rep_rank[self.reps, None]).sum(axis=1)
-        # T^t0 |state> = |rep> at the first such t0, so |state> = T^(-t0) |rep>
-        self.shift_of = -rot.argmin(axis=1) % self.periods[self.orbit_of]
+        self.periods = period_of[self.reps]
         self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
                        for r, d in zip(occ[self.reps].tolist(), self.periods.tolist())]
 
@@ -157,29 +193,11 @@ class SectorOrbits:
         return int(self.orbit_of[i]), int(self.shift_of[i])
 
     def hops(self, rows):
-        """Single-boson hops out of the given rows, as arrays (src, dst, amp).
-
-        One entry per boson moved from site s to s + 1 and to s - 1 (mod f),
-        in (row, site, direction) order with +1 first; `amp` is the bosonic
-        amplitude sqrt(n_s (n_t + 1)).  The hopping term puts -epsilon * amp
-        at H[dst, src]; on f = 2 both directions reach the same state.
-        """
+        """Single-boson hops out of the given rows, as arrays (src, dst, amp):
+        the `hop_moves` of their occupations, each destination as its rank."""
         rows = np.asarray(rows, dtype=np.int64)
-        occ = self.occ[rows]
-        f = self.f
-        keys, dsts, amps = [], [], []
-        for s in range(f):
-            live = np.flatnonzero(occ[:, s])
-            for d, t in enumerate(((s + 1) % f, (s - 1) % f)):
-                moved = occ[live]
-                moved[:, s] -= 1
-                moved[:, t] += 1
-                keys.append((live * f + s) * 2 + d)
-                dsts.append(rank_rows(moved))
-                amps.append(np.sqrt(occ[live, s] * (occ[live, t] + 1.0)))
-        key = np.concatenate(keys)
-        order = np.argsort(key)
-        return rows[key[order] // (2 * f)], np.concatenate(dsts)[order], np.concatenate(amps)[order]
+        src, moved, amp = hop_moves(self.occ[rows])
+        return rows[src], rank_rows(moved), amp
 
 
 @dataclass(frozen=True)

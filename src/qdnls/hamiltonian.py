@@ -21,6 +21,9 @@ with the Bloch convention of `basis` (phase exp(-i k t) on T^t |rep>).
 The dense oracle and the blocks share one hop table, `SectorOrbits.hops`: the
 oracle takes the hops out of every state, a block those out of its orbit
 representatives, each destination folded onto its orbit with a Bloch phase.
+The table's move kernel, `basis.hop_moves`, also drives the numeric
+perturbation reference, which folds destinations onto their orbits without
+any table.
 """
 
 from __future__ import annotations

@@ -28,7 +28,11 @@ All three return only the order-eps^2 correction; add `pattern_energy` for
 absolute energies, or call `pt_band` for the absolute band energies at every
 momentum.  `bw_second_order_block` builds the same object numerically
 from single-boson hops for any degenerate family of classes and is the
-independent check of the closed forms.
+independent check of the closed forms.  It takes only the hops out of the
+class representatives, through the move kernel the sector table uses
+(`basis.hop_moves`), and folds each destination onto its orbit on the fly
+(`basis.canonical_rows`); it needs no sector table and no dense block, so
+the dense cap does not apply and it reaches rings no exact solve does.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentumIndex, SectorOrbits, momentum_grid
+from .basis import MomentumIndex, SectorOrbits, canonical_rows, hop_moves, momentum_grid
 from .eigensolve import eigh
 from .errors import PTValidityWarning, ResonanceError, ResonanceWarning, ValidationError
-from .hamiltonian import ModelParams, block_parts
+from .hamiltonian import ModelParams, diagonal_energy
 
 RESONANCE_FLOOR_REL = 1e-6
 WARN_EPS_FACTOR = 10.0
@@ -333,6 +337,29 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
 # ------------------------------------------------- numeric second-order block
 
 
+def _class_rows(params: ModelParams, classes: list):
+    """The representatives of `classes` as a (len, f) int array with their
+    `canonical_rows`, each checked to be an orbit representative of the (f, n)
+    sector: a row of f non-negative integers summing to n that is its own
+    lowest-rank rotation."""
+    if not classes:
+        raise ValidationError("need at least one degenerate class")
+    f, n = params.f, params.n
+    for orb in classes:
+        rep = orb.rep
+        if not (len(rep) == f and all(
+                isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
+                for c in rep) and sum(rep) == n):
+            raise ValidationError(f"{rep!r} is not an orbit representative of this sector")
+    rows = np.array([orb.rep for orb in classes], dtype=np.int64)
+    rep_rank, shift, period = canonical_rows(rows)
+    off = np.flatnonzero(shift)  # a representative is its own shift-0 rotation
+    if off.size:
+        raise ValidationError(
+            f"{classes[off[0]].rep!r} is not an orbit representative of this sector")
+    return rows, rep_rank, period
+
+
 def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
                           sector: SectorOrbits | None = None) -> np.ndarray:
     """Second-order effective matrix over Bloch-symmetrized degenerate classes.
@@ -341,51 +368,68 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     class space plus sum_q V[:, q] V[q, :] / (E0 - E0_q) over every reachable
     state q outside it.  No closed forms enter; this is the reference the
     {2,2}, {4,2} and {3,3} matrices are validated against.
+
+    Only the hops out of the class representatives are taken (`hop_moves`);
+    each destination is folded onto its orbit by `canonical_rows`, so no
+    sector table, dense block or dense cap is involved and rings far beyond
+    exact reach work.  `sector` is optional and unused beyond a check that
+    it is the (f, n) sector of `params`.
     """
     classes = list(classes)
-    if not classes:
-        raise ValidationError("need at least one degenerate class")
-    if sector is None:
-        sector = SectorOrbits(params.f, params.n)
-    basis, diag, v = block_parts(params, k, sector)
-    p_idx: list[int] = []
-    for orb in classes:
-        located = sector.locate(orb.rep)
-        if located is None or located[1] != 0:
-            raise ValidationError(f"{orb.rep!r} is not an orbit representative of this sector")
-        j = int(np.searchsorted(basis.orbit_indices, located[0]))
-        if j == basis.dim or basis.orbit_indices[j] != located[0]:
+    f = params.f
+    if k.f != f:
+        raise ValidationError(f"momentum index on f={k.f} does not match the ring f={f}")
+    if sector is not None and (sector.f, sector.n) != (f, params.n):
+        raise ValidationError(
+            f"sector (f={sector.f}, n={sector.n}) does not match the requested "
+            f"(f={f}, n={params.n})")
+    p_rows, p_rank, p_period = _class_rows(params, classes)
+    for i, orb in enumerate(classes):
+        if k.l * p_period[i] % f:
             raise ValidationError(f"class {orb.rep} carries no weight at momentum l={k.l}")
-        if j in p_idx:
+        if p_rank[i] in p_rank[:i]:
             raise ValidationError(f"duplicate class {orb.rep}")
-        p_idx.append(j)
-    p = np.array(p_idx, dtype=int)
-    e0 = diag[p]
-    scale = max(1.0, float(np.abs(diag).max()))
-    if float(e0.max() - e0.min()) > 1e-9 * scale:
+    e0 = diagonal_energy(p_rows, params)
+    if float(e0.max() - e0.min()) > 1e-9 * max(1.0, float(np.abs(e0).max())):
         raise ValidationError("classes are not degenerate at zero hopping")
     e_deg = float(e0[0])
-    q = np.setdiff1d(np.arange(basis.dim), p)
-    v_pp = v[np.ix_(p, p)]
-    h = v_pp
-    if q.size:
-        v_pq = v[np.ix_(p, q)]
-        coupled = np.abs(v_pq).max(axis=0) > 1e-12 * max(params.epsilon, 1.0)
-        qc = q[coupled]
-        if qc.size:
-            den = e_deg - diag[qc]
-            worst_pos = int(np.argmin(np.abs(den)))
-            worst = float(abs(den[worst_pos]))
-            if worst < resonance_floor(params):
-                rep = sector.orbits[basis.orbit_indices[qc[worst_pos]]].rep
-                raise ResonanceError(f"E0(classes) - E0({rep})", float(den[worst_pos]))
-            if params.epsilon > 0 and worst < WARN_EPS_FACTOR * params.epsilon:
-                warnings.warn(
-                    f"smallest intermediate gap {worst:.6g} is within "
-                    f"{WARN_EPS_FACTOR:g} x epsilon",
-                    ResonanceWarning,
-                    stacklevel=2,
-                )
-            v_c = v_pq[:, coupled]
-            h = v_pp + (v_c / den) @ v_c.conj().T
+
+    src, moved, amp = hop_moves(p_rows)
+    d_rank, d_shift, d_period = canonical_rows(moved)
+    # destination orbits without weight at this momentum drop out
+    keep = k.l * d_period % f == 0
+    src, moved, amp = src[keep], moved[keep], amp[keep]
+    d_rank, d_shift, d_period = d_rank[keep], d_shift[keep], d_period[keep]
+    theta = 2 * np.pi * k.l * d_shift / f
+    value = -params.epsilon * amp * np.sqrt(p_period[src] / d_period) * np.exp(1j * theta)
+    # one row per destination orbit, in representative rank order
+    ranks, first, row = np.unique(d_rank, return_index=True, return_inverse=True)
+    v = np.zeros((len(ranks), len(p_rows)), dtype=complex)
+    np.add.at(v, (row, src), value)
+    in_p = np.isin(ranks, p_rank)
+    by_rank = np.argsort(p_rank)
+    h = np.zeros((len(p_rows), len(p_rows)), dtype=complex)
+    h[by_rank[np.searchsorted(p_rank, ranks[in_p], sorter=by_rank)]] = v[in_p]
+
+    v_qp = v[~in_p]
+    coupled = np.abs(v_qp).max(axis=1, initial=0.0) > 1e-12 * max(params.epsilon, 1.0)
+    if coupled.any():
+        # representative rows of the coupled intermediates: rep[s] = dst[s + u]
+        at = first[~in_p][coupled]
+        q_rows = moved[at[:, None], (np.arange(f) + d_shift[at, None]) % f]
+        den = e_deg - diagonal_energy(q_rows, params)
+        worst_pos = int(np.argmin(np.abs(den)))
+        worst = float(abs(den[worst_pos]))
+        if worst < resonance_floor(params):
+            rep = tuple(q_rows[worst_pos].tolist())
+            raise ResonanceError(f"E0(classes) - E0({rep})", float(den[worst_pos]))
+        if params.epsilon > 0 and worst < WARN_EPS_FACTOR * params.epsilon:
+            warnings.warn(
+                f"smallest intermediate gap {worst:.6g} is within "
+                f"{WARN_EPS_FACTOR:g} x epsilon",
+                ResonanceWarning,
+                stacklevel=2,
+            )
+        v_pq = v_qp[coupled].conj().T
+        h = h + (v_pq / den) @ v_pq.conj().T
     return 0.5 * (h + h.conj().T)

@@ -19,6 +19,7 @@ from qdnls import (
     sector_dimension,
     translate,
 )
+from qdnls.basis import canonical_rows
 
 SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
@@ -124,6 +125,17 @@ def test_locate_gives_rep_and_shift(f, n):
         assert 0 <= shift < sector.orbits[gi].period
     assert sector.locate((n + 1,) + (0,) * (f - 1)) is None
     assert sector.locate((0,) * (f + 1)) is None
+
+
+@given(st.integers(2, 8).flatmap(lambda f: st.lists(
+    st.lists(st.integers(0, 4), min_size=f, max_size=f), min_size=1, max_size=6)))
+@settings(max_examples=60, deadline=None)
+def test_canonical_rows_fold_raw_rows_of_any_sector(rows):
+    rep_rank, shift, period = canonical_rows(rows)
+    for row, r, u, d in zip(rows, rep_rank.tolist(), shift.tolist(), period.tolist()):
+        rep, want_period = orbit_of(tuple(row))
+        assert (rank(rep), d) == (r, want_period)
+        assert translate(rep, u) == tuple(row) and 0 <= u < d
 
 
 def test_orbit_of_short_period():

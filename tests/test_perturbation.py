@@ -5,13 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qdnls
 from qdnls import (
     Coeffs22,
+    MomentumIndex,
     ModelParams,
     PTValidityWarning,
     ResonanceError,
     SectorOrbits,
+    TranslationOrbit,
     ValidationError,
     band22_asymptotic,
     bw_second_order_block,
@@ -20,6 +25,7 @@ from qdnls import (
     coeffs42,
     continuum42,
     continuum42_bounds,
+    diagonal_energy,
     eigh,
     extract_band,
     h22_matrix,
@@ -33,6 +39,7 @@ from qdnls import (
 )
 from qdnls.bands import pattern_of
 from qdnls.hamiltonian import block_parts
+from qdnls.perturbation import resonance_floor
 
 
 def classes_of(sector, pattern):
@@ -284,8 +291,11 @@ def test_reference_raises_on_resonant_intermediates():
     params = ModelParams(f=11, n=4, gamma1=3.0, gamma2=1.0, epsilon=0.1)
     sector = SectorOrbits(11, 4)
     cls = classes_of(sector, (2, 2))
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError) as err:
         bw_second_order_block(params, momentum_grid(11)[5], cls, sector)
+    assert str(err.value) == (
+        "resonant parameters: denominator E0(classes) - E0((3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0))"
+        " = 0 is below the resonance floor")
 
 
 def test_near_resonant_parameters_warn():
@@ -297,3 +307,127 @@ def test_near_resonant_parameters_warn():
         warnings.simplefilter("always")
         bw_second_order_block(params, momentum_grid(11)[5], cls, sector)
     assert any("epsilon" in str(w.message) for w in caught)
+
+
+# ------------------------------------------- local engine vs the dense block
+
+
+def dense_reference(params, k, classes, sector):
+    """The numeric reference read off the whole dense Bloch block: the class
+    rows of `block_parts` and the sum over every coupled column outside them."""
+    basis, diag, v = block_parts(params, k, sector)
+    p = []
+    for orb in classes:
+        g = sector.locate(orb.rep)[0]
+        j = int(np.searchsorted(basis.orbit_indices, g))
+        if j == basis.dim or basis.orbit_indices[j] != g:
+            raise ValidationError(f"class {orb.rep} carries no weight at momentum l={k.l}")
+        p.append(j)
+    q = np.setdiff1d(np.arange(basis.dim), p)
+    v_pq = v[np.ix_(p, q)]
+    coupled = np.abs(v_pq).max(axis=0, initial=0.0) > 1e-12 * max(params.epsilon, 1.0)
+    den = diag[p[0]] - diag[q[coupled]]
+    if den.size:
+        worst = int(np.argmin(np.abs(den)))
+        if abs(den[worst]) < resonance_floor(params):
+            rep = sector.orbits[basis.orbit_indices[q[coupled][worst]]].rep
+            raise ResonanceError(f"E0(classes) - E0({rep})", float(den[worst]))
+    v_c = v_pq[:, coupled]
+    h = v[np.ix_(p, p)] + (v_c / den) @ v_c.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@st.composite
+def degenerate_families(draw):
+    """A small sector, couplings with gamma2 <= gamma1 / 10 (one hop then
+    changes the zero-hopping energy by at least 0.8 gamma1 unless it stays in
+    its pattern), and a random subset of the classes of one pattern."""
+    f, n = draw(st.integers(3, 9)), draw(st.integers(2, 6))
+    gamma1 = draw(st.floats(1.0, 10.0))
+    params = ModelParams(f=f, n=n, gamma1=gamma1, gamma2=draw(st.floats(0.0, gamma1 / 10)),
+                         epsilon=draw(st.floats(0.01, 1.0)))
+    sector = SectorOrbits(f, n)
+    patterns = sorted({pattern_of(orb.rep) for orb in sector.orbits})
+    members = classes_of(sector, draw(st.sampled_from(patterns)))
+    chosen = draw(st.lists(st.integers(0, len(members) - 1), min_size=1, unique=True))
+    return params, sector, [members[i] for i in chosen]
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValidationError, ResonanceError) as exc:
+        return exc
+
+
+@given(degenerate_families())
+@settings(max_examples=40, deadline=None)
+def test_local_engine_equals_dense_block_reference(family):
+    params, sector, classes = family
+    e0 = diagonal_energy(np.array([orb.rep for orb in classes]), params)
+    tol = 1e-12 * max(1.0, float(np.abs(e0).max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in momentum_grid(params.f):
+            want = outcome(dense_reference, params, k, classes, sector)
+            got = outcome(bw_second_order_block, params, k, classes)
+            if isinstance(want, Exception):
+                # no weight at k, or a same-pattern class left outside the set:
+                # the same error, naming the same state
+                assert type(got) is type(want) and str(got) == str(want)
+                continue
+            assert not isinstance(got, Exception), got
+            assert np.abs(got - want).max() <= tol
+
+
+def test_reference_reaches_rings_beyond_the_sector_table(monkeypatch):
+    # f = 41, n = 6 has 9.4e6 states; the {4,2} classes are the 4-clump at
+    # site 0 and the 2-clump at each clockwise separation 1 .. 40
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference built a sector table")
+
+    for module in (qdnls, qdnls.basis, qdnls.hamiltonian, qdnls.perturbation):
+        if hasattr(module, "SectorOrbits"):
+            monkeypatch.setattr(module, "SectorOrbits", refuse)
+    monkeypatch.setattr(qdnls.basis, "_occupations", refuse)
+    f = 41
+    params = ModelParams(f=f, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    classes = [TranslationOrbit(rep=(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j), period=f)
+               for j in range(1, f)]
+    for k in momentum_grid(f):
+        bw = bw_second_order_block(params, k, classes, sector=None)
+        assert np.abs(bw - h42_matrix(params, k)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("with_sector", [False, True])
+@pytest.mark.parametrize("case", ["rotation", "length", "count", "negative", "duplicate",
+                                  "empty", "ring"])
+def test_reference_validation_is_the_same_with_and_without_a_sector(case, with_sector):
+    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    sector = SectorOrbits(11, 4)
+    cls = classes_of(sector, (2, 2))
+    k = momentum_grid(11)[0]
+    tail = (0,) * 8
+    classes = {
+        "rotation": [TranslationOrbit(rep=(0, 2, 2) + tail, period=11)],
+        "length": [TranslationOrbit(rep=(2, 2, 0), period=3)],
+        "count": [TranslationOrbit(rep=(2, 1, 0) + tail, period=11)],
+        "negative": [TranslationOrbit(rep=(3, -1, 2) + tail, period=11)],
+        "duplicate": cls[:1] + cls[:1],
+        "empty": [],
+        "ring": cls,
+    }[case]
+    if case == "ring":
+        k = MomentumIndex(0, 7)
+    with pytest.raises(ValidationError):
+        bw_second_order_block(params, k, classes, sector if with_sector else None)
+
+
+@pytest.mark.parametrize("n, sector_f, sector_n", [(4, 11, 3), (4, 13, 4), (6, 11, 4)])
+def test_reference_rejects_a_sector_other_than_the_requested_one(n, sector_f, sector_n):
+    # the {2, 2} classes of the f=11, n=4 sector, each a valid input for n=4
+    params = ModelParams(f=11, n=n, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    classes = classes_of(SectorOrbits(11, 4), (2, 2))
+    with pytest.raises(ValidationError, match="does not match"):
+        bw_second_order_block(params, momentum_grid(11)[0], classes,
+                              SectorOrbits(sector_f, sector_n))
