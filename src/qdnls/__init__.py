@@ -53,6 +53,7 @@ from .hamiltonian import (
     assemble_block,
     diagonal_energy,
     full_matrix,
+    mirrored_spectra,
     momentum_spectra,
 )
 from .perturbation import (

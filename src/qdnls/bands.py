@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import MomentumBasis, Occ, rank_rows
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
-from .hamiltonian import KSpectrum, ModelParams, momentum_spectra
+from .hamiltonian import KSpectrum, ModelParams, mirrored_spectra
 from .perturbation import coeffs22, pt_band
 
 ADJACENCY_TAGS = ("adjacent", "separated", "n/a")
@@ -222,7 +222,7 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
         raise ValidationError(f"on_overlap must be 'raise' or 'warn', got {on_overlap!r}")
     two_clump = len(pat) == 2
     if spectra is None:
-        spectra = momentum_spectra(params, want_vectors=True)
+        spectra = mirrored_spectra(params, want_vectors=True)
 
     points: list[BandPoint] = []
     counts: dict[int, tuple[int, int]] = {}

@@ -12,6 +12,12 @@ A JSON output file embeds its own config and run settings, so it can be fed
 back through --config to reproduce the run bit for bit: its stored k and
 threshold apply wherever those flags are left at their defaults.
 
+`spectrum`, `band` and `compare` solve the momentum blocks through
+`mirrored_spectra`, so each +-k pair of blocks is solved once and the other
+member takes its eigenvalues and conjugated eigenvectors; a single --k is
+solved on its own.  `oracle` asks for eigenvalues only, certified by the
+trace and the Frobenius norm (see `eigensolve`).
+
 Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 """
 
@@ -29,7 +35,7 @@ from .bands import classify_block, extract_band, ground_state, sector_pattern
 from .basis import MomentumIndex, momentum_grid
 from .eigensolve import eigh
 from .errors import CapacityError, NumericalError, QdnlsError, ResonanceError, ValidationError
-from .hamiltonian import ModelParams, full_matrix, momentum_spectra
+from .hamiltonian import ModelParams, full_matrix, mirrored_spectra
 from .perturbation import (
     band22_asymptotic,
     coeffs33,
@@ -219,7 +225,7 @@ def _command(*options):
 def spectrum(params: ModelParams, grid, threshold: float):
     """Momentum-resolved exact spectrum with per-state pattern labels."""
     rows = []
-    for ksp in momentum_spectra(params, want_vectors=True, grid=grid):
+    for ksp in mirrored_spectra(params, want_vectors=True, grid=grid):
         labels = classify_block(ksp.spectrum.eigenvectors, ksp.basis, threshold)
         for idx, (energy, cls) in enumerate(zip(ksp.spectrum.eigenvalues, labels)):
             band = cls.pattern.label if cls.pattern is not None else "unclassified"
@@ -233,7 +239,7 @@ def spectrum(params: ModelParams, grid, threshold: float):
 def _solved_band(params: ModelParams, pattern, threshold: float):
     """Solve every momentum and extract the band of `pattern`, with its
     per-momentum counts, overlap notes and worst perturbative residual."""
-    spectra = momentum_spectra(params, want_vectors=True)
+    spectra = mirrored_spectra(params, want_vectors=True)
     report = extract_band(params, pattern, threshold=threshold,
                           on_overlap="warn", spectra=spectra)
     extras: dict = {

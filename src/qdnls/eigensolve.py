@@ -1,13 +1,22 @@
-"""Dense Hermitian eigensolver with certified residuals.
+"""Dense Hermitian eigensolver with certified results.
 
-Thin wrapper over LAPACK (numpy.linalg.eigh).  The wrapper checks the input is
-Hermitian, then certifies the output: per-pair residual against a fraction of
-the Frobenius norm, and eigenvector orthonormality in max norm.  Violations
-raise instead of returning silently wrong spectra.
+Thin wrapper over LAPACK (numpy.linalg.eigh, or eigvalsh when no vectors are
+wanted).  The wrapper checks the input is Hermitian, then certifies the
+output, and raises instead of returning a silently wrong spectrum:
+
+- with vectors: the residual ||H v - w v||_2 of every pair within
+  RESIDUAL_RTOL * ||H||_F, and eigenvector orthonormality in max norm within
+  ORTHO_TOL;
+- eigenvalues only: |sum w - tr H| and |sqrt(sum w^2) - ||H||_F| each within
+  RESIDUAL_RTOL * ||H||_F, the two spectral invariants of a Hermitian matrix
+  that need no vectors.
+
+The momentum blocks reach this solver once per +-k pair; see `hamiltonian`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +30,30 @@ HERMITICITY_RTOL = 1e-12   # max |H - H^dag| <= HERMITICITY_RTOL * max |H|
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues, optional eigenvectors (columns), certified residual."""
+    """Ascending eigenvalues, optional eigenvectors (columns), certified
+    residual: the largest pair residual with vectors, the larger of the trace
+    and Frobenius deviations without."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual_bound: float
+
+
+def _certified_values(a: np.ndarray, w: np.ndarray, scale: float) -> Spectrum:
+    """Eigenvalues of `a` checked against its trace and Frobenius norm, both
+    taken in units of the largest entry `scale` so that no square under- or
+    overflows."""
+    unit = scale or 1.0
+    fro = float(np.linalg.norm(a / unit))
+    trace_dev = abs(math.fsum((w / unit).tolist()) - float(np.trace(a).real) / unit)
+    norm_dev = abs(float(np.linalg.norm(w / unit)) - fro)
+    if max(trace_dev, norm_dev) > RESIDUAL_RTOL * fro:
+        raise NumericalError(
+            f"eigenvalues miss tr H by {unit * trace_dev:.3e} and ||H||_F by "
+            f"{unit * norm_dev:.3e}; each must stay within {RESIDUAL_RTOL:g} * ||H||_F = "
+            f"{unit * RESIDUAL_RTOL * fro:.3e}")
+    return Spectrum(eigenvalues=w, eigenvectors=None,
+                    residual_bound=unit * max(trace_dev, norm_dev))
 
 
 def eigh(matrix, want_vectors: bool = False) -> Spectrum:
@@ -39,6 +67,8 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
     if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
     try:
+        if not want_vectors:
+            return _certified_values(a, np.linalg.eigvalsh(a), scale)
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
@@ -52,5 +82,4 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
     gram_dev = float(np.abs(v.conj().T @ v - np.eye(len(w))).max())
     if gram_dev > ORTHO_TOL:
         raise NumericalError(f"eigenvector Gram deviation {gram_dev:.3e} exceeds {ORTHO_TOL:g}")
-    return Spectrum(eigenvalues=w, eigenvectors=v if want_vectors else None,
-                    residual_bound=residual_bound)
+    return Spectrum(eigenvalues=w, eigenvectors=v, residual_bound=residual_bound)

@@ -304,3 +304,35 @@ def test_oracle_matches_spectrum_multiset(runner):
     dense = [row[3] for row in exact["rows"]]
     folded = sorted(row[3] for row in blocks["rows"])
     assert max(abs(a - b) for a, b in zip(dense, folded)) < 1e-9
+
+
+# ------------------------------------------------------- one solve per ±k pair
+
+
+@pytest.fixture
+def block_solves(monkeypatch):
+    """Shapes of the matrices that the momentum-block path hands to `eigh`."""
+    import qdnls.hamiltonian
+
+    calls = []
+    solve = qdnls.hamiltonian.eigh
+    monkeypatch.setattr(qdnls.hamiltonian, "eigh",
+                        lambda matrix, **kw: calls.append(matrix.shape) or solve(matrix, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("args,solves", [
+    (["band", *FIG_FLAGS, "--pattern", "2,2"], 4),             # l = 0..3 of -3..3
+    (["spectrum", "--f", "8", "--n", "4", "--gamma1", "10", "--eps", "0.5"], 5),  # l = 0..4
+    (["spectrum", *FIG_FLAGS, "--k", "-3"], 1),               # no partner requested
+])
+def test_commands_solve_each_opposite_momentum_pair_once(runner, block_solves, args, solves):
+    invoke_ok(runner, args)
+    assert len(block_solves) == solves
+
+
+def test_momentum_spectra_still_solves_every_momentum_it_is_given(block_solves):
+    from qdnls import ModelParams, momentum_spectra
+
+    momentum_spectra(ModelParams(f=5, n=2, gamma1=1.0, epsilon=0.5))
+    assert len(block_solves) == 5

@@ -70,3 +70,39 @@ def test_unitary_conjugation_preserves_spectrum(dim, seed):
     w2 = eigh(q @ h @ q.conj().T).eigenvalues
     assert np.abs(w1 - w2).max() <= 1e-9 * max(1.0, np.abs(w1).max())
 
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_values_only_path_matches_the_vector_path(dim, seed, complex_entries):
+    h = random_hermitian(np.random.default_rng(seed), dim, complex_entries)
+    values = eigh(h)
+    full = eigh(h, want_vectors=True)
+    scale = max(1.0, float(np.abs(full.eigenvalues).max()))
+    assert np.abs(values.eigenvalues - full.eigenvalues).max() <= 1e-12 * scale
+    # the stated certificate: trace and Frobenius norm
+    fro = np.linalg.norm(h)
+    assert abs(values.eigenvalues.sum() - np.trace(h).real) <= RESIDUAL_RTOL * fro
+    assert abs(np.linalg.norm(values.eigenvalues) - fro) <= RESIDUAL_RTOL * fro
+    assert values.residual_bound <= RESIDUAL_RTOL * fro
+
+
+def test_values_only_path_rejects_shifted_eigenvalues(monkeypatch):
+    h = random_hermitian(np.random.default_rng(3), 20)
+    true_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: true_eigvalsh(a) + 1e-8 * np.linalg.norm(a))
+    with pytest.raises(NumericalError):
+        eigh(h)
+    eigh(h, want_vectors=True)  # the vector path does not call eigvalsh
+
+
+def test_values_only_certificate_holds_at_extreme_scales():
+    # the certificate's squares are taken in units of the largest entry, so
+    # they neither underflow nor overflow
+    h = random_hermitian(np.random.default_rng(5), 6)
+    want = eigh(h).eigenvalues
+    for factor in (1e-233, 1e200):
+        got = eigh(factor * h).eigenvalues
+        assert np.abs(got / factor - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(eigh(np.zeros((3, 3))).eigenvalues, np.zeros(3))

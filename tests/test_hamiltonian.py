@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdnls import (
@@ -19,7 +19,10 @@ from qdnls import (
     diagonal_energy,
     eigh,
     enumerate_sector,
+    classify_block,
     full_matrix,
+    ground_state,
+    mirrored_spectra,
     momentum_grid,
     momentum_spectra,
     rank,
@@ -219,11 +222,69 @@ def test_momentum_spectra_union_equals_dense_spectrum(params):
 @given(random_params)
 @settings(max_examples=30, deadline=None)
 def test_opposite_momentum_blocks_are_conjugate(params):
+    # -l and, on the grid, its partner f - l; l = f/2 is its own partner
     sector = SectorOrbits(params.f, params.n)
     for k in momentum_grid(params.f):
         plus = assemble_block(params, k, sector).matrix
-        minus = assemble_block(params, MomentumIndex(-k.l, params.f), sector).matrix
-        assert np.array_equal(minus, plus.conj())
+        partners = [-k.l] + ([params.f - k.l] if 2 * k.l != params.f else [])
+        for l in partners:
+            minus = assemble_block(params, MomentumIndex(l, params.f), sector).matrix
+            assert np.array_equal(minus, plus.conj())
+
+
+mirror_params = st.builds(
+    ModelParams,
+    f=st.integers(2, 9),
+    n=st.integers(0, 5),
+    gamma1=st.floats(0.0, 5.0),
+    gamma2=st.floats(0.0, 5.0),
+    epsilon=st.floats(0.0, 2.0),
+)
+
+
+@given(mirror_params, st.data())
+@example(ModelParams(f=6, n=0, gamma1=1.0, epsilon=0.5), None)
+@example(ModelParams(f=7, n=0, gamma1=1.0, epsilon=0.5), None)
+@settings(max_examples=30, deadline=None)
+def test_mirrored_spectra_equal_solving_every_momentum(params, data):
+    # a partial grid may hold one member of a pair; n = 0 has empty blocks
+    grid = momentum_grid(params.f)
+    if data is not None:
+        grid = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+    sector = SectorOrbits(params.f, params.n)
+    mirrored = mirrored_spectra(params, sector=sector, grid=grid)
+    assert [ksp.k for ksp in mirrored] == grid
+    for got in mirrored:
+        [want] = momentum_spectra(params, sector=sector, grid=[got.k])
+        assert np.array_equal(got.basis.orbit_indices, want.basis.orbit_indices)
+        assert got.basis.k == got.k
+        e_got, e_want = got.spectrum.eigenvalues, want.spectrum.eigenvalues
+        assert e_got.shape == e_want.shape
+        assert np.all(np.abs(e_got - e_want) <= 1e-12 * np.maximum(1.0, np.abs(e_want)))
+        assert got.spectrum.residual_bound == want.spectrum.residual_bound
+        # the mirrored vectors are eigenvectors of their own block
+        h, v = assemble_block(params, got.k, sector).matrix, got.spectrum.eigenvectors
+        assert np.abs(h @ v - v * e_got).max(initial=0.0) <= 1e-10 * max(1.0, np.linalg.norm(h))
+        assert (classify_block(got.spectrum.eigenvectors, got.basis)
+                == classify_block(want.spectrum.eigenvectors, want.basis))
+
+
+def test_mirrored_spectra_values_only_mode():
+    params = ModelParams(f=8, n=3, gamma1=2.0, gamma2=0.5, epsilon=0.7)
+    with_vectors = {ksp.k.l: ksp.spectrum.eigenvalues for ksp in mirrored_spectra(params)}
+    for ksp in mirrored_spectra(params, want_vectors=False):
+        assert ksp.spectrum.eigenvectors is None
+        want = with_vectors[ksp.k.l]
+        assert np.abs(ksp.spectrum.eigenvalues - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ground_state_keeps_the_first_of_degenerate_momenta():
+    # without hopping the lone pair has the same energy at every momentum:
+    # the scan keeps the first grid label, -2 on the odd ring and 0 on the even one
+    for f, first in ((5, -2), (6, 0)):
+        params = ModelParams(f=f, n=2, gamma1=1.0, epsilon=0.0)
+        assert ground_state(mirrored_spectra(params)).l == first
+        assert ground_state(momentum_spectra(params)).l == first
 
 
 def test_solved_spectra_keep_no_block_matrices():
