@@ -8,10 +8,11 @@ order, per-row orbit index and shift, orbit representatives and periods, and
 the single-boson `hops` out of any set of rows.  An orbit is represented by
 its lexicographically maximal rotation (the lowest rank), which puts the
 largest occupation first and matches the usual class labels |22> or |202>.
-The table is built from two kernels on raw occupation rows, `canonical_rows`
-(representative, shift and period of each row) and `hop_moves` (the
-single-boson moves out of each row); the numeric perturbation reference calls
-the same two on the rows it reaches and needs no table.
+The table ranks the sector once: T maps it onto itself, so the ranks of a
+row's f rotations are the powers of one permutation `step` of the ranks.
+`canonical_rows` ranks each rotation of raw rows that need not form a sector,
+for the numeric perturbation reference (with `hop_moves`, the single-boson
+moves out of each row); both fold rotation ranks to orbits the same way.
 A momentum basis is an index array into that table: the orbits, in sector
 order, whose period admits the momentum.
 
@@ -119,6 +120,15 @@ def translate(state, t: int) -> Occ:
     return s[-t:] + s[:-t]
 
 
+def _fold_rotations(rot):
+    """(rep_rank, shift, period) from rot[i, t], the rank of T^t |row i>: the
+    representative is the lowest-rank rotation, first reached at t0 so that
+    |row> = T^(-t0) |rep>, and its rank recurs f / period times."""
+    rep_rank = rot.min(axis=1)
+    period = rot.shape[1] // (rot == rep_rank[:, None]).sum(axis=1)
+    return rep_rank, -rot.argmin(axis=1) % period, period
+
+
 def canonical_rows(rows):
     """Canonical form of each occupation row over its f rotations, as arrays
     (rep_rank, shift, period): the rank of its representative (its lowest-rank
@@ -126,12 +136,8 @@ def canonical_rows(rows):
     and the period of its orbit.  Rows may come from different sectors."""
     rows = np.asarray(rows, dtype=np.int64)
     f = rows.shape[1]
-    # rot[i, t] is the rank of T^t |row i>; the representative has the lowest
-    rot = np.stack([rank_rows(np.roll(rows, t, axis=1)) for t in range(f)], axis=1)
-    rep_rank = rot.min(axis=1)
-    period = f // (rot == rep_rank[:, None]).sum(axis=1)
-    # T^t0 |row> = |rep> at the first such t0, so |row> = T^(-t0) |rep>
-    return rep_rank, -rot.argmin(axis=1) % period, period
+    rot = [rank_rows(np.roll(rows, t, axis=1)) for t in range(f)]
+    return _fold_rotations(np.stack(rot, axis=1))
 
 
 def hop_moves(occ):
@@ -170,13 +176,19 @@ class SectorOrbits:
     orbit g has representative row `reps[g]` and period `periods[g]`, and
     `orbits[g]` carries both as a TranslationOrbit.  Every row i satisfies
     occ[i] == translate(orbits[orbit_of[i]].rep, shift_of[i]) with
-    0 <= shift_of[i] < period.
+    0 <= shift_of[i] < period.  These equal `canonical_rows(occ)`, read off the
+    translation permutation of the ranks instead of f rankings.
     """
 
     def __init__(self, f: int, n: int, max_states: int | None = None):
         occ = _occupations(f, n, max_states)
         self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
-        rep_rank, self.shift_of, period_of = canonical_rows(occ)
+        step = rank_rows(np.roll(occ, 1, axis=1))
+        rot = np.empty((self.dim, f), dtype=np.int64)
+        rot[:, 0] = np.arange(self.dim)
+        for t in range(1, f):  # T maps the sector onto itself: rank(T^t row i) = step^t(i)
+            rot[:, t] = step[rot[:, t - 1]]
+        rep_rank, self.shift_of, period_of = _fold_rotations(rot)
         self.reps = np.flatnonzero(rep_rank == np.arange(self.dim))
         self.orbit_of = np.searchsorted(self.reps, rep_rank)
         self.periods = period_of[self.reps]

@@ -11,6 +11,9 @@ output, and raises instead of returning a silently wrong spectrum:
   RESIDUAL_RTOL * ||H||_F, the two spectral invariants of a Hermitian matrix
   that need no vectors.
 
+Both take their norms in units of the largest entry, so no square under- or
+overflows.
+
 The momentum blocks reach this solver once per +-k pair; see `hamiltonian`.
 """
 
@@ -39,11 +42,9 @@ class Spectrum:
     residual_bound: float
 
 
-def _certified_values(a: np.ndarray, w: np.ndarray, scale: float) -> Spectrum:
+def _certified_values(a: np.ndarray, w: np.ndarray, unit: float) -> Spectrum:
     """Eigenvalues of `a` checked against its trace and Frobenius norm, both
-    taken in units of the largest entry `scale` so that no square under- or
-    overflows."""
-    unit = scale or 1.0
+    taken in units `unit` of the largest entry."""
     fro = float(np.linalg.norm(a / unit))
     trace_dev = abs(math.fsum((w / unit).tolist()) - float(np.trace(a).real) / unit)
     norm_dev = abs(float(np.linalg.norm(w / unit)) - fro)
@@ -63,23 +64,23 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
         raise ValidationError(f"need a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
-    scale = float(np.abs(a).max())
-    if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * scale:
+    unit = float(np.abs(a).max()) or 1.0  # the largest entry, 1 for H = 0
+    if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * unit:
         raise ValidationError("matrix is not Hermitian within tolerance")
     try:
         if not want_vectors:
-            return _certified_values(a, np.linalg.eigvalsh(a), scale)
+            return _certified_values(a, np.linalg.eigvalsh(a), unit)
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    resid = a @ v - v * w
-    residual_bound = float(np.linalg.norm(resid, axis=0).max())
-    fro = float(np.linalg.norm(a))
-    if residual_bound > RESIDUAL_RTOL * fro:
+    resid = (a @ v - v * w) / unit
+    residual = float(np.linalg.norm(resid, axis=0).max())
+    fro = float(np.linalg.norm(a / unit))
+    if residual > RESIDUAL_RTOL * fro:
         raise NumericalError(
-            f"residual {residual_bound:.3e} exceeds {RESIDUAL_RTOL:g} * ||H||_F = {RESIDUAL_RTOL * fro:.3e}"
-        )
+            f"residual {unit * residual:.3e} exceeds {RESIDUAL_RTOL:g} * ||H||_F = "
+            f"{unit * RESIDUAL_RTOL * fro:.3e}")
     gram_dev = float(np.abs(v.conj().T @ v - np.eye(len(w))).max())
     if gram_dev > ORTHO_TOL:
         raise NumericalError(f"eigenvector Gram deviation {gram_dev:.3e} exceeds {ORTHO_TOL:g}")
-    return Spectrum(eigenvalues=w, eigenvectors=v, residual_bound=residual_bound)
+    return Spectrum(eigenvalues=w, eigenvectors=v, residual_bound=unit * residual)

@@ -188,6 +188,25 @@ def test_block_classification_matches_per_state_reference(f, n, data, threshold,
         reference_classification(vectors, basis, threshold)
 
 
+@given(st.integers(2, 9), st.integers(0, 6), st.data(), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_weights_equal_an_add_at_reference(f, n, data, columns, seed):
+    basis = momentum_basis(f, n, data.draw(st.sampled_from(momentum_grid(f))))
+    assume(basis.dim > 0)
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(basis.dim, columns)) + 1j * rng.normal(size=(basis.dim, columns))
+    vectors /= np.linalg.norm(vectors, axis=0)
+    patterns = [pattern_of(state) for state in basis_states(basis)]
+    ids = np.array([sorted(set(patterns)).index(p) for p in patterns])
+    # a whole block, and one column as `ground_state` passes it
+    for block in (vectors, vectors[:, :1]):
+        totals = np.zeros((len(set(patterns)), block.shape[1]))
+        np.add.at(totals, ids, np.abs(block) ** 2)
+        weights = np.array([c.weight for c in classify_block(block, basis)])
+        assert np.array_equal(weights, totals.max(axis=0))
+
+
 def test_classified_count_decreases_with_threshold():
     p = ModelParams(f=7, n=4, gamma1=1.0, gamma2=0.0, epsilon=1.0)
     ksp = momentum_spectra(p)[3]

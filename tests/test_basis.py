@@ -3,8 +3,9 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdnls import (
@@ -136,6 +137,34 @@ def test_canonical_rows_fold_raw_rows_of_any_sector(rows):
         rep, want_period = orbit_of(tuple(row))
         assert (rank(rep), d) == (r, want_period)
         assert translate(rep, u) == tuple(row) and 0 <= u < d
+
+
+def assert_table_is_canonical_rows_of_its_rows(sector):
+    rep_rank, shift, period = canonical_rows(sector.occ)
+    reps = np.flatnonzero(rep_rank == np.arange(sector.dim))
+    for got, want in ((sector.reps, reps), (sector.reps[sector.orbit_of], rep_rank),
+                      (sector.shift_of, shift), (sector.periods, period[reps]),
+                      (sector.periods[sector.orbit_of], period)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# every sector of f 2-12, n 0-6 up to 5000 rows
+TABLE_SECTORS = [(f, n) for f in range(2, 13) for n in range(7) if sector_dimension(f, n) <= 5000]
+
+
+@given(st.sampled_from(TABLE_SECTORS))
+@example((2, 0))
+@example((2, 6))
+@example((12, 0))
+@settings(max_examples=40, deadline=None)
+def test_sector_table_equals_canonical_rows(fn):
+    assert_table_is_canonical_rows_of_its_rows(SectorOrbits(*fn))
+
+
+def test_large_sector_table_equals_canonical_rows():
+    sector = SectorOrbits(23, 4)
+    assert sector.dim == math.comb(26, 4) and len(sector.orbits) == 650
+    assert_table_is_canonical_rows_of_its_rows(sector)
 
 
 def test_orbit_of_short_period():

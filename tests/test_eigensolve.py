@@ -1,5 +1,7 @@
 """Certified Hermitian eigensolver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,3 +108,25 @@ def test_values_only_certificate_holds_at_extreme_scales():
         got = eigh(factor * h).eigenvalues
         assert np.abs(got / factor - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(eigh(np.zeros((3, 3))).eigenvalues, np.zeros(3))
+
+
+@pytest.mark.parametrize("factor", [1e-233, 1e200])
+def test_vector_path_certificate_holds_at_extreme_scales(factor, monkeypatch):
+    # the residuals and ||H||_F are taken in units of the largest entry;
+    # unscaled, their squares overflow to inf at 1e200 and underflow to 0 at
+    # 1e-233, and either way pairs with shifted eigenvalues pass
+    h = factor * random_hermitian(np.random.default_rng(5), 6)
+    true_eigh = np.linalg.eigh
+
+    def shifted(a):
+        w, v = true_eigh(a)
+        return 1.1 * w, v
+
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        spec = eigh(h, want_vectors=True)
+        assert np.isfinite(spec.residual_bound)
+        assert spec.residual_bound <= RESIDUAL_RTOL * factor * np.linalg.norm(h / factor)
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(NumericalError):
+            eigh(h, want_vectors=True)
