@@ -12,7 +12,8 @@ output, and raises instead of returning a silently wrong spectrum:
   that need no vectors.
 
 Both take their norms in units of the largest entry, so no square under- or
-overflows.
+overflows.  Below TINY_ENTRY, where rounding errors are subnormal, `eigh`
+solves the exact copy H * 2**1000 instead.
 
 The momentum blocks reach this solver once per +-k pair; see `hamiltonian`.
 """
@@ -29,6 +30,7 @@ from .errors import NumericalError, ValidationError
 RESIDUAL_RTOL = 1e-10      # ||H v - w v||_2 <= RESIDUAL_RTOL * ||H||_F
 ORTHO_TOL = 1e-10          # max |V^dag V - I|
 HERMITICITY_RTOL = 1e-12   # max |H - H^dag| <= HERMITICITY_RTOL * max |H|
+TINY_ENTRY = 2.0 ** -970   # below it, eps * max |H| is subnormal
 
 
 @dataclass
@@ -67,6 +69,10 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
     unit = float(np.abs(a).max()) or 1.0  # the largest entry, 1 for H = 0
     if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * unit:
         raise ValidationError("matrix is not Hermitian within tolerance")
+    if unit < TINY_ENTRY:
+        s = eigh(a * 2.0 ** 1000, want_vectors)  # exact: no entry over- or underflows
+        return Spectrum(eigenvalues=s.eigenvalues * 2.0 ** -1000, eigenvectors=s.eigenvectors,
+                        residual_bound=s.residual_bound * 2.0 ** -1000)
     try:
         if not want_vectors:
             return _certified_values(a, np.linalg.eigvalsh(a), unit)

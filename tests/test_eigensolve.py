@@ -130,3 +130,19 @@ def test_vector_path_certificate_holds_at_extreme_scales(factor, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", shifted)
         with pytest.raises(NumericalError):
             eigh(h, want_vectors=True)
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_subnormal_entries_are_solved_as_a_scaled_copy(want_vectors):
+    # a path graph with hopping 2**-1073: its eigenvalues +-sqrt(2) * 2**-1073
+    # round to 3 * 2**-1074 and cannot pass a certificate in units of 2**-1073
+    tiny = 2.0 ** -1073
+    h = tiny * np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        spec = eigh(h, want_vectors=want_vectors)
+    want = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)]) * 2.0 ** -1000
+    assert np.array_equal(spec.eigenvalues, want * 2.0 ** -73)
+    assert spec.residual_bound <= RESIDUAL_RTOL * 2.0 * tiny
+    if want_vectors:
+        assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(3)).max() <= ORTHO_TOL
