@@ -111,16 +111,14 @@ def _pattern_groups(basis: MomentumBasis):
     return rows, ids, [pattern_of(rows[i].tolist()) for i in first]
 
 
-def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5, *,
-                   _groups=None) -> list[Classification]:
+def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> list[Classification]:
     """Classify each column of `vectors`, one amplitude per orbit of `basis`.
 
     The weight of a pattern is the squared amplitude summed over basis states
     with that pattern; classification requires the best weight to exceed the
     threshold strictly, so an even split stays unclassified.  Equal best
     weights go to the largest pattern, and the adjacency tag comes from the
-    first of its states with the largest amplitude.  `_groups` passes in
-    `_pattern_groups(basis)` when the caller has it already.
+    first of its states with the largest amplitude.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
@@ -132,7 +130,7 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5, *,
     amp2 = np.abs(mat) ** 2
     if float(np.abs(amp2.sum(axis=0) - 1.0).max()) > 1e-8:
         raise ValidationError("vector is not normalized")
-    rows, ids, patterns = _groups or _pattern_groups(basis)
+    rows, ids, patterns = _pattern_groups(basis)
     # a running sum adds row by row in basis order, as np.add.at would
     totals = np.stack([amp2[ids == g].cumsum(axis=0)[-1] for g in range(len(patterns))])
     weights = totals.max(axis=0)
@@ -240,12 +238,12 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
         if ksp.spectrum.eigenvectors is None:
             raise ValidationError("band extraction needs eigenvectors; solve with want_vectors=True")
         basis = ksp.basis
-        _, ids, patterns = groups = _pattern_groups(basis)
+        _, ids, patterns = _pattern_groups(basis)
         expected = int(np.count_nonzero(ids == patterns.index(pat))) if pat in patterns else 0
         if basis.dim == 0:
             counts[ksp.k.l] = (0, expected)
             continue
-        classified = classify_block(ksp.spectrum.eigenvectors, basis, threshold, _groups=groups)
+        classified = classify_block(ksp.spectrum.eigenvectors, basis, threshold)
         selected: list[tuple[int, float, Classification]] = []
         for idx, cls in enumerate(classified):
             if cls.pattern is not None and cls.pattern.pattern == pat:

@@ -67,21 +67,21 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
     unit = float(np.abs(a).max()) or 1.0  # the largest entry, 1 for H = 0
-    if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * unit:
-        raise ValidationError("matrix is not Hermitian within tolerance")
     if unit < TINY_ENTRY:
         s = eigh(a * 2.0 ** 1000, want_vectors)  # exact: no entry over- or underflows
         return Spectrum(eigenvalues=s.eigenvalues * 2.0 ** -1000, eigenvectors=s.eigenvectors,
                         residual_bound=s.residual_bound * 2.0 ** -1000)
+    if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * unit:
+        raise ValidationError("matrix is not Hermitian within tolerance")
     try:
         if not want_vectors:
             return _certified_values(a, np.linalg.eigvalsh(a), unit)
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    resid = (a @ v - v * w) / unit
-    residual = float(np.linalg.norm(resid, axis=0).max())
-    fro = float(np.linalg.norm(a / unit))
+    b = a / unit
+    residual = float(np.linalg.norm(b @ v - v * (w / unit), axis=0).max())
+    fro = float(np.linalg.norm(b))
     if residual > RESIDUAL_RTOL * fro:
         raise NumericalError(
             f"residual {unit * residual:.3e} exceeds {RESIDUAL_RTOL:g} * ||H||_F = "

@@ -146,3 +146,20 @@ def test_subnormal_entries_are_solved_as_a_scaled_copy(want_vectors):
     assert spec.residual_bound <= RESIDUAL_RTOL * 2.0 * tiny
     if want_vectors:
         assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(3)).max() <= ORTHO_TOL
+
+
+def test_subnormal_hermiticity_is_judged_on_the_scaled_copy():
+    # one subnormal ulp of asymmetry is 2**-74 of entries of 2**-1000, within
+    # tolerance, but 2**-39 > HERMITICITY_RTOL of entries of 2**-1035, where
+    # the unscaled threshold 1e-12 * 2**-1035 would round up to that ulp
+    ulp = 2.0 ** -1074
+    path = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    for tiny, hermitian in [(2.0 ** -1000, True), (2.0 ** -1035, False)]:
+        h = tiny * path
+        h[0, 1] -= ulp
+        if hermitian:
+            assert np.allclose(eigh(h, want_vectors=True).eigenvalues / tiny,
+                               [-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
+        else:
+            with pytest.raises(ValidationError):
+                eigh(h)
