@@ -12,6 +12,7 @@ from .bands import (
     Classification,
     EffectiveMassReport,
     GroundState,
+    LabelledSpectrum,
     MassFit,
     PatternClass,
     adjacency_of,
@@ -20,6 +21,7 @@ from .bands import (
     effective_mass,
     extract_band,
     ground_state,
+    labelled_spectra,
     mass_ratio_report,
     pattern_of,
 )
@@ -53,7 +55,6 @@ from .hamiltonian import (
     assemble_block,
     diagonal_energy,
     full_matrix,
-    mirrored_spectra,
     momentum_spectra,
 )
 from .perturbation import (

@@ -8,7 +8,10 @@ threshold, so an even two-way split at threshold 0.5 stays unclassified.
 The basis states are the integer occupation rows of the orbit
 representatives; the rank of each row sorted largest first keys its
 pattern, so one `np.unique` groups the rows, and the weights of a whole
-block of eigenvectors are summed per group at once.
+block of eigenvectors are summed per group at once.  `labelled_spectra`
+classifies each block right after it is solved and keeps the labels in
+place of the eigenvectors, which band extraction and the ground-state scan
+then read.
 
 Two-clump bands split further: an eigenvalue whose dominant basis state
 has the clumps on neighbouring sites is tagged "line", the rest
@@ -25,13 +28,21 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import MomentumBasis, Occ, rank_rows
+from .basis import (
+    MomentumBasis,
+    MomentumIndex,
+    Occ,
+    SectorOrbits,
+    momentum_basis,
+    momentum_grid,
+    rank_rows,
+)
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
-from .hamiltonian import KSpectrum, ModelParams, mirrored_spectra
+from .hamiltonian import KSpectrum, ModelParams, momentum_spectra, reduced_label
 from .perturbation import coeffs22, pt_band
 
 ADJACENCY_TAGS = ("adjacent", "separated", "n/a")
@@ -148,6 +159,61 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
     return out
 
 
+@dataclass
+class LabelledSpectrum:
+    """The certified eigenvalues of one momentum block and the classification
+    of each eigenvector at `threshold`; the eigenvectors are not kept."""
+
+    k: MomentumIndex
+    basis: MomentumBasis
+    eigenvalues: np.ndarray
+    residual_bound: float
+    labels: list[Classification]
+    threshold: float
+
+
+def labelled_spectra(params: ModelParams, threshold: float = 0.5,
+                     grid: list[MomentumIndex] | None = None,
+                     sector: SectorOrbits | None = None) -> list[LabelledSpectrum]:
+    """Eigenvalues and eigenvector labels of every momentum of `grid` (the
+    whole grid by default), in grid order, solving each +-k pair once.
+
+    A momentum whose reduced label r is >= 0 is solved through
+    `momentum_spectra` and classified at once, so only one block's
+    eigenvectors are alive at a time.  One with r < 0 whose partner -r is
+    solved as well takes the partner's eigenvalues, residual bound and labels
+    with its own momentum basis: block(-r) is the conjugate of block(r), and
+    conjugate vectors carry the same weights on the same orbits.  A momentum
+    whose partner is not requested (a single --k, say) is solved directly.
+    """
+    if sector is None:
+        sector = SectorOrbits(params.f, params.n)
+    if grid is None:
+        grid = momentum_grid(params.f)
+    r_of = [reduced_label(kidx.l, params.f) for kidx in grid]
+    solved = {r: _labelled(momentum_spectra(params, True, sector, [kidx])[0], threshold)
+              for kidx, r in zip(grid, r_of) if r >= 0 or -r not in r_of}
+    return [solved[r] if r in solved else
+            replace(solved[-r], k=kidx, basis=momentum_basis(params.f, params.n, kidx, sector))
+            for kidx, r in zip(grid, r_of)]
+
+
+def _labelled(ksp: KSpectrum, threshold: float) -> LabelledSpectrum:
+    """`ksp` with its eigenvectors replaced by their labels; a function of its
+    own, so that the eigenvectors are freed before the next block is solved."""
+    spectrum = ksp.spectrum
+    return LabelledSpectrum(
+        ksp.k, ksp.basis, spectrum.eigenvalues, spectrum.residual_bound,
+        classify_block(spectrum.eigenvectors, ksp.basis, threshold), threshold)
+
+
+def _check_threshold(spectra: list[LabelledSpectrum], threshold: float) -> None:
+    for ksp in spectra:
+        if ksp.threshold != threshold:
+            raise ValidationError(
+                f"spectra were labelled at threshold {ksp.threshold!r}, not {threshold!r}")
+
+
 # ------------------------------------------------------------ band extraction
 
 
@@ -206,23 +272,25 @@ def sector_pattern(params: ModelParams, pattern) -> tuple[int, ...]:
 
 def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
                  on_overlap: str = "raise",
-                 spectra: list[KSpectrum] | None = None) -> BandReport:
+                 spectra: list[LabelledSpectrum] | None = None) -> BandReport:
     """Collect, per momentum, the eigenpairs dominated by one pattern.
 
-    Two-clump patterns are tagged line/continuum by the adjacency of the
-    dominant basis state; degenerate clusters with conflicting tags become
-    "merged".  When fewer states than pattern classes are found at some
-    momentum another band has mixed in; that raises BandOverlapError, or
-    warns and reports the partial band when on_overlap="warn".  Closed
-    perturbative band energies, when available, are compared against the
-    selected exact ones in `pt_residuals`.
+    `spectra`, by default `labelled_spectra(params, threshold)`, must be
+    labelled at `threshold`.  Two-clump patterns are tagged line/continuum by
+    the adjacency of the dominant basis state; degenerate clusters with
+    conflicting tags become "merged".  When fewer states than pattern classes
+    are found at some momentum another band has mixed in; that raises
+    BandOverlapError, or warns and reports the partial band when
+    on_overlap="warn".  Closed perturbative band energies, when available,
+    are compared against the selected exact ones in `pt_residuals`.
     """
     pat = sector_pattern(params, pattern)
     if on_overlap not in ("raise", "warn"):
         raise ValidationError(f"on_overlap must be 'raise' or 'warn', got {on_overlap!r}")
     two_clump = len(pat) == 2
     if spectra is None:
-        spectra = mirrored_spectra(params, want_vectors=True)
+        spectra = labelled_spectra(params, threshold)
+    _check_threshold(spectra, threshold)
 
     points: list[BandPoint] = []
     counts: dict[int, tuple[int, int]] = {}
@@ -235,19 +303,16 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
     pt_residuals: dict[int, float | None] | None = {} if pt_eigs is not None else None
 
     for ksp in spectra:
-        if ksp.spectrum.eigenvectors is None:
-            raise ValidationError("band extraction needs eigenvectors; solve with want_vectors=True")
         basis = ksp.basis
         _, ids, patterns = _pattern_groups(basis)
         expected = int(np.count_nonzero(ids == patterns.index(pat))) if pat in patterns else 0
         if basis.dim == 0:
             counts[ksp.k.l] = (0, expected)
             continue
-        classified = classify_block(ksp.spectrum.eigenvectors, basis, threshold)
         selected: list[tuple[int, float, Classification]] = []
-        for idx, cls in enumerate(classified):
+        for idx, cls in enumerate(ksp.labels):
             if cls.pattern is not None and cls.pattern.pattern == pat:
-                selected.append((idx, float(ksp.spectrum.eigenvalues[idx]), cls))
+                selected.append((idx, float(ksp.eigenvalues[idx]), cls))
         counts[ksp.k.l] = (len(selected), expected)
         if len(selected) < expected:
             note = (f"pattern {pat} at l = {ksp.k.l}: found {len(selected)} of "
@@ -261,7 +326,7 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
                     for _, _, c in selected]
         else:
             tags = ["n/a"] * len(selected)
-        scale = max(1.0, float(np.abs(ksp.spectrum.eigenvalues).max()))
+        scale = max(1.0, float(np.abs(ksp.eigenvalues).max()))
         tags = _merge_degenerate_tags([e for _, e, _ in selected], tags, scale)
         for (idx, energy, cls), tag in zip(selected, tags):
             points.append(BandPoint(l=ksp.k.l, k=ksp.k.k, index=idx, energy=energy,
@@ -288,22 +353,22 @@ class GroundState:
     classification: Classification
 
 
-def ground_state(spectra: list[KSpectrum], threshold: float = 0.5) -> GroundState:
-    """Global minimum over all momentum blocks, with its classification."""
-    best: tuple[KSpectrum, float] | None = None
+def ground_state(spectra: list[LabelledSpectrum], threshold: float = 0.5) -> GroundState:
+    """Global minimum over all momentum blocks, with its classification;
+    `spectra` must be labelled at `threshold`.  Of equal minima the first
+    in grid order is kept."""
+    _check_threshold(spectra, threshold)
+    best: tuple[LabelledSpectrum, float] | None = None
     for ksp in spectra:
-        if ksp.spectrum.eigenvalues.size == 0:
+        if ksp.eigenvalues.size == 0:
             continue
-        energy = float(ksp.spectrum.eigenvalues[0])
+        energy = float(ksp.eigenvalues[0])
         if best is None or energy < best[1]:
             best = (ksp, energy)
     if best is None:
         raise ValidationError("no eigenvalues to scan")
     ksp, energy = best
-    if ksp.spectrum.eigenvectors is None:
-        raise ValidationError("ground-state classification needs eigenvectors")
-    [cls] = classify_block(ksp.spectrum.eigenvectors[:, :1], ksp.basis, threshold)
-    return GroundState(l=ksp.k.l, k=ksp.k.k, energy=energy, classification=cls)
+    return GroundState(l=ksp.k.l, k=ksp.k.k, energy=energy, classification=ksp.labels[0])
 
 
 # ---------------------------------------------------------- effective masses

@@ -13,10 +13,11 @@ back through --config to reproduce the run bit for bit: its stored k and
 threshold apply wherever those flags are left at their defaults.
 
 `spectrum`, `band` and `compare` solve the momentum blocks through
-`mirrored_spectra`, so each +-k pair of blocks is solved once and the other
-member takes its eigenvalues and conjugated eigenvectors; a single --k is
-solved on its own.  `oracle` asks for eigenvalues only, certified by the
-trace and the Frobenius norm (see `eigensolve`).
+`labelled_spectra`, which classifies each block's eigenvectors as soon as it
+is solved and keeps only the eigenvalues and labels; each +-k pair of blocks
+is solved once and the other member takes the same eigenvalues and labels, and
+a single --k is solved on its own.  `oracle` asks for eigenvalues only,
+certified by the trace and the Frobenius norm (see `eigensolve`).
 
 Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 """
@@ -31,11 +32,11 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .bands import classify_block, extract_band, ground_state, sector_pattern
+from .bands import extract_band, ground_state, labelled_spectra, sector_pattern
 from .basis import MomentumIndex, momentum_grid
 from .eigensolve import eigh
 from .errors import CapacityError, NumericalError, QdnlsError, ResonanceError, ValidationError
-from .hamiltonian import ModelParams, full_matrix, mirrored_spectra
+from .hamiltonian import ModelParams, full_matrix
 from .perturbation import (
     band22_asymptotic,
     coeffs33,
@@ -225,9 +226,8 @@ def _command(*options):
 def spectrum(params: ModelParams, grid, threshold: float):
     """Momentum-resolved exact spectrum with per-state pattern labels."""
     rows = []
-    for ksp in mirrored_spectra(params, want_vectors=True, grid=grid):
-        labels = classify_block(ksp.spectrum.eigenvectors, ksp.basis, threshold)
-        for idx, (energy, cls) in enumerate(zip(ksp.spectrum.eigenvalues, labels)):
+    for ksp in labelled_spectra(params, threshold, grid):
+        for idx, (energy, cls) in enumerate(zip(ksp.eigenvalues, ksp.labels)):
             band = cls.pattern.label if cls.pattern is not None else "unclassified"
             rows.append((ksp.k.l, ksp.k.k, idx, float(energy), band, cls.weight))
     return CSV_COLUMNS, rows, {}
@@ -239,7 +239,7 @@ def spectrum(params: ModelParams, grid, threshold: float):
 def _solved_band(params: ModelParams, pattern, threshold: float):
     """Solve every momentum and extract the band of `pattern`, with its
     per-momentum counts, overlap notes and worst perturbative residual."""
-    spectra = mirrored_spectra(params, want_vectors=True)
+    spectra = labelled_spectra(params, threshold)
     report = extract_band(params, pattern, threshold=threshold,
                           on_overlap="warn", spectra=spectra)
     extras: dict = {

@@ -13,9 +13,13 @@ output, and raises instead of returning a silently wrong spectrum:
 
 Both take their norms in units of the largest entry, so no square under- or
 overflows.  Below TINY_ENTRY, where rounding errors are subnormal, `eigh`
-solves the exact copy H * 2**1000 instead.
+solves the exact copy H * 2**1000 instead.  Beside the input and the
+eigenvectors, the checks hold at most one full-size temporary, that scaled
+copy H / max |H|; the Hermiticity check, the residuals and the Gram matrix
+are taken SLICE rows or columns at a time.
 
-The momentum blocks reach this solver once per +-k pair; see `hamiltonian`.
+The momentum blocks reach this solver once per +-k pair; see
+`bands.labelled_spectra`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ RESIDUAL_RTOL = 1e-10      # ||H v - w v||_2 <= RESIDUAL_RTOL * ||H||_F
 ORTHO_TOL = 1e-10          # max |V^dag V - I|
 HERMITICITY_RTOL = 1e-12   # max |H - H^dag| <= HERMITICITY_RTOL * max |H|
 TINY_ENTRY = 2.0 ** -970   # below it, eps * max |H| is subnormal
+SLICE = 64                 # rows or columns per slice of a check's temporaries
 
 
 @dataclass
@@ -42,6 +47,10 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual_bound: float
+
+
+def _slices(n: int) -> list[slice]:
+    return [slice(s, s + SLICE) for s in range(0, n, SLICE)]
 
 
 def _certified_values(a: np.ndarray, w: np.ndarray, unit: float) -> Spectrum:
@@ -71,7 +80,8 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
         s = eigh(a * 2.0 ** 1000, want_vectors)  # exact: no entry over- or underflows
         return Spectrum(eigenvalues=s.eigenvalues * 2.0 ** -1000, eigenvectors=s.eigenvectors,
                         residual_bound=s.residual_bound * 2.0 ** -1000)
-    if float(np.abs(a - a.conj().T).max()) > HERMITICITY_RTOL * unit:
+    asym = max(float(np.abs(a[s] - a[:, s].conj().T).max()) for s in _slices(len(a)))
+    if asym > HERMITICITY_RTOL * unit:
         raise ValidationError("matrix is not Hermitian within tolerance")
     try:
         if not want_vectors:
@@ -79,14 +89,21 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    b = a / unit
-    residual = float(np.linalg.norm(b @ v - v * (w / unit), axis=0).max())
+    b = a / unit  # the one full-size temporary
     fro = float(np.linalg.norm(b))
+    residual = gram_dev = 0.0
+    for s in _slices(len(w)):  # the pairs of columns s and the rows s of V^dag V - I
+        r = b @ v[:, s]
+        r -= v[:, s] * (w[s] / unit)
+        residual = max(residual, float(np.linalg.norm(r, axis=0).max()))
+        gram = v[:, s].conj().T @ v
+        i = np.arange(len(gram))
+        gram[i, s.start + i] -= 1.0
+        gram_dev = max(gram_dev, float(np.abs(gram).max()))
     if residual > RESIDUAL_RTOL * fro:
         raise NumericalError(
             f"residual {unit * residual:.3e} exceeds {RESIDUAL_RTOL:g} * ||H||_F = "
             f"{unit * RESIDUAL_RTOL * fro:.3e}")
-    gram_dev = float(np.abs(v.conj().T @ v - np.eye(len(w))).max())
     if gram_dev > ORTHO_TOL:
         raise NumericalError(f"eigenvector Gram deviation {gram_dev:.3e} exceeds {ORTHO_TOL:g}")
     return Spectrum(eigenvalues=w, eigenvectors=v, residual_bound=unit * residual)

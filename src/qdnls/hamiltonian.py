@@ -29,10 +29,10 @@ The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
 block(-l), and on an even ring block(f - l), is bitwise the complex
 conjugate of block(l): its eigenvalues are the same and its eigenvectors are
-the conjugates.  `mirrored_spectra` therefore solves each +-k pair once, on
-the l >= 0 half of an odd grid and the l <= f/2 half of an even one, and
-mirrors the other half; `momentum_spectra` solves exactly the momenta it is
-given and is the one routine that assembles and solves blocks.
+the conjugates.  `momentum_spectra` solves exactly the momenta it is given
+and is the one routine that assembles and solves blocks;
+`bands.labelled_spectra` calls it for one member of each +-k pair and gives
+the other the same eigenvalues and labels.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class MomentumBlock:
             raise ValidationError("block matrix shape does not match its basis dimension")
 
 
-def _reduced_label(l: int, f: int) -> int:
+def reduced_label(l: int, f: int) -> int:
     """l - f * round(l / f), halves to even: congruent to l mod f and odd in
     l, so -l and, unless l = f/2, f - l reduce to minus the reduction of l."""
     return l - f * round(l / f)
@@ -158,7 +158,7 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     # destination orbits without weight at this momentum drop out
     keep = col_of[sec.orbit_of[dst]] >= 0
     g_src, g_dst = sec.orbit_of[src[keep]], sec.orbit_of[dst[keep]]
-    theta = 2 * np.pi * _reduced_label(k.l, params.f) * sec.shift_of[dst[keep]] / params.f
+    theta = 2 * np.pi * reduced_label(k.l, params.f) * sec.shift_of[dst[keep]] / params.f
     v = np.zeros((dim, dim), dtype=complex)
     np.add.at(v, (col_of[g_dst], col_of[g_src]),
               -params.epsilon * amp[keep] * np.sqrt(sec.periods[g_src] / sec.periods[g_dst])
@@ -205,38 +205,4 @@ def momentum_spectra(params: ModelParams, want_vectors: bool = True,
         else:
             spectrum = Spectrum(np.zeros(0), np.zeros((0, 0), complex) if want_vectors else None, 0.0)
         out.append(KSpectrum(k=kidx, basis=block.basis, spectrum=spectrum))
-    return out
-
-
-def mirrored_spectra(params: ModelParams, want_vectors: bool = True,
-                     sector: SectorOrbits | None = None,
-                     grid: list[MomentumIndex] | None = None) -> list[KSpectrum]:
-    """`momentum_spectra` of the same grid, in grid order, solving each +-k
-    pair once.
-
-    A momentum whose reduced label r is >= 0 is solved through
-    `momentum_spectra`; one with r < 0 whose partner -r is solved as well
-    takes the partner's eigenvalues and residual bound, the conjugates of its
-    eigenvectors, and its own momentum basis.  A momentum whose partner is
-    not requested (a single --k, say) is solved directly.
-    """
-    if sector is None:
-        sector = SectorOrbits(params.f, params.n)
-    if grid is None:
-        grid = momentum_grid(params.f)
-    r_of = [_reduced_label(kidx.l, params.f) for kidx in grid]
-    solve = [kidx for kidx, r in zip(grid, r_of) if r >= 0 or -r not in r_of]
-    solved = dict(zip(solve, momentum_spectra(params, want_vectors, sector, solve)))
-    partner = {_reduced_label(kidx.l, params.f): ksp for kidx, ksp in solved.items()}
-    out = []
-    for kidx, r in zip(grid, r_of):
-        if kidx in solved:
-            out.append(solved[kidx])
-            continue
-        spectrum = partner[-r].spectrum
-        vectors = spectrum.eigenvectors
-        out.append(KSpectrum(
-            k=kidx, basis=momentum_basis(params.f, params.n, kidx, sector),
-            spectrum=Spectrum(spectrum.eigenvalues, None if vectors is None else vectors.conj(),
-                              spectrum.residual_bound)))
     return out

@@ -25,6 +25,7 @@ from qdnls import (
     h22_matrix,
     h33_matrix,
     h42_matrix,
+    labelled_spectra,
     mass_ratio_report,
     momentum_grid,
     momentum_spectra,
@@ -57,7 +58,7 @@ def line_and_continuum(report, l):
 def test_criterion_1_pair_band_vs_asymptotic_forms():
     started = time.perf_counter()
     params = ModelParams(**PAIR_PARAMS)
-    report = extract_band(params, (2, 2), spectra=momentum_spectra(params))
+    report = extract_band(params, (2, 2), spectra=labelled_spectra(params))
     nine = all(c == (9, 9) for c in report.counts.values())
     one_line = True
     line_diff = 0.0
@@ -83,7 +84,7 @@ def test_criterion_1_pair_band_vs_asymptotic_forms():
 
 def test_criterion_2_pair_band_ground_state():
     params = ModelParams(f=19, n=4, gamma1=10.0, gamma2=7.5, epsilon=0.5)
-    spectra = momentum_spectra(params)
+    spectra = labelled_spectra(params)
     gs = ground_state(spectra)
     report = extract_band(params, (2, 2), spectra=spectra)
     lines, _ = line_and_continuum(report, gs.l)
@@ -107,7 +108,7 @@ def test_criterion_2_pair_band_ground_state():
 def test_criterion_3_heavy_pair_band_flatness():
     started = time.perf_counter()
     params = ModelParams(**HEAVY_PARAMS)
-    report = extract_band(params, (4, 2), spectra=momentum_spectra(params))
+    report = extract_band(params, (4, 2), spectra=labelled_spectra(params))
     ten = all(c == (10, 10) for c in report.counts.values())
     two_lines = True
     contained = True
@@ -137,7 +138,7 @@ def test_criterion_3_heavy_pair_band_flatness():
 
 def test_criterion_4_triplet_flat_band():
     params = ModelParams(**TRIPLET_PARAMS)
-    report = extract_band(params, (3, 3), spectra=momentum_spectra(params))
+    report = extract_band(params, (3, 3), spectra=labelled_spectra(params))
     c = coeffs33(params)
     offset = pattern_energy((3, 3), params)
     line_ref = offset + c.prefactor * (1.0 + c.impurity)
@@ -207,7 +208,7 @@ def test_criterion_7_residual_decay_under_hopping_halving():
     residuals = []
     for eps in (0.5, 0.25, 0.125):
         params = ModelParams(f=19, n=4, gamma1=10.0, gamma2=0.0, epsilon=eps)
-        report = extract_band(params, (2, 2), spectra=momentum_spectra(params))
+        report = extract_band(params, (2, 2), spectra=labelled_spectra(params))
         residuals.append(max(v for v in report.pt_residuals.values() if v is not None))
     factors = [residuals[i - 1] / residuals[i] for i in range(1, len(residuals))]
     record(7, "perturbative residual decay under hopping halving", {

@@ -22,6 +22,7 @@ from qdnls import (
     effective_mass,
     extract_band,
     ground_state,
+    labelled_spectra,
     mass_ratio_report,
     momentum_spectra,
 )
@@ -199,7 +200,7 @@ def test_block_weights_equal_an_add_at_reference(f, n, data, columns, seed):
     vectors /= np.linalg.norm(vectors, axis=0)
     patterns = [pattern_of(state) for state in basis_states(basis)]
     ids = np.array([sorted(set(patterns)).index(p) for p in patterns])
-    # a whole block, and one column as `ground_state` passes it
+    # a whole block, and one column alone: each column is summed on its own
     for block in (vectors, vectors[:, :1]):
         totals = np.zeros((len(set(patterns)), block.shape[1]))
         np.add.at(totals, ids, np.abs(block) ** 2)
@@ -266,7 +267,7 @@ def test_strong_hopping_raises_band_overlap():
     p = ModelParams(f=7, n=4, gamma1=1.0, gamma2=0.0, epsilon=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        spectra = momentum_spectra(p)
+        spectra = labelled_spectra(p)
         with pytest.raises(BandOverlapError):
             extract_band(p, (2, 2), spectra=spectra)
         rep = extract_band(p, (2, 2), on_overlap="warn", spectra=spectra)
@@ -276,7 +277,7 @@ def test_strong_hopping_raises_band_overlap():
 
 def test_too_strict_threshold_reports_overlap():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    spectra = momentum_spectra(p)
+    spectra = labelled_spectra(p, 0.995)
     with pytest.raises(BandOverlapError):
         extract_band(p, (2, 2), threshold=0.995, spectra=spectra)
 
@@ -289,23 +290,27 @@ def test_extract_band_validates_pattern_and_inputs():
         extract_band(ModelParams(f=3, n=4, gamma1=10.0), (1, 1, 1, 1))
     with pytest.raises(ValidationError):
         extract_band(p, (2, 2), on_overlap="explode")
-    values_only = momentum_spectra(p, want_vectors=False)
-    # f = 5 also trips the small-ring warning before the missing vectors do
-    with pytest.warns(PTValidityWarning), pytest.raises(ValidationError):
-        extract_band(p, (2, 2), spectra=values_only)
+    # spectra labelled at another threshold are refused before any other work
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PTValidityWarning)
+        with pytest.raises(ValidationError, match="labelled at threshold 0.6"):
+            extract_band(p, (2, 2), spectra=labelled_spectra(p, 0.6))
 
 
 def test_ground_state_is_the_single_clump_at_zero_momentum():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    spectra = momentum_spectra(p)
+    spectra = labelled_spectra(p)
     g = ground_state(spectra)
     assert g.l == 0
     assert g.energy == pytest.approx(-120.0333462948, abs=1e-9)
     assert g.classification.pattern == PatternClass((4,))
     with pytest.raises(ValidationError):
         ground_state([])
-    with pytest.raises(ValidationError):
-        ground_state(momentum_spectra(p, want_vectors=False))
+    # the first label of the ground momentum is its ground state's label
+    ground = next(ksp for ksp in momentum_spectra(p) if ksp.k.l == 0)
+    assert [g.classification] == classify_block(ground.spectrum.eigenvectors[:, :1], ground.basis)
+    with pytest.raises(ValidationError, match="labelled at threshold 0.5"):
+        ground_state(spectra, threshold=0.6)
 
 
 # ------------------------------------------------------------ effective masses

@@ -5,20 +5,32 @@ and stderr, plus every command's option names and defaults.  Labels, tags,
 counts, columns and comment keys must match exactly; floats must agree within
 1e-10 of max(1, |value|), since the last digits can change with the BLAS build.
 
+The one exception is the `decay_factor` of a `compare --scaling` table: a
+ratio of two residuals of about 1e-5, it moves some 1e5 times more than the
+energies do.  It must equal the ratio of its own output's neighbouring
+`max_residual` values within 1e-12, and the golden one within what the
+residuals' 1e-10 of max(1, |value|) allows the ratio.
+
 Regenerate after an intended output change with
 `PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qdnls
 from qdnls.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 RTOL = 1e-10
+RATIO_RTOL = 1e-12
 
 F7N4 = ["--f", "7", "--n", "4", "--gamma1", "10", "--eps", "0.5"]
 F7N6 = ["--f", "7", "--n", "6", "--gamma1", "30", "--eps", "0.5"]
@@ -83,6 +95,31 @@ def parsed(text):
             "rows": [[cell(v) for v in line.split(",")] for line in lines[1:]]}
 
 
+def decay_factors(doc):
+    """Pop each `decay_factor` of a --scaling table, with the previous and the
+    current `max_residual` it divides."""
+    table = doc.get("scaling") or doc.get("comments", {}).get("scaling", [])
+    return [(row.pop("decay_factor"), prev["max_residual"], row["max_residual"])
+            for prev, row in zip(table, table[1:])]
+
+
+def assert_decay_factors_match(got_doc, want_doc):
+    """Check and remove the decay factors: each equals its own residuals'
+    ratio within RATIO_RTOL, and the golden one within the tolerance that RTOL
+    on the golden residuals gives their ratio."""
+    got, want = decay_factors(got_doc), decay_factors(want_doc)
+    assert len(got) == len(want)
+    for (factor, prev, cur), (golden, g_prev, g_cur) in zip(got, want):
+        if None in (factor, golden):
+            assert factor is None and golden is None
+            continue
+        ratio = prev / cur
+        assert abs(factor - ratio) <= RATIO_RTOL * abs(ratio), (factor, prev, cur)
+        dp, dc = RTOL * max(1.0, abs(g_prev)), RTOL * max(1.0, abs(g_cur))
+        spread = (abs(g_prev) + dp) / (abs(g_cur) - dc) - abs(g_prev / g_cur)
+        assert abs(factor - golden) <= spread, (factor, golden, spread)
+
+
 def assert_matches(got, want, path="$"):
     if isinstance(want, float) and isinstance(got, float):
         assert abs(got - want) <= RTOL * max(1.0, abs(want)), (path, got, want)
@@ -112,7 +149,29 @@ def test_output_matches_golden(golden, args):
         assert got["stderr"] == want["stderr"]
         assert got["stdout"] == ""
     else:
-        assert_matches(parsed(got["stdout"]), parsed(want["stdout"]))
+        got_doc, want_doc = parsed(got["stdout"]), parsed(want["stdout"])
+        assert_decay_factors_match(got_doc, want_doc)
+        assert_matches(got_doc, want_doc)
+
+
+SCALING_CASES = [args for args in CASES if "--scaling" in args]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the Prescott kernels are x86-64 kernels")
+def test_scaling_tables_match_golden_with_other_blas_kernels(golden):
+    # Prescott runs on any x86-64 and moves the residuals' last bits
+    child = ("import json, sys; from click.testing import CliRunner; from qdnls.cli import main; "
+             "print(json.dumps([CliRunner().invoke(main, a).stdout for a in json.loads(sys.argv[1])]))")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([str(Path(qdnls.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", child, json.dumps(SCALING_CASES)],
+                         env=env, capture_output=True, text=True, check=True)
+    for args, stdout in zip(SCALING_CASES, json.loads(run.stdout)):
+        got_doc, want_doc = parsed(stdout), parsed(golden["outputs"][" ".join(args)]["stdout"])
+        assert_decay_factors_match(got_doc, want_doc)
+        assert_matches(got_doc, want_doc)
 
 
 def test_option_names_and_defaults_match_golden(golden):

@@ -1,5 +1,6 @@
 """Certified Hermitian eigensolver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdnls import NumericalError, Spectrum, ValidationError, eigh
-from qdnls.eigensolve import ORTHO_TOL, RESIDUAL_RTOL
+from qdnls.eigensolve import ORTHO_TOL, RESIDUAL_RTOL, SLICE
 
 
 def random_hermitian(rng, dim, complex_entries=True):
@@ -163,3 +164,47 @@ def test_subnormal_hermiticity_is_judged_on_the_scaled_copy():
         else:
             with pytest.raises(ValidationError):
                 eigh(h)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_checks_hold_at_most_one_full_size_temporary(want_vectors, complex_entries):
+    # beside the input and the eigenvectors, the checks keep one scaled copy
+    # of the matrix and slices SLICE wide; numpy's own LAPACK buffers are
+    # not traced
+    h = random_hermitian(np.random.default_rng(11), 12 * SLICE, complex_entries)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec = eigh(h, want_vectors=want_vectors)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    vectors = spec.eigenvectors.nbytes if want_vectors else 0
+    assert peak - vectors <= 1.5 * h.nbytes
+
+
+def test_every_slice_is_checked(monkeypatch):
+    # a fault in the last slice of rows or columns, past the first SLICE
+    dim = 2 * SLICE + 5
+    h = random_hermitian(np.random.default_rng(12), dim)
+    asymmetric = h.copy()
+    asymmetric[-1, -2] += 1e-6
+    with pytest.raises(ValidationError):
+        eigh(asymmetric)
+    true_eigh = np.linalg.eigh
+    for fault in ("value", "norm"):
+        def faulty(a, fault=fault):
+            w, v = true_eigh(a)
+            if fault == "value":
+                w[-1] += 1e-6 * np.abs(w).max()
+            else:
+                v[:, -1] *= 1.0 + 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(NumericalError):
+            eigh(h, want_vectors=True)
+    monkeypatch.setattr(np.linalg, "eigh", true_eigh)
+    spec = eigh(h, want_vectors=True)  # every Gram slice subtracts its own diagonal
+    assert spec.residual_bound <= RESIDUAL_RTOL * np.linalg.norm(h)

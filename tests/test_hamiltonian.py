@@ -20,13 +20,15 @@ from qdnls import (
     eigh,
     enumerate_sector,
     classify_block,
+    extract_band,
     full_matrix,
     ground_state,
-    mirrored_spectra,
+    labelled_spectra,
     momentum_grid,
     momentum_spectra,
     rank,
 )
+from qdnls.basis import momentum_basis
 from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap
 
 
@@ -242,40 +244,29 @@ mirror_params = st.builds(
 )
 
 
-@given(mirror_params, st.data())
-@example(ModelParams(f=6, n=0, gamma1=1.0, epsilon=0.5), None)
-@example(ModelParams(f=7, n=0, gamma1=1.0, epsilon=0.5), None)
+@given(mirror_params, st.floats(0.05, 1.0), st.data())
+@example(ModelParams(f=6, n=0, gamma1=1.0, epsilon=0.5), 0.5, None)
+@example(ModelParams(f=7, n=0, gamma1=1.0, epsilon=0.5), 0.5, None)
 @settings(max_examples=30, deadline=None)
-def test_mirrored_spectra_equal_solving_every_momentum(params, data):
+def test_labelled_spectra_equal_solving_every_momentum(params, threshold, data):
     # a partial grid may hold one member of a pair; n = 0 has empty blocks
     grid = momentum_grid(params.f)
     if data is not None:
         grid = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
     sector = SectorOrbits(params.f, params.n)
-    mirrored = mirrored_spectra(params, sector=sector, grid=grid)
-    assert [ksp.k for ksp in mirrored] == grid
-    for got in mirrored:
+    labelled = labelled_spectra(params, threshold, grid, sector)
+    assert [ksp.k for ksp in labelled] == grid
+    for got in labelled:
         [want] = momentum_spectra(params, sector=sector, grid=[got.k])
         assert np.array_equal(got.basis.orbit_indices, want.basis.orbit_indices)
         assert got.basis.k == got.k
-        e_got, e_want = got.spectrum.eigenvalues, want.spectrum.eigenvalues
+        e_got, e_want = got.eigenvalues, want.spectrum.eigenvalues
         assert e_got.shape == e_want.shape
         assert np.all(np.abs(e_got - e_want) <= 1e-12 * np.maximum(1.0, np.abs(e_want)))
-        assert got.spectrum.residual_bound == want.spectrum.residual_bound
-        # the mirrored vectors are eigenvectors of their own block
-        h, v = assemble_block(params, got.k, sector).matrix, got.spectrum.eigenvectors
-        assert np.abs(h @ v - v * e_got).max(initial=0.0) <= 1e-10 * max(1.0, np.linalg.norm(h))
-        assert (classify_block(got.spectrum.eigenvectors, got.basis)
-                == classify_block(want.spectrum.eigenvectors, want.basis))
-
-
-def test_mirrored_spectra_values_only_mode():
-    params = ModelParams(f=8, n=3, gamma1=2.0, gamma2=0.5, epsilon=0.7)
-    with_vectors = {ksp.k.l: ksp.spectrum.eigenvalues for ksp in mirrored_spectra(params)}
-    for ksp in mirrored_spectra(params, want_vectors=False):
-        assert ksp.spectrum.eigenvectors is None
-        want = with_vectors[ksp.k.l]
-        assert np.abs(ksp.spectrum.eigenvalues - want).max() <= 1e-12 * np.abs(want).max()
+        assert got.residual_bound == want.spectrum.residual_bound
+        # a partner's labels are those of its own solved vectors
+        assert got.labels == classify_block(want.spectrum.eigenvectors, want.basis, threshold)
+        assert got.threshold == threshold
 
 
 def test_ground_state_keeps_the_first_of_degenerate_momenta():
@@ -283,8 +274,31 @@ def test_ground_state_keeps_the_first_of_degenerate_momenta():
     # the scan keeps the first grid label, -2 on the odd ring and 0 on the even one
     for f, first in ((5, -2), (6, 0)):
         params = ModelParams(f=f, n=2, gamma1=1.0, epsilon=0.0)
-        assert ground_state(mirrored_spectra(params)).l == first
-        assert ground_state(momentum_spectra(params)).l == first
+        assert ground_state(labelled_spectra(params)).l == first
+
+
+def test_band_extraction_holds_one_block_of_eigenvectors_at_a_time():
+    # each block is classified as soon as it is solved; keeping every
+    # block's eigenvectors until the band is read would hold 11 of them here
+    params = ModelParams(f=11, n=5, gamma1=10.0, epsilon=0.5)
+    sector = SectorOrbits(params.f, params.n)
+    one_block = max(16 * momentum_basis(11, 5, k, sector).dim ** 2 for k in momentum_grid(11))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectra = labelled_spectra(params, sector=sector)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        extract_band(params, (5,))
+        band_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not any(hasattr(ksp, "eigenvectors") for ksp in spectra)
+    assert held <= one_block
+    assert peak <= 6 * one_block
+    assert band_peak <= 6 * one_block
+
 
 
 def test_solved_spectra_keep_no_block_matrices():
