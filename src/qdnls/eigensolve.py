@@ -14,9 +14,9 @@ output, and raises instead of returning a silently wrong spectrum:
 Both take their norms in units of the largest entry, so no square under- or
 overflows.  Below TINY_ENTRY, where rounding errors are subnormal, `eigh`
 solves the exact copy H * 2**1000 instead.  Beside the input and the
-eigenvectors, the checks hold at most one full-size temporary, that scaled
-copy H / max |H|; the Hermiticity check, the residuals and the Gram matrix
-are taken SLICE rows or columns at a time.
+eigenvectors, the checks hold at most one full-size temporary, H / max |H|
+(or |H| to find max |H|); the Hermiticity check, the residuals and the rows
+of V^dag V - I are taken SLICE rows or columns at a time.
 
 The momentum blocks reach this solver once per +-k pair; see
 `bands.labelled_spectra`.
@@ -92,13 +92,14 @@ def eigh(matrix, want_vectors: bool = False) -> Spectrum:
     b = a / unit  # the one full-size temporary
     fro = float(np.linalg.norm(b))
     residual = gram_dev = 0.0
-    for s in _slices(len(w)):  # the pairs of columns s and the rows s of V^dag V - I
+    for s in _slices(len(w)):
+        # the pairs of columns s, and rows s of V^dag V - I from the diagonal
+        # on: that matrix is Hermitian, so its upper triangle holds every |entry|
         r = b @ v[:, s]
         r -= v[:, s] * (w[s] / unit)
         residual = max(residual, float(np.linalg.norm(r, axis=0).max()))
-        gram = v[:, s].conj().T @ v
-        i = np.arange(len(gram))
-        gram[i, s.start + i] -= 1.0
+        gram = v[:, s].conj().T @ v[:, s.start:]
+        gram[np.diag_indices(len(gram))] -= 1.0
         gram_dev = max(gram_dev, float(np.abs(gram).max()))
     if residual > RESIDUAL_RTOL * fro:
         raise NumericalError(

@@ -193,18 +193,21 @@ def test_every_slice_is_checked(monkeypatch):
     with pytest.raises(ValidationError):
         eigh(asymmetric)
     true_eigh = np.linalg.eigh
-    for fault in ("value", "norm"):
+    for fault, matrix in (("value", h), ("norm", h), ("overlap", np.eye(dim))):
         def faulty(a, fault=fault):
             w, v = true_eigh(a)
             if fault == "value":
                 w[-1] += 1e-6 * np.abs(w).max()
-            else:
+            elif fault == "norm":
                 v[:, -1] *= 1.0 + 1e-6
+            else:  # not orthogonal to the first column, yet an eigenvector of I
+                v[:, -1] += 1e-6 * v[:, 0]
+                v[:, -1] /= np.linalg.norm(v[:, -1])
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", faulty)
         with pytest.raises(NumericalError):
-            eigh(h, want_vectors=True)
+            eigh(matrix, want_vectors=True)
     monkeypatch.setattr(np.linalg, "eigh", true_eigh)
     spec = eigh(h, want_vectors=True)  # every Gram slice subtracts its own diagonal
     assert spec.residual_bound <= RESIDUAL_RTOL * np.linalg.norm(h)

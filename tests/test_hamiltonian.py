@@ -234,7 +234,7 @@ def test_opposite_momentum_blocks_are_conjugate(params):
             assert np.array_equal(minus, plus.conj())
 
 
-mirror_params = st.builds(
+pair_params = st.builds(
     ModelParams,
     f=st.integers(2, 9),
     n=st.integers(0, 5),
@@ -244,7 +244,7 @@ mirror_params = st.builds(
 )
 
 
-@given(mirror_params, st.floats(0.05, 1.0), st.data())
+@given(pair_params, st.floats(0.05, 1.0), st.data())
 @example(ModelParams(f=6, n=0, gamma1=1.0, epsilon=0.5), 0.5, None)
 @example(ModelParams(f=7, n=0, gamma1=1.0, epsilon=0.5), 0.5, None)
 @settings(max_examples=30, deadline=None)
