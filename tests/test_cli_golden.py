@@ -135,6 +135,12 @@ def assert_matches(got, want, path="$"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
+def assert_same_output(got_stdout, want_stdout):
+    got, want = parsed(got_stdout), parsed(want_stdout)
+    assert_decay_factors_match(got, want)
+    assert_matches(got, want)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -149,9 +155,7 @@ def test_output_matches_golden(golden, args):
         assert got["stderr"] == want["stderr"]
         assert got["stdout"] == ""
     else:
-        got_doc, want_doc = parsed(got["stdout"]), parsed(want["stdout"])
-        assert_decay_factors_match(got_doc, want_doc)
-        assert_matches(got_doc, want_doc)
+        assert_same_output(got["stdout"], want["stdout"])
 
 
 SCALING_CASES = [args for args in CASES if "--scaling" in args]
@@ -168,10 +172,10 @@ def test_scaling_tables_match_golden_with_other_blas_kernels(golden):
                                            os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", child, json.dumps(SCALING_CASES)],
                          env=env, capture_output=True, text=True, check=True)
-    for args, stdout in zip(SCALING_CASES, json.loads(run.stdout)):
-        got_doc, want_doc = parsed(stdout), parsed(golden["outputs"][" ".join(args)]["stdout"])
-        assert_decay_factors_match(got_doc, want_doc)
-        assert_matches(got_doc, want_doc)
+    outputs = json.loads(run.stdout)
+    assert len(outputs) == len(SCALING_CASES) == 2
+    for args, stdout in zip(SCALING_CASES, outputs):
+        assert_same_output(stdout, golden["outputs"][" ".join(args)]["stdout"])
 
 
 def test_option_names_and_defaults_match_golden(golden):
