@@ -148,14 +148,17 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
     # the first of the tied groups holds the largest pattern
     best = np.argmax(totals == weights, axis=0)
     dominant = np.argmax(np.where(ids[:, None] == best, amp2, -1.0), axis=0)
+    shared = {}  # one PatternClass per (pattern group, adjacency) of this call
     out = []
-    for weight, pid, i in zip(weights.tolist(), best, dominant):
+    for weight, pid, i in zip(weights.tolist(), best.tolist(), dominant.tolist()):
         if not weight > threshold or not patterns[pid]:
             # the n = 0 vacuum has no clump to name
             out.append(Classification(None, weight))
-        else:
-            out.append(Classification(
-                PatternClass(patterns[pid], adjacency_of(rows[i].tolist())), weight))
+            continue
+        key = (pid, adjacency_of(rows[i].tolist()))
+        if key not in shared:
+            shared[key] = PatternClass(patterns[pid], key[1])
+        out.append(Classification(shared[key], weight))
     return out
 
 

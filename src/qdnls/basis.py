@@ -10,9 +10,10 @@ its lexicographically maximal rotation (the lowest rank), which puts the
 largest occupation first and matches the usual class labels |22> or |202>.
 The table ranks the sector once: T maps it onto itself, so the ranks of a
 row's f rotations are the powers of one permutation `step` of the ranks.
-`canonical_rows` ranks each rotation of raw rows that need not form a sector,
-for the numeric perturbation reference (with `hop_moves`, the single-boson
-moves out of each row); both fold rotation ranks to orbits the same way.
+`canonical_rows` folds raw rows that need not form a sector, for the numeric
+perturbation reference (with `hop_moves`, the single-boson moves out of each
+row): it gathers all f rotations of a chunk of rows into one array and ranks
+them in a single call.  Both fold rotation ranks to orbits the same way.
 A momentum basis is an index array into that table: the orbits, in sector
 order, whose period admits the momentum.
 
@@ -37,6 +38,7 @@ from .errors import CapacityError, ValidationError
 Occ = tuple[int, ...]
 
 DEFAULT_STATE_CAP = 10**7
+ROW_CHUNK = 256  # rows per chunk of canonical_rows' (rows * f, f) rotation temporaries
 
 
 def check_sector(f, n):
@@ -133,11 +135,21 @@ def canonical_rows(rows):
     """Canonical form of each occupation row over its f rotations, as arrays
     (rep_rank, shift, period): the rank of its representative (its lowest-rank
     rotation), the shift u with row == translate(rep, u) and 0 <= u < period,
-    and the period of its orbit.  Rows may come from different sectors."""
+    and the period of its orbit.  Rows may come from different sectors.
+
+    The f rotations of ROW_CHUNK rows at a time are gathered into one
+    (rows * f, f) array and ranked by one `rank_rows` call, so the number of
+    calls does not grow with f and the temporaries stay bounded.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     f = rows.shape[1]
-    rot = [rank_rows(np.roll(rows, t, axis=1)) for t in range(f)]
-    return _fold_rotations(np.stack(rot, axis=1))
+    # rows[:, turn[t]] is T^t of each row: site s holds site (s - t) mod f
+    turn = (np.arange(f) - np.arange(f)[:, None]) % f
+    rot = np.empty((len(rows), f), dtype=np.int64)
+    for a in range(0, len(rows), ROW_CHUNK):
+        turned = rows[a:a + ROW_CHUNK, turn].reshape(-1, f)  # (rows * f, f)
+        rot[a:a + ROW_CHUNK] = rank_rows(turned).reshape(-1, f)
+    return _fold_rotations(rot)
 
 
 def hop_moves(occ):

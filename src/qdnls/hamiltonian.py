@@ -163,7 +163,9 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     np.add.at(v, (col_of[g_dst], col_of[g_src]),
               -params.epsilon * amp[keep] * np.sqrt(sec.periods[g_src] / sec.periods[g_dst])
               * np.exp(1j * theta))
-    v = 0.5 * (v + v.conj().T)
+    # in place, so only v and its conjugate transpose are alive at once
+    v += v.conj().T
+    v *= 0.5
     return basis, diagonal_energy(sec.occ[reps], params), v
 
 

@@ -31,8 +31,9 @@ from single-boson hops for any degenerate family of classes and is the
 independent check of the closed forms.  It takes only the hops out of the
 class representatives, through the move kernel the sector table uses
 (`basis.hop_moves`), and folds each destination onto its orbit on the fly
-(`basis.canonical_rows`); it needs no sector table and no dense block, so
-the dense cap does not apply and it reaches rings no exact solve does.
+(`basis.canonical_rows`, which ranks all f rotations of the destinations in
+one call); it needs no sector table and no dense block, so the dense cap
+does not apply and it reaches rings no exact solve does.
 """
 
 from __future__ import annotations
@@ -370,7 +371,8 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     {2,2}, {4,2} and {3,3} matrices are validated against.
 
     Only the hops out of the class representatives are taken (`hop_moves`);
-    each destination is folded onto its orbit by `canonical_rows`, so no
+    each destination is folded onto its orbit by `canonical_rows` (one
+    `rank_rows` call per `basis.ROW_CHUNK` destinations, whatever f), so no
     sector table, dense block or dense cap is involved and rings far beyond
     exact reach work.  `sector` is optional and unused beyond a check that
     it is the (f, n) sector of `params`.

@@ -219,6 +219,16 @@ def test_classified_count_decreases_with_threshold():
     assert counts[0] > counts[-1]
 
 
+def test_block_labels_share_one_pattern_class_per_pattern_and_adjacency():
+    p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+    ksp = momentum_spectra(p)[3]
+    labels = [c.pattern for c in classify_block(ksp.spectrum.eigenvectors, ksp.basis, 0.3)]
+    classes = [c for c in labels if c is not None]
+    distinct = {(c.pattern, c.adjacency) for c in classes}
+    assert len(classes) > len(distinct) > 2
+    assert len({id(c) for c in classes}) == len(distinct)
+
+
 # ------------------------------------------------------------- band extraction
 
 

@@ -20,7 +20,7 @@ from qdnls import (
     sector_dimension,
     translate,
 )
-from qdnls.basis import canonical_rows
+from qdnls.basis import ROW_CHUNK, canonical_rows, rank_rows
 
 SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
@@ -137,6 +137,47 @@ def test_canonical_rows_fold_raw_rows_of_any_sector(rows):
         rep, want_period = orbit_of(tuple(row))
         assert (rank(rep), d) == (r, want_period)
         assert translate(rep, u) == tuple(row) and 0 <= u < d
+
+
+def canonical_rows_by_rotation(rows):
+    """canonical_rows as f separate rankings, one per rotation of the rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    f = rows.shape[1]
+    rot = np.stack([rank_rows(np.roll(rows, t, axis=1)) for t in range(f)], axis=1)
+    rep_rank = rot.min(axis=1)
+    period = f // (rot == rep_rank[:, None]).sum(axis=1)
+    return rep_rank, -rot.argmin(axis=1) % period, period
+
+
+def assert_canonical_rows_as_by_rotation(rows):
+    for got, want in zip(canonical_rows(rows), canonical_rows_by_rotation(rows)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f", [2, 3, 7])
+def test_canonical_rows_of_no_rows(f):
+    assert_canonical_rows_as_by_rotation(np.zeros((0, f), dtype=np.int64))
+
+
+def test_canonical_rows_on_two_sites():
+    rows = [(a, b) for a in range(7) for b in range(7)]
+    assert_canonical_rows_as_by_rotation(rows)
+    rep_rank, shift, period = canonical_rows(rows)
+    assert period.tolist() == [1 if a == b else 2 for a, b in rows]
+
+
+@given(st.integers(2, 12).flatmap(lambda f: st.lists(
+    st.lists(st.integers(0, 6), min_size=f, max_size=f), min_size=1, max_size=40)))
+@settings(max_examples=60, deadline=None)
+def test_canonical_rows_of_mixed_sectors_equal_ranking_each_rotation(rows):
+    assert_canonical_rows_as_by_rotation(rows)
+
+
+@pytest.mark.parametrize("f", [2, 9])
+def test_canonical_rows_across_several_chunks(f):
+    rng = np.random.default_rng(f)
+    assert_canonical_rows_as_by_rotation(rng.integers(0, 4, size=(3 * ROW_CHUNK + 7, f)))
 
 
 def assert_table_is_canonical_rows_of_its_rows(sector):

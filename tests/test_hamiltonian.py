@@ -313,3 +313,20 @@ def test_solved_spectra_keep_no_block_matrices():
         tracemalloc.stop()
     vector_bytes = sum(ks.spectrum.eigenvectors.nbytes for ks in spectra)
     assert held <= 1.5 * vector_bytes
+
+
+def test_block_assembly_holds_two_block_matrices_at_its_peak():
+    # the hopping matrix is symmetrized in place, so assembly holds the block
+    # and one conjugate transpose; 0.5 * (v + v.conj().T) would hold three
+    params = ModelParams(f=11, n=5, gamma1=10.0, epsilon=0.5)
+    sector = SectorOrbits(params.f, params.n)
+    k = MomentumIndex(1, params.f)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        block = assemble_block(params, k, sector)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(block.matrix, block.matrix.conj().T)
+    assert peak <= 2.5 * block.matrix.nbytes

@@ -399,6 +399,28 @@ def test_reference_reaches_rings_beyond_the_sector_table(monkeypatch):
         assert np.abs(bw - h42_matrix(params, k)).max() <= 1e-10
 
 
+def test_reference_ranks_a_fixed_number_of_times_at_any_ring_size(monkeypatch):
+    # canonical_rows ranks all f rotations of its rows in one call, so one
+    # block takes as many rankings at f = 41 as at f = 11
+    calls = []
+    rank_rows = qdnls.basis.rank_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank_rows(rows)
+
+    monkeypatch.setattr(qdnls.basis, "rank_rows", counting)
+    counts = []
+    for f in (11, 41):
+        params = ModelParams(f=f, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+        classes = [TranslationOrbit(rep=(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j), period=f)
+                   for j in range(1, f)]
+        calls.clear()
+        bw_second_order_block(params, momentum_grid(f)[1], classes)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize("with_sector", [False, True])
 @pytest.mark.parametrize("case", ["rotation", "length", "count", "negative", "duplicate",
                                   "empty", "ring"])
