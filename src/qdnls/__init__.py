@@ -7,15 +7,9 @@ forms are checked against a numeric degenerate-perturbation reference.
 """
 
 from .bands import (
-    BandPoint,
-    BandReport,
     Classification,
-    EffectiveMassReport,
-    GroundState,
     LabelledSpectrum,
-    MassFit,
     PatternClass,
-    adjacency_of,
     band_mass,
     classify_block,
     effective_mass,
@@ -30,12 +24,9 @@ from .basis import (
     MomentumIndex,
     SectorOrbits,
     TranslationOrbit,
-    enumerate_sector,
     momentum_basis,
     momentum_grid,
-    rank,
     sector_dimension,
-    translate,
 )
 from .eigensolve import Spectrum, eigh
 from .errors import (
@@ -43,25 +34,12 @@ from .errors import (
     CapacityError,
     NumericalError,
     PTValidityWarning,
-    QdnlsError,
     ResonanceError,
-    ResonanceWarning,
     ValidationError,
 )
-from .hamiltonian import (
-    KSpectrum,
-    ModelParams,
-    MomentumBlock,
-    assemble_block,
-    diagonal_energy,
-    full_matrix,
-    momentum_spectra,
-)
+from .hamiltonian import ModelParams, assemble_block, diagonal_energy, full_matrix, momentum_spectra
 from .perturbation import (
-    AsymptoticBand22,
     Coeffs22,
-    Coeffs33,
-    Coeffs42,
     band22_asymptotic,
     bw_second_order_block,
     coeffs22,
@@ -79,4 +57,16 @@ from .perturbation import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names that the README, the tests and the benchmark take from the package
+__all__ = [
+    "BandOverlapError", "CapacityError", "Classification", "Coeffs22", "LabelledSpectrum",
+    "ModelParams", "MomentumBasis", "MomentumIndex", "NumericalError", "PTValidityWarning",
+    "PatternClass", "ResonanceError", "SectorOrbits", "Spectrum", "TranslationOrbit",
+    "ValidationError", "assemble_block", "band22_asymptotic", "band_mass",
+    "bw_second_order_block", "classify_block", "coeffs22", "coeffs33", "coeffs42",
+    "continuum42", "continuum42_bounds", "diagonal_energy", "effective_mass", "eigh",
+    "extract_band", "full_matrix", "ground_state", "h22_matrix", "h33_matrix", "h42_matrix",
+    "labelled_spectra", "mass_ratio_report", "momentum_basis", "momentum_grid",
+    "momentum_spectra", "onsite_energy", "pattern_energy", "pattern_of", "pt_band",
+    "sector_dimension",
+]

@@ -27,7 +27,6 @@ central grid points); the two must agree within 2 percent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,8 +40,9 @@ from .basis import (
     momentum_grid,
     rank_rows,
 )
+from .eigensolve import Spectrum
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
-from .hamiltonian import KSpectrum, ModelParams, momentum_spectra, reduced_label
+from .hamiltonian import ModelParams, momentum_spectra, reduced_label
 from .perturbation import coeffs22, pt_band
 
 ADJACENCY_TAGS = ("adjacent", "separated", "n/a")
@@ -122,6 +122,11 @@ def _pattern_groups(basis: MomentumBasis):
     return rows, ids, [pattern_of(rows[i].tolist()) for i in first]
 
 
+def validate_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
+
+
 def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> list[Classification]:
     """Classify each column of `vectors`, one amplitude per orbit of `basis`.
 
@@ -131,8 +136,7 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
     weights go to the largest pattern, and the adjacency tag comes from the
     first of its states with the largest amplitude.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
+    validate_threshold(threshold)
     mat = np.asarray(vectors, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != basis.dim:
         raise ValidationError("vector length does not match the basis")
@@ -165,21 +169,21 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
 @dataclass
 class LabelledSpectrum:
     """The certified eigenvalues of one momentum block and the classification
-    of each eigenvector at `threshold`; the eigenvectors are not kept."""
+    of each eigenvector; the eigenvectors are not kept."""
 
     k: MomentumIndex
     basis: MomentumBasis
     eigenvalues: np.ndarray
     residual_bound: float
     labels: list[Classification]
-    threshold: float
 
 
 def labelled_spectra(params: ModelParams, threshold: float = 0.5,
                      grid: list[MomentumIndex] | None = None,
                      sector: SectorOrbits | None = None) -> list[LabelledSpectrum]:
-    """Eigenvalues and eigenvector labels of every momentum of `grid` (the
-    whole grid by default), in grid order, solving each +-k pair once.
+    """Eigenvalues and eigenvector labels at `threshold` of every momentum of
+    `grid` (the whole grid by default), in grid order, solving each +-k pair
+    once; the threshold is checked before the first solve.
 
     A momentum whose reduced label r is >= 0 is solved through
     `momentum_spectra` and classified at once, so only one block's
@@ -189,32 +193,25 @@ def labelled_spectra(params: ModelParams, threshold: float = 0.5,
     conjugate vectors carry the same weights on the same orbits.  A momentum
     whose partner is not requested (a single --k, say) is solved directly.
     """
+    validate_threshold(threshold)
     if sector is None:
         sector = SectorOrbits(params.f, params.n)
     if grid is None:
         grid = momentum_grid(params.f)
     r_of = [reduced_label(kidx.l, params.f) for kidx in grid]
-    solved = {r: _labelled(momentum_spectra(params, True, sector, [kidx])[0], threshold)
+    solved = {r: _labelled(*momentum_spectra(params, sector, [kidx])[0], threshold)
               for kidx, r in zip(grid, r_of) if r >= 0 or -r not in r_of}
     return [solved[r] if r in solved else
             replace(solved[-r], k=kidx, basis=momentum_basis(params.f, params.n, kidx, sector))
             for kidx, r in zip(grid, r_of)]
 
 
-def _labelled(ksp: KSpectrum, threshold: float) -> LabelledSpectrum:
-    """`ksp` with its eigenvectors replaced by their labels; a function of its
-    own, so that the eigenvectors are freed before the next block is solved."""
-    spectrum = ksp.spectrum
+def _labelled(basis: MomentumBasis, spectrum: Spectrum, threshold: float) -> LabelledSpectrum:
+    """A solved block with its eigenvectors replaced by their labels; a function
+    of its own, so that the eigenvectors are freed before the next solve."""
     return LabelledSpectrum(
-        ksp.k, ksp.basis, spectrum.eigenvalues, spectrum.residual_bound,
-        classify_block(spectrum.eigenvectors, ksp.basis, threshold), threshold)
-
-
-def _check_threshold(spectra: list[LabelledSpectrum], threshold: float) -> None:
-    for ksp in spectra:
-        if ksp.threshold != threshold:
-            raise ValidationError(
-                f"spectra were labelled at threshold {ksp.threshold!r}, not {threshold!r}")
+        basis.k, basis, spectrum.eigenvalues, spectrum.residual_bound,
+        classify_block(spectrum.eigenvectors, basis, threshold))
 
 
 # ------------------------------------------------------------ band extraction
@@ -273,27 +270,23 @@ def sector_pattern(params: ModelParams, pattern) -> tuple[int, ...]:
     return pat
 
 
-def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
-                 on_overlap: str = "raise",
-                 spectra: list[LabelledSpectrum] | None = None) -> BandReport:
-    """Collect, per momentum, the eigenpairs dominated by one pattern.
+def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum],
+                 on_overlap: str = "raise") -> BandReport:
+    """Collect, per momentum, the eigenpairs of `spectra` dominated by one pattern.
 
-    `spectra`, by default `labelled_spectra(params, threshold)`, must be
-    labelled at `threshold`.  Two-clump patterns are tagged line/continuum by
-    the adjacency of the dominant basis state; degenerate clusters with
-    conflicting tags become "merged".  When fewer states than pattern classes
-    are found at some momentum another band has mixed in; that raises
-    BandOverlapError, or warns and reports the partial band when
-    on_overlap="warn".  Closed perturbative band energies, when available,
-    are compared against the selected exact ones in `pt_residuals`.
+    The labels, and so the threshold, are those of `labelled_spectra`.
+    Two-clump patterns are tagged line/continuum by the adjacency of the
+    dominant basis state; degenerate clusters with conflicting tags become
+    "merged".  When fewer states than pattern classes are found at some
+    momentum another band has mixed in; that raises BandOverlapError, or with
+    on_overlap="warn" is noted in `overlap_notes` of the partial band.  Closed
+    perturbative band energies, when available, are compared against the
+    selected exact ones in `pt_residuals`.
     """
     pat = sector_pattern(params, pattern)
     if on_overlap not in ("raise", "warn"):
         raise ValidationError(f"on_overlap must be 'raise' or 'warn', got {on_overlap!r}")
     two_clump = len(pat) == 2
-    if spectra is None:
-        spectra = labelled_spectra(params, threshold)
-    _check_threshold(spectra, threshold)
 
     points: list[BandPoint] = []
     counts: dict[int, tuple[int, int]] = {}
@@ -322,7 +315,6 @@ def extract_band(params: ModelParams, pattern, threshold: float = 0.5,
                     f"{expected} states; another band overlaps or the threshold is too strict")
             if on_overlap == "raise":
                 raise BandOverlapError(note)
-            warnings.warn(note, stacklevel=2)
             notes.append(note)
         if two_clump:
             tags = ["line" if c.pattern.adjacency == "adjacent" else "continuum"
@@ -356,11 +348,9 @@ class GroundState:
     classification: Classification
 
 
-def ground_state(spectra: list[LabelledSpectrum], threshold: float = 0.5) -> GroundState:
-    """Global minimum over all momentum blocks, with its classification;
-    `spectra` must be labelled at `threshold`.  Of equal minima the first
-    in grid order is kept."""
-    _check_threshold(spectra, threshold)
+def ground_state(spectra: list[LabelledSpectrum]) -> GroundState:
+    """Global minimum over all momentum blocks, with its classification.  Of
+    equal minima the first in grid order is kept."""
     best: tuple[LabelledSpectrum, float] | None = None
     for ksp in spectra:
         if ksp.eigenvalues.size == 0:
@@ -466,7 +456,7 @@ def _single_tag_dispersion(report: BandReport, tag: str) -> tuple[list[float], l
 
 def band_mass(params: ModelParams, pattern, tag: str, threshold: float = 0.5) -> MassFit:
     """Mass fit of the unique tagged member of a pattern band."""
-    report = extract_band(params, pattern, threshold=threshold)
+    report = extract_band(params, pattern, labelled_spectra(params, threshold))
     ks, es = _single_tag_dispersion(report, tag)
     return effective_mass(ks, es)
 

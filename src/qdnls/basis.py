@@ -8,8 +8,10 @@ order, per-row orbit index and shift, orbit representatives and periods, and
 the single-boson `hops` out of any set of rows.  An orbit is represented by
 its lexicographically maximal rotation (the lowest rank), which puts the
 largest occupation first and matches the usual class labels |22> or |202>.
-The table ranks the sector once: T maps it onto itself, so the ranks of a
-row's f rotations are the powers of one permutation `step` of the ranks.
+The table ranks the sector once: the translation T, which moves the
+occupation of site s to site s + 1 (mod f), maps the sector onto itself, so
+the ranks of a row's f rotations are the powers of one permutation `step`
+of the ranks.
 `canonical_rows` folds raw rows that need not form a sector, for the numeric
 perturbation reference (with `hop_moves`, the single-boson moves out of each
 row): it gathers all f rotations of a chunk of rows into one array and ranks
@@ -54,12 +56,12 @@ def sector_dimension(f: int, n: int) -> int:
     return math.comb(n + f - 1, n)
 
 
-def _occupations(f: int, n: int, max_states: int | None = None) -> np.ndarray:
+def _occupations(f: int, n: int) -> np.ndarray:
     """The (f, n) sector as a (dim, f) integer array in descending lexicographic order."""
     dim = sector_dimension(f, n)
-    cap = DEFAULT_STATE_CAP if max_states is None else max_states
-    if dim > cap:
-        raise CapacityError(f"sector (f={f}, n={n}) has {dim} states, above the cap {cap}")
+    if dim > DEFAULT_STATE_CAP:
+        raise CapacityError(
+            f"sector (f={f}, n={n}) has {dim} states, above the cap {DEFAULT_STATE_CAP}")
     occ = np.full((1, 1), n, dtype=np.int64)
     for _ in range(f - 1):
         # split the last column (bosons not yet placed) into the next site and
@@ -70,16 +72,6 @@ def _occupations(f: int, n: int, max_states: int | None = None) -> np.ndarray:
         head = rest[parent] - (np.arange(len(parent)) - start[parent])
         occ = np.column_stack([occ[parent, :-1], head, rest[parent] - head])
     return occ
-
-
-def enumerate_sector(f: int, n: int, max_states: int | None = None) -> list[Occ]:
-    """All occupation vectors of the (f, n) sector in descending lexicographic order."""
-    return [tuple(row) for row in _occupations(f, n, max_states).tolist()]
-
-
-def check_state(state):
-    if len(state) < 2 or any((not isinstance(c, int)) or c < 0 for c in state):
-        raise ValidationError(f"not a valid occupation vector: {state!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -106,22 +98,6 @@ def rank_rows(rows) -> np.ndarray:
     return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
 
 
-def rank(state) -> int:
-    """Index of `state` in the descending-lex enumeration of its own sector."""
-    check_state(state)
-    return int(rank_rows([state])[0])
-
-
-def translate(state, t: int) -> Occ:
-    """Cyclic shift: site s of the output holds site (s - t) mod f of the input."""
-    s = tuple(state)
-    f = len(s)
-    t %= f
-    if t == 0:
-        return s
-    return s[-t:] + s[:-t]
-
-
 def _fold_rotations(rot):
     """(rep_rank, shift, period) from rot[i, t], the rank of T^t |row i>: the
     representative is the lowest-rank rotation, first reached at t0 so that
@@ -134,7 +110,7 @@ def _fold_rotations(rot):
 def canonical_rows(rows):
     """Canonical form of each occupation row over its f rotations, as arrays
     (rep_rank, shift, period): the rank of its representative (its lowest-rank
-    rotation), the shift u with row == translate(rep, u) and 0 <= u < period,
+    rotation), the shift u with row == T^u rep and 0 <= u < period,
     and the period of its orbit.  Rows may come from different sectors.
 
     The f rotations of ROW_CHUNK rows at a time are gathered into one
@@ -187,13 +163,13 @@ class SectorOrbits:
     `occ[i]` is the state of rank i.  Orbits are ordered by representative;
     orbit g has representative row `reps[g]` and period `periods[g]`, and
     `orbits[g]` carries both as a TranslationOrbit.  Every row i satisfies
-    occ[i] == translate(orbits[orbit_of[i]].rep, shift_of[i]) with
+    occ[i] == T^shift_of[i] orbits[orbit_of[i]].rep with
     0 <= shift_of[i] < period.  These equal `canonical_rows(occ)`, read off the
     translation permutation of the ranks instead of f rankings.
     """
 
-    def __init__(self, f: int, n: int, max_states: int | None = None):
-        occ = _occupations(f, n, max_states)
+    def __init__(self, f: int, n: int):
+        occ = _occupations(f, n)
         self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
         step = rank_rows(np.roll(occ, 1, axis=1))
         rot = np.empty((self.dim, f), dtype=np.int64)
@@ -208,7 +184,7 @@ class SectorOrbits:
                        for r, d in zip(occ[self.reps].tolist(), self.periods.tolist())]
 
     def locate(self, state) -> tuple[int, int] | None:
-        """(orbit index g, shift u) with state == translate(orbits[g].rep, u);
+        """(orbit index g, shift u) with state == T^u orbits[g].rep;
         None when the state is not in this sector."""
         s = np.asarray(state)
         if s.shape != (self.f,) or s.dtype.kind != "i" or s.min() < 0 or s.sum() != self.n:

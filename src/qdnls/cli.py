@@ -13,11 +13,12 @@ back through --config to reproduce the run bit for bit: its stored k and
 threshold apply wherever those flags are left at their defaults.
 
 `spectrum`, `band` and `compare` solve the momentum blocks through
-`labelled_spectra`, which classifies each block's eigenvectors as soon as it
-is solved and keeps only the eigenvalues and labels; each +-k pair of blocks
-is solved once and the other member takes the same eigenvalues and labels, and
-a single --k is solved on its own.  `oracle` asks for eigenvalues only,
-certified by the trace and the Frobenius norm (see `eigensolve`).
+`labelled_spectra`, which checks the threshold before the first solve,
+classifies each block's eigenvectors as soon as it is solved and keeps only
+the eigenvalues and labels; each +-k pair of blocks is solved once, and a
+single --k on its own.  A band overlap is reported once, in the output's
+`overlap_warnings`.  `oracle` asks for eigenvalues only, certified by the
+trace and the Frobenius norm (see `eigensolve`).
 
 Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 """
@@ -240,8 +241,7 @@ def _solved_band(params: ModelParams, pattern, threshold: float):
     """Solve every momentum and extract the band of `pattern`, with its
     per-momentum counts, overlap notes and worst perturbative residual."""
     spectra = labelled_spectra(params, threshold)
-    report = extract_band(params, pattern, threshold=threshold,
-                          on_overlap="warn", spectra=spectra)
+    report = extract_band(params, pattern, spectra, on_overlap="warn")
     extras: dict = {
         "counts": {str(l): list(report.counts[l]) for l in sorted(report.counts)},
     }
@@ -257,7 +257,7 @@ def _solved_band(params: ModelParams, pattern, threshold: float):
 def band(params: ModelParams, pattern, threshold: float):
     """Extract one pattern band with line/continuum tags."""
     spectra, report, extras = _solved_band(params, pattern, threshold)
-    gs = ground_state(spectra, threshold)
+    gs = ground_state(spectra)
     in_band = any(p.l == gs.l and abs(p.energy - gs.energy) <= 1e-12 * max(1.0, abs(gs.energy))
                   for p in report.points)
     extras["global_ground"] = {"l": gs.l, "energy": gs.energy, "in_band": in_band}
@@ -338,10 +338,10 @@ def _compare_once(params: ModelParams, pattern, threshold: float):
 def compare(params: ModelParams, pattern, threshold: float, scaling: bool):
     """Exact band against the perturbative prediction, per momentum."""
     pattern = sector_pattern(params, pattern)
+    if scaling and params.epsilon <= 0:
+        raise ValidationError("--scaling needs a positive epsilon")
     rows, extras = _compare_once(params, pattern, threshold)
     if scaling:
-        if params.epsilon <= 0:
-            raise ValidationError("--scaling needs a positive epsilon")
         table = [{"epsilon": params.epsilon, "max_residual": extras["max_residual"]}]
         for divisor in (2.0, 4.0):
             eps_i = params.epsilon / divisor

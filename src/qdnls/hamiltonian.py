@@ -29,8 +29,8 @@ The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
 block(-l), and on an even ring block(f - l), is bitwise the complex
 conjugate of block(l): its eigenvalues are the same and its eigenvectors are
-the conjugates.  `momentum_spectra` solves exactly the momenta it is given
-and is the one routine that assembles and solves blocks;
+the conjugates.  `momentum_spectra` solves exactly the momenta it is given,
+as (basis, Spectrum) pairs, and is the one routine that solves blocks;
 `bands.labelled_spectra` calls it for one member of each +-k pair and gives
 the other the same eigenvalues and labels.
 """
@@ -121,19 +121,6 @@ def full_matrix(params: ModelParams) -> np.ndarray:
     return h
 
 
-@dataclass
-class MomentumBlock:
-    """One momentum block of the Hamiltonian in the Bloch orbit basis."""
-
-    k: MomentumIndex
-    basis: MomentumBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.basis.dim, self.basis.dim):
-            raise ValidationError("block matrix shape does not match its basis dimension")
-
-
 def reduced_label(l: int, f: int) -> int:
     """l - f * round(l / f), halves to even: congruent to l mod f and odd in
     l, so -l and, unless l = f/2, f - l reduce to minus the reduction of l."""
@@ -169,31 +156,23 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     return basis, diagonal_energy(sec.occ[reps], params), v
 
 
-def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None) -> MomentumBlock:
-    """Hamiltonian block at momentum k over the Bloch orbit basis."""
+def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None
+                   ) -> tuple[MomentumBasis, np.ndarray]:
+    """The Bloch orbit basis at momentum k and the Hamiltonian block over it."""
     basis, diag, v = block_parts(params, k, sector)
     v[np.diag_indices(basis.dim)] += diag
-    return MomentumBlock(k=k, basis=basis, matrix=v)
+    return basis, v
 
 
-@dataclass
-class KSpectrum:
-    """The eigendecomposition of one momentum block over its basis; the block
-    matrix itself is dropped once solved (`assemble_block` rebuilds it)."""
-
-    k: MomentumIndex
-    basis: MomentumBasis
-    spectrum: Spectrum
-
-
-def momentum_spectra(params: ModelParams, want_vectors: bool = True,
-                     sector: SectorOrbits | None = None,
-                     grid: list[MomentumIndex] | None = None) -> list[KSpectrum]:
-    """Assemble and diagonalize momentum blocks, ordered by grid label l.
+def momentum_spectra(params: ModelParams, sector: SectorOrbits | None = None,
+                     grid: list[MomentumIndex] | None = None
+                     ) -> list[tuple[MomentumBasis, Spectrum]]:
+    """The basis and certified eigenpairs of each momentum block, in grid order.
 
     By default every momentum on the canonical grid is solved; pass a
     subset of grid labels to restrict the work.  A momentum that no orbit
-    carries gets an empty block and an empty spectrum.
+    carries gets an empty basis and an empty spectrum.  The block matrix is
+    dropped once solved; `assemble_block` rebuilds it.
     """
     if sector is None:
         sector = SectorOrbits(params.f, params.n)
@@ -201,10 +180,8 @@ def momentum_spectra(params: ModelParams, want_vectors: bool = True,
         grid = momentum_grid(params.f)
     out = []
     for kidx in grid:
-        block = assemble_block(params, kidx, sector)
-        if block.basis.dim:
-            spectrum = eigh(block.matrix, want_vectors=want_vectors)
-        else:
-            spectrum = Spectrum(np.zeros(0), np.zeros((0, 0), complex) if want_vectors else None, 0.0)
-        out.append(KSpectrum(k=kidx, basis=block.basis, spectrum=spectrum))
+        basis, matrix = assemble_block(params, kidx, sector)
+        spectrum = (eigh(matrix, want_vectors=True) if basis.dim
+                    else Spectrum(np.zeros(0), np.zeros((0, 0), complex), 0.0))
+        out.append((basis, spectrum))
     return out

@@ -149,7 +149,7 @@ def h22_matrix(params: ModelParams, k) -> np.ndarray:
     m[0, 0] = c.impurity
     m[sigma - 1, sigma - 1] = c.closure(kv, sigma)
     kap = c.kappa(kv)
-    # with the rightward translate and exp(-i k t) Bloch phase used throughout,
+    # with the rightward translation and exp(-i k t) Bloch phase used throughout,
     # kappa sits on the superdiagonal and its conjugate below
     for j in range(sigma - 1):
         m[j + 1, j] = np.conj(kap)
@@ -250,7 +250,7 @@ def h42_matrix(params: ModelParams, k) -> np.ndarray:
         m[j, j + 1] = 1.0
     m[0, 0] = c.impurity
     m[dim - 1, dim - 1] = c.impurity
-    # With the rightward translate and exp(-i k t) Bloch phase used
+    # With the rightward translation and exp(-i k t) Bloch phase used
     # throughout, the winding corner carries the conjugate phase in the
     # upper-right entry, mirroring the kappa orientation of the {2, 2} band.
     cl = c.closure(_kval(k))

@@ -14,7 +14,6 @@ from qdnls import (
     ModelParams,
     NumericalError,
     PatternClass,
-    PTValidityWarning,
     ValidationError,
     band22_asymptotic,
     band_mass,
@@ -210,10 +209,10 @@ def test_block_weights_equal_an_add_at_reference(f, n, data, columns, seed):
 
 def test_classified_count_decreases_with_threshold():
     p = ModelParams(f=7, n=4, gamma1=1.0, gamma2=0.0, epsilon=1.0)
-    ksp = momentum_spectra(p)[3]
+    basis, spectrum = momentum_spectra(p)[3]
     counts = []
     for threshold in (0.2, 0.4, 0.6, 0.8):
-        out = classify_block(ksp.spectrum.eigenvectors, ksp.basis, threshold)
+        out = classify_block(spectrum.eigenvectors, basis, threshold)
         counts.append(sum(1 for c in out if c.pattern is not None))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] > counts[-1]
@@ -221,8 +220,8 @@ def test_classified_count_decreases_with_threshold():
 
 def test_block_labels_share_one_pattern_class_per_pattern_and_adjacency():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    ksp = momentum_spectra(p)[3]
-    labels = [c.pattern for c in classify_block(ksp.spectrum.eigenvectors, ksp.basis, 0.3)]
+    basis, spectrum = momentum_spectra(p)[3]
+    labels = [c.pattern for c in classify_block(spectrum.eigenvectors, basis, 0.3)]
     classes = [c for c in labels if c is not None]
     distinct = {(c.pattern, c.adjacency) for c in classes}
     assert len(classes) > len(distinct) > 2
@@ -234,7 +233,7 @@ def test_block_labels_share_one_pattern_class_per_pattern_and_adjacency():
 
 def test_pair_band_tags_one_line_and_a_continuum():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    report = extract_band(p, (2, 2))
+    report = extract_band(p, (2, 2), labelled_spectra(p))
     for l, (selected, expected) in report.counts.items():
         assert (selected, expected) == (3, 3)
         points = report.points_at(l)
@@ -250,7 +249,7 @@ def test_pair_band_tags_one_line_and_a_continuum():
 
 def test_pair_band_tracks_its_closed_form():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    report = extract_band(p, (2, 2))
+    report = extract_band(p, (2, 2), labelled_spectra(p))
     assert report.pt_residuals is not None
     residuals = [v for v in report.pt_residuals.values() if v is not None]
     assert len(residuals) == 7
@@ -259,14 +258,14 @@ def test_pair_band_tracks_its_closed_form():
 
 def test_band_without_closed_form_has_no_residuals():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    report = extract_band(p, (3, 1))
+    report = extract_band(p, (3, 1), labelled_spectra(p))
     assert report.pt_residuals is None
     assert all(c == (6, 6) for c in report.counts.values())
 
 
 def test_zero_hopping_band_collapses_to_merged():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.0)
-    report = extract_band(p, (2, 2))
+    report = extract_band(p, (2, 2), labelled_spectra(p))
     assert report.points
     assert all(q.tag == "merged" for q in report.points)
     assert all(q.energy == pytest.approx(-40.0) for q in report.points)
@@ -275,12 +274,14 @@ def test_zero_hopping_band_collapses_to_merged():
 
 def test_strong_hopping_raises_band_overlap():
     p = ModelParams(f=7, n=4, gamma1=1.0, gamma2=0.0, epsilon=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spectra = labelled_spectra(p)
+    spectra = labelled_spectra(p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # gamma1 = 1 also draws resonance warnings
         with pytest.raises(BandOverlapError):
-            extract_band(p, (2, 2), spectra=spectra)
-        rep = extract_band(p, (2, 2), on_overlap="warn", spectra=spectra)
+            extract_band(p, (2, 2), spectra)
+        rep = extract_band(p, (2, 2), spectra, on_overlap="warn")
+    # the overlap is noted in the report, and only there
+    assert not [w for w in caught if "another band overlaps" in str(w.message)]
     assert rep.overlap_notes
     assert any(found < want for found, want in rep.counts.values())
 
@@ -289,22 +290,20 @@ def test_too_strict_threshold_reports_overlap():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
     spectra = labelled_spectra(p, 0.995)
     with pytest.raises(BandOverlapError):
-        extract_band(p, (2, 2), threshold=0.995, spectra=spectra)
+        extract_band(p, (2, 2), spectra)
 
 
 def test_extract_band_validates_pattern_and_inputs():
     p = ModelParams(f=5, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.1)
+    spectra = labelled_spectra(p)
     with pytest.raises(ValidationError):
-        extract_band(p, (5, 1))               # wrong boson count
+        extract_band(p, (5, 1), spectra)  # wrong boson count
+    three = ModelParams(f=3, n=4, gamma1=10.0)
+    three_spectra = labelled_spectra(three)
     with pytest.raises(ValidationError):
-        extract_band(ModelParams(f=3, n=4, gamma1=10.0), (1, 1, 1, 1))
+        extract_band(three, (1, 1, 1, 1), three_spectra)  # four clumps on three sites
     with pytest.raises(ValidationError):
-        extract_band(p, (2, 2), on_overlap="explode")
-    # spectra labelled at another threshold are refused before any other work
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PTValidityWarning)
-        with pytest.raises(ValidationError, match="labelled at threshold 0.6"):
-            extract_band(p, (2, 2), spectra=labelled_spectra(p, 0.6))
+        extract_band(p, (2, 2), spectra, on_overlap="explode")
 
 
 def test_ground_state_is_the_single_clump_at_zero_momentum():
@@ -317,10 +316,8 @@ def test_ground_state_is_the_single_clump_at_zero_momentum():
     with pytest.raises(ValidationError):
         ground_state([])
     # the first label of the ground momentum is its ground state's label
-    ground = next(ksp for ksp in momentum_spectra(p) if ksp.k.l == 0)
-    assert [g.classification] == classify_block(ground.spectrum.eigenvectors[:, :1], ground.basis)
-    with pytest.raises(ValidationError, match="labelled at threshold 0.5"):
-        ground_state(spectra, threshold=0.6)
+    basis, ground = next(pair for pair in momentum_spectra(p) if pair[0].k.l == 0)
+    assert [g.classification] == classify_block(ground.eigenvectors[:, :1], basis)
 
 
 # ------------------------------------------------------------ effective masses

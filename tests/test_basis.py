@@ -13,12 +13,9 @@ from qdnls import (
     MomentumIndex,
     SectorOrbits,
     ValidationError,
-    enumerate_sector,
     momentum_basis,
     momentum_grid,
-    rank,
     sector_dimension,
-    translate,
 )
 from qdnls.basis import ROW_CHUNK, canonical_rows, rank_rows
 
@@ -27,6 +24,21 @@ SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
 def sectors(draw_f=st.integers(2, 7), draw_n=st.integers(0, 6)):
     return st.tuples(draw_f, draw_n)
+
+
+def enumerate_sector(f, n):
+    """The states of a sector as tuples, in the table's (rank) order."""
+    return [tuple(row) for row in SectorOrbits(f, n).occ.tolist()]
+
+
+def rank(state):
+    return int(rank_rows([state])[0])
+
+
+def translate(state, t):
+    """T^t: site s of the output holds site (s - t) mod f of the input."""
+    t %= len(state)
+    return tuple(state[-t:] + state[:-t]) if t else tuple(state)
 
 
 def rotations(state):
@@ -59,16 +71,18 @@ def test_enumeration_order_and_extremes():
     assert all(sum(s) == 3 and len(s) == 4 for s in states)
 
 
-def test_enumeration_respects_cap():
-    with pytest.raises(CapacityError):
-        enumerate_sector(4, 3, max_states=10)
+def test_enumeration_respects_cap(monkeypatch):
+    monkeypatch.setattr("qdnls.basis.DEFAULT_STATE_CAP", 10)
+    with pytest.raises(CapacityError, match="20 states, above the cap 10"):
+        SectorOrbits(4, 3)
+    assert SectorOrbits(3, 2).dim == 6  # a sector at or below the cap is built
 
 
 def test_invalid_sectors_rejected():
     with pytest.raises(ValidationError):
-        enumerate_sector(1, 2)
+        SectorOrbits(1, 2)
     with pytest.raises(ValidationError):
-        enumerate_sector(3, -1)
+        SectorOrbits(3, -1)
 
 
 @given(sectors())

@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +11,7 @@ from click.testing import CliRunner
 from qdnls.cli import CSV_COLUMNS, main
 
 FIG_FLAGS = ["--f", "7", "--n", "4", "--gamma1", "10", "--eps", "0.5"]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -253,10 +256,15 @@ def test_compare_scaling_shows_quartic_decay(runner):
 
 def test_compare_scaling_without_residual_reports_no_decay(runner):
     # nothing clears threshold 0.999 at eps, so that row has no residual
-    with pytest.warns(UserWarning, match="another band overlaps"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         result = invoke_ok(runner, ["compare", *FIG_FLAGS, "--pattern", "2,2", "--threshold",
                                     "0.999", "--scaling", "--format", "json"])
-    table = json.loads(result.stdout)["scaling"]
+    doc = json.loads(result.stdout)
+    # the overlap is reported once, in the output, and not warned as well
+    assert any("another band overlaps" in note for note in doc["overlap_warnings"])
+    assert not [w for w in caught if "another band overlaps" in str(w.message)]
+    table = doc["scaling"]
     assert table[0]["max_residual"] is None
     assert table[1]["max_residual"] is not None and table[1]["decay_factor"] is None
 
@@ -336,3 +344,16 @@ def test_momentum_spectra_still_solves_every_momentum_it_is_given(block_solves):
 
     momentum_spectra(ModelParams(f=5, n=2, gamma1=1.0, epsilon=0.5))
     assert len(block_solves) == 5
+
+
+@pytest.mark.parametrize("args,message", [
+    (["band", "--config", str(CONFIGS / "band42_n6.json"), "--pattern", "4,2", "--threshold", "0"],
+     "threshold must lie in (0, 1], got 0.0"),
+    (["compare", "--config", str(CONFIGS / "band22_n4.json"), "--pattern", "2,2", "--eps", "0",
+      "--scaling"], "--scaling needs a positive epsilon"),
+], ids=["band-threshold-0", "compare-scaling-eps-0"])
+def test_invalid_settings_exit_2_before_any_block_is_solved(runner, block_solves, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+    assert block_solves == []

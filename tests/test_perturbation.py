@@ -31,6 +31,7 @@ from qdnls import (
     h22_matrix,
     h33_matrix,
     h42_matrix,
+    labelled_spectra,
     momentum_grid,
     momentum_spectra,
     onsite_energy,
@@ -221,7 +222,7 @@ def test_closed_form_explains_criterion_3_spread():
     closed = pt_band(params, (4, 2))
     per_k = np.array([closed[l][1:-1] for l in sorted(closed)])
     spread = float((per_k.max(axis=0) - per_k.min(axis=0)).max())
-    report = extract_band(params, (4, 2))
+    report = extract_band(params, (4, 2), labelled_spectra(params))
     exact = np.array([sorted(p.energy for p in report.points_at(l) if p.tag == "continuum")
                       for l in sorted(report.counts)])
     exact_spread = float((exact.max(axis=0) - exact.min(axis=0)).max())
@@ -268,12 +269,12 @@ def test_single_class_reference_matches_exact_band():
     sector = SectorOrbits(11, 2)
     cls = classes_of(sector, (2,))
     assert len(cls) == 1
-    spectra = {ks.k.l: ks for ks in momentum_spectra(params, want_vectors=False)}
+    spectra = {basis.k.l: spectrum for basis, spectrum in momentum_spectra(params)}
     offset = pattern_energy((2,), params)
     for k in momentum_grid(11):
         bw = bw_second_order_block(params, k, cls, sector)
         predicted = float(bw[0, 0].real) + offset
-        exact = float(spectra[k.l].spectrum.eigenvalues[0])
+        exact = float(spectra[k.l].eigenvalues[0])
         assert abs(predicted - exact) <= 1e-6
 
 
