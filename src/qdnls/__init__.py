@@ -17,7 +17,6 @@ from .bands import (
     ground_state,
     labelled_spectra,
     mass_ratio_report,
-    pattern_of,
 )
 from .basis import (
     MomentumBasis,
@@ -26,6 +25,7 @@ from .basis import (
     TranslationOrbit,
     momentum_basis,
     momentum_grid,
+    pattern_of,
     sector_dimension,
 )
 from .eigensolve import Spectrum, eigh

@@ -5,10 +5,9 @@ site counts, e.g. (2, 2) or (4, 2)) by the squared-amplitude weight the
 eigenvector carries on basis states of that pattern.  A state counts as
 classified only when the best pattern's weight strictly exceeds the
 threshold, so an even two-way split at threshold 0.5 stays unclassified.
-The basis states are the integer occupation rows of the orbit
-representatives; the rank of each row sorted largest first keys its
-pattern, so one `np.unique` groups the rows, and the weights of a whole
-block of eigenvectors are summed per group at once.  `labelled_spectra`
+The basis states are the orbit representatives, whose patterns the sector
+table keys once (`SectorOrbits.pattern_ids`), and the weights of a whole
+block of eigenvectors are summed per pattern at once.  `labelled_spectra`
 classifies each block right after it is solved and keeps the labels in
 place of the eigenvectors, which band extraction and the ground-state scan
 then read.
@@ -17,7 +16,9 @@ Two-clump bands split further: an eigenvalue whose dominant basis state
 has the clumps on neighbouring sites is tagged "line", the rest
 "continuum".  Within a numerically degenerate cluster the tags are
 meaningful only if they agree; conflicting tags collapse to "merged",
-which is what happens to the whole band at epsilon = 0.
+which is what happens to the whole band at epsilon = 0.  Where a closed
+second-order form exists, the selected states of each momentum are paired,
+in ascending order, slot by slot with its energies.
 
 Effective masses come from the curvature of E(k) at k = 0, estimated two
 ways (symmetric second difference and an exact quartic through the five
@@ -38,7 +39,7 @@ from .basis import (
     SectorOrbits,
     momentum_basis,
     momentum_grid,
-    rank_rows,
+    pattern_of,  # re-exported: one function defines a pattern
 )
 from .eigensolve import Spectrum
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
@@ -54,11 +55,6 @@ DEGENERACY_RTOL = 1e-9
 # five-point mass fits must stay within |k| <= 0.3 pi, i.e. f >= 17
 MAX_MASS_SPACING = 2.0 * math.pi / 17.0
 CURVATURE_AGREE_RTOL = 0.02
-
-
-def pattern_of(state: Occ) -> tuple[int, ...]:
-    """Multiset of nonzero site occupations, largest first."""
-    return tuple(sorted((c for c in state if c), reverse=True))
 
 
 def adjacency_of(state: Occ) -> str:
@@ -108,20 +104,6 @@ class Classification:
     weight: float
 
 
-def _pattern_groups(basis: MomentumBasis):
-    """Basis rows, a pattern group id per row, and each group's pattern.
-
-    The rows are the orbit representatives of the basis.  A row sorted largest
-    first is itself a state of the sector, so its rank keys the pattern; ranks
-    ascend as patterns descend, so the largest pattern has group id 0.
-    """
-    sector = basis.sector
-    rows = sector.occ[sector.reps[basis.orbit_indices]]
-    _, first, ids = np.unique(rank_rows(-np.sort(-rows, axis=1)),
-                              return_index=True, return_inverse=True)
-    return rows, ids, [pattern_of(rows[i].tolist()) for i in first]
-
-
 def validate_threshold(threshold: float) -> None:
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
@@ -145,23 +127,26 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
     amp2 = np.abs(mat) ** 2
     if float(np.abs(amp2.sum(axis=0) - 1.0).max()) > 1e-8:
         raise ValidationError("vector is not normalized")
-    rows, ids, patterns = _pattern_groups(basis)
+    sector = basis.sector
+    ids = sector.pattern_ids[basis.orbit_indices]
+    groups = np.flatnonzero(np.bincount(ids))  # ids ascend as patterns descend
     # a running sum adds row by row in basis order, as np.add.at would
-    totals = np.stack([amp2[ids == g].cumsum(axis=0)[-1] for g in range(len(patterns))])
+    totals = np.stack([amp2[ids == g].cumsum(axis=0)[-1] for g in groups])
     weights = totals.max(axis=0)
     # the first of the tied groups holds the largest pattern
-    best = np.argmax(totals == weights, axis=0)
+    best = groups[np.argmax(totals == weights, axis=0)]
     dominant = np.argmax(np.where(ids[:, None] == best, amp2, -1.0), axis=0)
-    shared = {}  # one PatternClass per (pattern group, adjacency) of this call
+    shared = {}  # one PatternClass per (pattern, adjacency) of this call
     out = []
     for weight, pid, i in zip(weights.tolist(), best.tolist(), dominant.tolist()):
-        if not weight > threshold or not patterns[pid]:
+        pattern = sector.patterns[pid]
+        if not weight > threshold or not pattern:
             # the n = 0 vacuum has no clump to name
             out.append(Classification(None, weight))
             continue
-        key = (pid, adjacency_of(rows[i].tolist()))
+        key = (pid, adjacency_of(sector.orbits[basis.orbit_indices[i]].rep))
         if key not in shared:
-            shared[key] = PatternClass(patterns[pid], key[1])
+            shared[key] = PatternClass(pattern, key[1])
         out.append(Classification(shared[key], weight))
     return out
 
@@ -169,9 +154,9 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
 @dataclass
 class LabelledSpectrum:
     """The certified eigenvalues of one momentum block and the classification
-    of each eigenvector; the eigenvectors are not kept."""
+    of each eigenvector; the eigenvectors are not kept.  Its momentum is
+    `basis.k`."""
 
-    k: MomentumIndex
     basis: MomentumBasis
     eigenvalues: np.ndarray
     residual_bound: float
@@ -202,16 +187,15 @@ def labelled_spectra(params: ModelParams, threshold: float = 0.5,
     solved = {r: _labelled(*momentum_spectra(params, sector, [kidx])[0], threshold)
               for kidx, r in zip(grid, r_of) if r >= 0 or -r not in r_of}
     return [solved[r] if r in solved else
-            replace(solved[-r], k=kidx, basis=momentum_basis(params.f, params.n, kidx, sector))
+            replace(solved[-r], basis=momentum_basis(params.f, params.n, kidx, sector))
             for kidx, r in zip(grid, r_of)]
 
 
 def _labelled(basis: MomentumBasis, spectrum: Spectrum, threshold: float) -> LabelledSpectrum:
     """A solved block with its eigenvectors replaced by their labels; a function
     of its own, so that the eigenvectors are freed before the next solve."""
-    return LabelledSpectrum(
-        basis.k, basis, spectrum.eigenvalues, spectrum.residual_bound,
-        classify_block(spectrum.eigenvectors, basis, threshold))
+    return LabelledSpectrum(basis, spectrum.eigenvalues, spectrum.residual_bound,
+                            classify_block(spectrum.eigenvectors, basis, threshold))
 
 
 # ------------------------------------------------------------ band extraction
@@ -227,6 +211,7 @@ class BandPoint:
     energy: float
     weight: float
     tag: str  # line | continuum | merged | n/a
+    pt: float | None  # closed-form energy of the same ascending slot, if there is one
 
 
 @dataclass
@@ -270,22 +255,26 @@ def sector_pattern(params: ModelParams, pattern) -> tuple[int, ...]:
     return pat
 
 
-def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum],
-                 on_overlap: str = "raise") -> BandReport:
+def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) -> BandReport:
     """Collect, per momentum, the eigenpairs of `spectra` dominated by one pattern.
 
-    The labels, and so the threshold, are those of `labelled_spectra`.
-    Two-clump patterns are tagged line/continuum by the adjacency of the
-    dominant basis state; degenerate clusters with conflicting tags become
-    "merged".  When fewer states than pattern classes are found at some
-    momentum another band has mixed in; that raises BandOverlapError, or with
-    on_overlap="warn" is noted in `overlap_notes` of the partial band.  Closed
-    perturbative band energies, when available, are compared against the
-    selected exact ones in `pt_residuals`.
+    The labels, and so the threshold, are those of `labelled_spectra`; spectra
+    of another sector than that of `params` are rejected.  Two-clump patterns
+    are tagged line/continuum by the adjacency of the dominant basis state;
+    degenerate clusters with conflicting tags become "merged".  When fewer
+    states than pattern classes are found at some momentum another band has
+    mixed in; the band is returned as found, with a note in `overlap_notes`.
+    Where a closed perturbative form applies, the selected states of each
+    momentum, in ascending order, take its energies slot by slot as `pt`, and
+    `pt_residuals` holds their worst difference where the counts agree.
     """
     pat = sector_pattern(params, pattern)
-    if on_overlap not in ("raise", "warn"):
-        raise ValidationError(f"on_overlap must be 'raise' or 'warn', got {on_overlap!r}")
+    for ksp in spectra:
+        sector = ksp.basis.sector
+        if (sector.f, sector.n) != (params.f, params.n):
+            raise ValidationError(
+                f"spectra of the (f={sector.f}, n={sector.n}) sector do not match "
+                f"the requested (f={params.f}, n={params.n})")
     two_clump = len(pat) == 2
 
     points: list[BandPoint] = []
@@ -299,40 +288,32 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum],
     pt_residuals: dict[int, float | None] | None = {} if pt_eigs is not None else None
 
     for ksp in spectra:
-        basis = ksp.basis
-        _, ids, patterns = _pattern_groups(basis)
-        expected = int(np.count_nonzero(ids == patterns.index(pat))) if pat in patterns else 0
-        if basis.dim == 0:
-            counts[ksp.k.l] = (0, expected)
-            continue
-        selected: list[tuple[int, float, Classification]] = []
-        for idx, cls in enumerate(ksp.labels):
-            if cls.pattern is not None and cls.pattern.pattern == pat:
-                selected.append((idx, float(ksp.eigenvalues[idx]), cls))
-        counts[ksp.k.l] = (len(selected), expected)
+        basis, sector, l = ksp.basis, ksp.basis.sector, ksp.basis.k.l
+        pid = sector.patterns.index(pat) if pat in sector.patterns else -1
+        expected = int(np.count_nonzero(sector.pattern_ids[basis.orbit_indices] == pid))
+        selected = [(idx, cls) for idx, cls in enumerate(ksp.labels)
+                    if cls.pattern is not None and cls.pattern.pattern == pat]
+        counts[l] = (len(selected), expected)
         if len(selected) < expected:
-            note = (f"pattern {pat} at l = {ksp.k.l}: found {len(selected)} of "
-                    f"{expected} states; another band overlaps or the threshold is too strict")
-            if on_overlap == "raise":
-                raise BandOverlapError(note)
-            notes.append(note)
+            notes.append(f"pattern {pat} at l = {l}: found {len(selected)} of {expected} "
+                         "states; another band overlaps or the threshold is too strict")
+        energies = [float(ksp.eigenvalues[idx]) for idx, _ in selected]
         if two_clump:
             tags = ["line" if c.pattern.adjacency == "adjacent" else "continuum"
-                    for _, _, c in selected]
+                    for _, c in selected]
         else:
             tags = ["n/a"] * len(selected)
+        # a valid pattern has n >= 1, so every block of its sector holds a state
         scale = max(1.0, float(np.abs(ksp.eigenvalues).max()))
-        tags = _merge_degenerate_tags([e for _, e, _ in selected], tags, scale)
-        for (idx, energy, cls), tag in zip(selected, tags):
-            points.append(BandPoint(l=ksp.k.l, k=ksp.k.k, index=idx, energy=energy,
-                                    weight=cls.weight, tag=tag))
+        tags = _merge_degenerate_tags(energies, tags, scale)
+        reference = pt_eigs.get(l, np.empty(0)).tolist() if pt_eigs is not None else []
+        band = [BandPoint(l=l, k=basis.k.k, index=idx, energy=energy, weight=cls.weight,
+                          tag=tag, pt=reference[slot] if slot < len(reference) else None)
+                for slot, ((idx, cls), energy, tag) in enumerate(zip(selected, energies, tags))]
+        points += band
         if pt_residuals is not None:
-            reference = pt_eigs.get(ksp.k.l)
-            if reference is not None and len(selected) == len(reference):
-                exact = np.array([e for _, e, _ in selected])
-                pt_residuals[ksp.k.l] = float(np.abs(exact - reference).max())
-            else:
-                pt_residuals[ksp.k.l] = None
+            pt_residuals[l] = (max(abs(p.energy - p.pt) for p in band)
+                               if band and len(band) == len(reference) else None)
     return BandReport(pattern=pat, points=points, counts=counts,
                       pt_residuals=pt_residuals, overlap_notes=notes)
 
@@ -361,7 +342,8 @@ def ground_state(spectra: list[LabelledSpectrum]) -> GroundState:
     if best is None:
         raise ValidationError("no eigenvalues to scan")
     ksp, energy = best
-    return GroundState(l=ksp.k.l, k=ksp.k.k, energy=energy, classification=ksp.labels[0])
+    return GroundState(l=ksp.basis.k.l, k=ksp.basis.k.k, energy=energy,
+                       classification=ksp.labels[0])
 
 
 # ---------------------------------------------------------- effective masses
@@ -455,8 +437,11 @@ def _single_tag_dispersion(report: BandReport, tag: str) -> tuple[list[float], l
 
 
 def band_mass(params: ModelParams, pattern, tag: str, threshold: float = 0.5) -> MassFit:
-    """Mass fit of the unique tagged member of a pattern band."""
+    """Mass fit of the unique tagged member of a pattern band; a band that
+    another overlaps raises BandOverlapError."""
     report = extract_band(params, pattern, labelled_spectra(params, threshold))
+    if report.overlap_notes:
+        raise BandOverlapError(report.overlap_notes[0])
     ks, es = _single_tag_dispersion(report, tag)
     return effective_mass(ks, es)
 

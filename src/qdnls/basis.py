@@ -4,10 +4,11 @@ The sector (f sites, n bosons) is enumerated in descending lexicographic
 order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>; a state's
 index in that order is its rank, and `rank_rows` ranks a whole integer array.
 `SectorOrbits` holds the sector as one integer table: occupation rows in rank
-order, per-row orbit index and shift, orbit representatives and periods, and
-the single-boson `hops` out of any set of rows.  An orbit is represented by
-its lexicographically maximal rotation (the lowest rank), which puts the
-largest occupation first and matches the usual class labels |22> or |202>.
+order, per-row orbit index and shift, orbit representatives, periods and
+occupation patterns (`pattern_of`, ranked once per orbit), and the
+single-boson `hops` out of any set of rows.  An orbit is represented by its
+lexicographically maximal rotation (the lowest rank), which puts the largest
+occupation first and matches the usual class labels |22> or |202>.
 The table ranks the sector once: the translation T, which moves the
 occupation of site s to site s + 1 (mod f), maps the sector onto itself, so
 the ranks of a row's f rotations are the powers of one permutation `step`
@@ -82,6 +83,11 @@ def _rank_table(f: int, n: int) -> np.ndarray:
                       for t in range(n + 2)], dtype=np.int64)
     table.flags.writeable = False  # cached: every caller shares it
     return table
+
+
+def pattern_of(state: Occ) -> tuple[int, ...]:
+    """Multiset of nonzero site occupations, largest first."""
+    return tuple(sorted((c for c in state if c), reverse=True))
 
 
 def rank_rows(rows) -> np.ndarray:
@@ -165,7 +171,8 @@ class SectorOrbits:
     `orbits[g]` carries both as a TranslationOrbit.  Every row i satisfies
     occ[i] == T^shift_of[i] orbits[orbit_of[i]].rep with
     0 <= shift_of[i] < period.  These equal `canonical_rows(occ)`, read off the
-    translation permutation of the ranks instead of f rankings.
+    translation permutation of the ranks instead of f rankings.  Orbit g has
+    occupation pattern `patterns[pattern_ids[g]]`; `patterns` runs largest first.
     """
 
     def __init__(self, f: int, n: int):
@@ -180,17 +187,14 @@ class SectorOrbits:
         self.reps = np.flatnonzero(rep_rank == np.arange(self.dim))
         self.orbit_of = np.searchsorted(self.reps, rep_rank)
         self.periods = period_of[self.reps]
+        rep_rows = occ[self.reps]
         self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
-                       for r, d in zip(occ[self.reps].tolist(), self.periods.tolist())]
-
-    def locate(self, state) -> tuple[int, int] | None:
-        """(orbit index g, shift u) with state == T^u orbits[g].rep;
-        None when the state is not in this sector."""
-        s = np.asarray(state)
-        if s.shape != (self.f,) or s.dtype.kind != "i" or s.min() < 0 or s.sum() != self.n:
-            return None
-        i = rank_rows(s[None])[0]
-        return int(self.orbit_of[i]), int(self.shift_of[i])
+                       for r, d in zip(rep_rows.tolist(), self.periods.tolist())]
+        # a representative sorted largest first is a state of the sector whose
+        # rank keys its pattern; ranks ascend as patterns descend
+        _, first, self.pattern_ids = np.unique(rank_rows(-np.sort(-rep_rows, axis=1)),
+                                               return_index=True, return_inverse=True)
+        self.patterns = [pattern_of(self.orbits[g].rep) for g in first.tolist()]
 
     def hops(self, rows):
         """Single-boson hops out of the given rows, as arrays (src, dst, amp):

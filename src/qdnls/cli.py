@@ -17,8 +17,9 @@ threshold apply wherever those flags are left at their defaults.
 classifies each block's eigenvectors as soon as it is solved and keeps only
 the eigenvalues and labels; each +-k pair of blocks is solved once, and a
 single --k on its own.  A band overlap is reported once, in the output's
-`overlap_warnings`.  `oracle` asks for eigenvalues only, certified by the
-trace and the Frobenius norm (see `eigensolve`).
+`overlap_warnings`.  `compare` prints each band point beside the closed-form
+energy that `extract_band` paired with it.  `oracle` asks for eigenvalues
+only, certified by the trace and the Frobenius norm (see `eigensolve`).
 
 Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 """
@@ -230,7 +231,7 @@ def spectrum(params: ModelParams, grid, threshold: float):
     for ksp in labelled_spectra(params, threshold, grid):
         for idx, (energy, cls) in enumerate(zip(ksp.eigenvalues, ksp.labels)):
             band = cls.pattern.label if cls.pattern is not None else "unclassified"
-            rows.append((ksp.k.l, ksp.k.k, idx, float(energy), band, cls.weight))
+            rows.append((ksp.basis.k.l, ksp.basis.k.k, idx, float(energy), band, cls.weight))
     return CSV_COLUMNS, rows, {}
 
 
@@ -241,7 +242,7 @@ def _solved_band(params: ModelParams, pattern, threshold: float):
     """Solve every momentum and extract the band of `pattern`, with its
     per-momentum counts, overlap notes and worst perturbative residual."""
     spectra = labelled_spectra(params, threshold)
-    report = extract_band(params, pattern, spectra, on_overlap="warn")
+    report = extract_band(params, pattern, spectra)
     extras: dict = {
         "counts": {str(l): list(report.counts[l]) for l in sorted(report.counts)},
     }
@@ -310,22 +311,12 @@ def pt(params: ModelParams, pattern, grid):
 
 
 def _compare_once(params: ModelParams, pattern, threshold: float):
-    """Exact band rows beside the perturbative prediction at one epsilon, with
-    the band extras and the residual statistics."""
-    try:
-        reference = pt_band(params, pattern)
-    except ValidationError:
-        raise ValidationError(
-            f"no perturbative reference for pattern {pattern} at f = {params.f}; "
-            f"closed forms need an odd site count and one of 2,2 / 4,2 / 3,3") from None
+    """Exact band rows beside their paired perturbative energies at one
+    epsilon, with the band extras and the residual statistics."""
     _, report, extras = _solved_band(params, pattern, threshold)
-    rows = []
-    for l in sorted(report.counts):
-        pts = sorted(report.points_at(l), key=lambda p: p.energy)
-        for slot, p in enumerate(pts):
-            pred = float(reference[l][slot]) if slot < len(reference[l]) else None
-            diff = abs(p.energy - pred) if pred is not None else None
-            rows.append((p.l, p.k, p.index, p.energy, p.tag, p.weight, pred, diff))
+    rows = [(p.l, p.k, p.index, p.energy, p.tag, p.weight, p.pt,
+             abs(p.energy - p.pt) if p.pt is not None else None)
+            for p in sorted(report.points, key=lambda p: (p.l, p.energy))]
     diffs = [r[7] for r in rows if r[7] is not None]
     extras["max_residual"] = max(diffs) if diffs else None
     extras["mean_residual"] = sum(diffs) / len(diffs) if diffs else None
@@ -340,6 +331,12 @@ def compare(params: ModelParams, pattern, threshold: float, scaling: bool):
     pattern = sector_pattern(params, pattern)
     if scaling and params.epsilon <= 0:
         raise ValidationError("--scaling needs a positive epsilon")
+    try:  # parity and resonances do not depend on epsilon: checked once
+        pt_band(params, pattern)
+    except ValidationError:
+        raise ValidationError(
+            f"no perturbative reference for pattern {pattern} at f = {params.f}; "
+            f"closed forms need an odd site count and one of 2,2 / 4,2 / 3,3") from None
     rows, extras = _compare_once(params, pattern, threshold)
     if scaling:
         table = [{"epsilon": params.epsilon, "max_residual": extras["max_residual"]}]

@@ -66,7 +66,7 @@ def _require(value: float, name: str, params: ModelParams) -> float:
             f"denominator {name} = {value:.6g} is within {WARN_EPS_FACTOR:g} x epsilon; "
             "second-order results may be inaccurate",
             ResonanceWarning,
-            stacklevel=3,
+            stacklevel=2,  # the coefficient function's line: one warning whatever calls it
         )
     return value
 
@@ -127,7 +127,7 @@ class Coeffs22:
 
 def coeffs22(params: ModelParams) -> Coeffs22:
     g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
-    pair_gap = _require(-2.0 * g1, "gamma1", params)          # E2 - 2 E1
+    pair_gap = _require(-2.0 * g1, "-2*gamma1", params)       # E2 - 2 E1
     imp_den = _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
     pref = 4.0 * eps * eps / pair_gap
     return Coeffs22(prefactor=pref, shift=2.0 * pref, impurity=(3.0 * g2 - 4.0 * g1) / imp_den)

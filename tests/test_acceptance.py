@@ -93,6 +93,7 @@ def test_criterion_2_pair_band_ground_state():
     asym = band22_asymptotic(params, 0.0).line
     literal = -40.0 - 0.05 * (2.0 + 1.4 + 1.0 / 1.4)
     record(2, "pair-band ground state with the three-body term", {
+        "pair band complete at every momentum": not report.overlap_notes,
         "ground state classified into the pair band":
             gs.classification.pattern is not None
             and gs.classification.pattern.pattern == (2, 2),
@@ -155,6 +156,7 @@ def test_criterion_4_triplet_flat_band():
         split = cont[-1] - cont[0]
         split_ok &= 0.0 < split <= bound
     record(4, "triplet pair flat band with one impurity line", {
+        "band complete at every momentum": not report.overlap_notes,
         "one line state near its arithmetic value": line_ok,
         "continuum states near the uniform shift": cont_ok,
         f"continuum splitting nonzero and within cubic bound {bound:.3e}": split_ok,
@@ -206,12 +208,15 @@ def test_criterion_6_closed_forms_equal_numeric_reference():
 
 def test_criterion_7_residual_decay_under_hopping_halving():
     residuals = []
+    complete = True
     for eps in (0.5, 0.25, 0.125):
         params = ModelParams(f=19, n=4, gamma1=10.0, gamma2=0.0, epsilon=eps)
         report = extract_band(params, (2, 2), spectra=labelled_spectra(params))
+        complete &= not report.overlap_notes
         residuals.append(max(v for v in report.pt_residuals.values() if v is not None))
     factors = [residuals[i - 1] / residuals[i] for i in range(1, len(residuals))]
     record(7, "perturbative residual decay under hopping halving", {
+        "pair band complete at every epsilon": complete,
         f"decay factors {['%.2f' % x for x in factors]} within [6, 40]":
             all(6.0 <= x <= 40.0 for x in factors),
     })

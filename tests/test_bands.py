@@ -24,7 +24,10 @@ from qdnls import (
     labelled_spectra,
     mass_ratio_report,
     momentum_spectra,
+    pt_band,
 )
+import qdnls.bands as bands_module
+import qdnls.basis as basis_module
 from qdnls.basis import MomentumIndex, SectorOrbits, momentum_basis, momentum_grid
 from qdnls.bands import adjacency_of, normalize_pattern, pattern_of
 
@@ -261,6 +264,7 @@ def test_band_without_closed_form_has_no_residuals():
     report = extract_band(p, (3, 1), labelled_spectra(p))
     assert report.pt_residuals is None
     assert all(c == (6, 6) for c in report.counts.values())
+    assert all(q.pt is None for q in report.points)
 
 
 def test_zero_hopping_band_collapses_to_merged():
@@ -277,20 +281,63 @@ def test_strong_hopping_raises_band_overlap():
     spectra = labelled_spectra(p)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # gamma1 = 1 also draws resonance warnings
-        with pytest.raises(BandOverlapError):
-            extract_band(p, (2, 2), spectra)
-        rep = extract_band(p, (2, 2), spectra, on_overlap="warn")
+        rep = extract_band(p, (2, 2), spectra)
+        # the band is returned as found; a mass fit of it raises the first note
+        with pytest.raises(BandOverlapError) as err:
+            band_mass(p, (2, 2), "line")
+    assert str(err.value) == rep.overlap_notes[0]
     # the overlap is noted in the report, and only there
     assert not [w for w in caught if "another band overlaps" in str(w.message)]
-    assert rep.overlap_notes
-    assert any(found < want for found, want in rep.counts.values())
+    short = [l for l, (found, want) in rep.counts.items() if found < want]
+    assert short
+    assert [note.split(":")[0] for note in rep.overlap_notes] == \
+        [f"pattern (2, 2) at l = {l}" for l in short]
 
 
 def test_too_strict_threshold_reports_overlap():
     p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    spectra = labelled_spectra(p, 0.995)
-    with pytest.raises(BandOverlapError):
-        extract_band(p, (2, 2), spectra)
+    rep = extract_band(p, (2, 2), labelled_spectra(p, 0.995))
+    assert rep.counts[0] == (1, 3)
+    assert rep.overlap_notes[0] == ("pattern (2, 2) at l = -3: found 1 of 3 states; "
+                                    "another band overlaps or the threshold is too strict")
+    with pytest.raises(BandOverlapError) as err:
+        band_mass(p, (2, 2), "line", threshold=0.995)
+    assert str(err.value) == rep.overlap_notes[0]
+
+
+def test_band_points_pair_the_closed_form_slot_by_slot():
+    p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.25)
+    reference = pt_band(p, (2, 2))
+    for threshold in (0.5, 0.999):
+        report = extract_band(p, (2, 2), labelled_spectra(p, threshold))
+        for l, (found, want) in report.counts.items():
+            points = report.points_at(l)
+            energies = [q.energy for q in points]
+            assert energies == sorted(energies)
+            assert [q.pt for q in points] == reference[l][:found].tolist()
+            if found == len(reference[l]):
+                assert report.pt_residuals[l] == max(abs(q.energy - q.pt) for q in points)
+            else:
+                assert report.pt_residuals[l] is None
+    # at 0.999 some momenta come up short: pt is set on their first slots only
+    assert any(0 < found < want for found, want in report.counts.values())
+
+
+def test_classification_and_extraction_rank_no_rows(monkeypatch):
+    # the sector table keys every orbit's pattern once; nothing after it ranks
+    p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+    spectra = labelled_spectra(p)
+    solved = momentum_spectra(p)
+
+    def no_ranking(rows):
+        raise AssertionError("rank_rows called after the sector was built")
+
+    # bands would see its own binding of an imported rank_rows
+    for module in (basis_module, bands_module):
+        monkeypatch.setattr(module, "rank_rows", no_ranking, raising=False)
+    for basis, spectrum in solved:
+        classify_block(spectrum.eigenvectors, basis)
+    assert extract_band(p, (2, 2), spectra).points
 
 
 def test_extract_band_validates_pattern_and_inputs():
@@ -302,8 +349,15 @@ def test_extract_band_validates_pattern_and_inputs():
     three_spectra = labelled_spectra(three)
     with pytest.raises(ValidationError):
         extract_band(three, (1, 1, 1, 1), three_spectra)  # four clumps on three sites
-    with pytest.raises(ValidationError):
-        extract_band(p, (2, 2), spectra, on_overlap="explode")
+
+
+@pytest.mark.parametrize("other", [dict(f=7, n=6), dict(f=9, n=4)])
+def test_extract_band_rejects_spectra_of_another_sector(monkeypatch, other):
+    p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+    spectra = labelled_spectra(ModelParams(**other, gamma1=10.0, epsilon=0.5))
+    monkeypatch.setattr(bands_module, "pt_band", None)  # rejected before any work
+    with pytest.raises(ValidationError, match="do not match the requested"):
+        extract_band(p, (2, 2), spectra)
 
 
 def test_ground_state_is_the_single_clump_at_zero_momentum():

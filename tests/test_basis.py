@@ -17,7 +17,7 @@ from qdnls import (
     momentum_grid,
     sector_dimension,
 )
-from qdnls.basis import ROW_CHUNK, canonical_rows, rank_rows
+from qdnls.basis import ROW_CHUNK, canonical_rows, pattern_of, rank_rows
 
 SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
@@ -33,6 +33,12 @@ def enumerate_sector(f, n):
 
 def rank(state):
     return int(rank_rows([state])[0])
+
+
+def locate(sector, state):
+    """(orbit index g, shift u) with state == T^u orbits[g].rep."""
+    i = rank(state)
+    return int(sector.orbit_of[i]), int(sector.shift_of[i])
 
 
 def translate(state, t):
@@ -135,11 +141,20 @@ def test_orbits_partition_the_sector(f, n):
 def test_locate_gives_rep_and_shift(f, n):
     sector = SectorOrbits(f, n)
     for state in enumerate_sector(f, n):
-        gi, shift = sector.locate(state)
+        gi, shift = locate(sector, state)
         assert translate(sector.orbits[gi].rep, shift) == state
         assert 0 <= shift < sector.orbits[gi].period
-    assert sector.locate((n + 1,) + (0,) * (f - 1)) is None
-    assert sector.locate((0,) * (f + 1)) is None
+
+
+@given(st.integers(2, 9), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_sector_keys_each_orbit_pattern_once(f, n):
+    sector = SectorOrbits(f, n)
+    assert len(sector.pattern_ids) == len(sector.orbits)
+    for g, orb in enumerate(sector.orbits):
+        assert sector.patterns[sector.pattern_ids[g]] == pattern_of(orb.rep)
+    assert all(a > b for a, b in zip(sector.patterns, sector.patterns[1:]))
+    assert sorted(set(sector.pattern_ids.tolist())) == list(range(len(sector.patterns)))
 
 
 @given(st.integers(2, 8).flatmap(lambda f: st.lists(
@@ -226,7 +241,7 @@ def test_orbit_of_short_period():
     assert orbit_of((0, 1, 0, 1)) == ((1, 0, 1, 0), 2)
     sector = SectorOrbits(4, 2)
     for state in enumerate_sector(4, 2):
-        orb = sector.orbits[sector.locate(state)[0]]
+        orb = sector.orbits[locate(sector, state)[0]]
         assert (orb.rep, orb.period) == orbit_of(state)
 
 
@@ -245,7 +260,7 @@ def test_momentum_grid_labels():
 def test_compatibility_condition():
     # period-2 orbit on f=4 exists only at even momentum labels
     sector = SectorOrbits(4, 2)
-    g = sector.locate((1, 0, 1, 0))[0]
+    g = locate(sector, (1, 0, 1, 0))[0]
     for l, carried in ((0, True), (1, False), (2, True), (3, False)):
         basis = momentum_basis(4, 2, MomentumIndex(l, 4), sector)
         assert (g in basis.orbit_indices) == carried

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qdnls
 from qdnls.cli import CSV_COLUMNS, main
 
 FIG_FLAGS = ["--f", "7", "--n", "4", "--gamma1", "10", "--eps", "0.5"]
@@ -223,6 +227,21 @@ def test_pt_resonant_parameters_exit_4(runner):
                                   "--gamma2", "1", "--pattern", "4,2"])
     assert result.exit_code == 4
     assert "gamma1 - 3*gamma2" in result.stderr
+
+
+def test_pt_prints_each_resonance_warning_once():
+    # h22_matrix and band22_asymptotic both reach coeffs22; a warning that names
+    # the coefficient function's own line is shown once under the default filter
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(qdnls.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-m", "qdnls.cli", "pt", "--f", "7", "--n", "4",
+                          "--gamma1", "1", "--eps", "1", "--pattern", "2,2"],
+                         env=env, capture_output=True, text=True, check=True)
+    shown = [line for line in run.stderr.splitlines() if "ResonanceWarning" in line]
+    assert len(shown) == 2
+    assert "denominator -2*gamma1 = -2 is within" in shown[0]
+    assert "denominator gamma1 - 3*gamma2 = 1 is within" in shown[1]
 
 
 def test_pt_unsupported_pattern_exits_2(runner):
