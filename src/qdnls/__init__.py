@@ -7,9 +7,7 @@ forms are checked against a numeric degenerate-perturbation reference.
 """
 
 from .bands import (
-    Classification,
     LabelledSpectrum,
-    PatternClass,
     band_mass,
     classify_block,
     effective_mass,
@@ -59,9 +57,9 @@ __version__ = "0.1.0"
 
 # the names that the README, the tests and the benchmark take from the package
 __all__ = [
-    "BandOverlapError", "CapacityError", "Classification", "Coeffs22", "LabelledSpectrum",
-    "ModelParams", "MomentumBasis", "MomentumIndex", "NumericalError", "PTValidityWarning",
-    "PatternClass", "ResonanceError", "SectorOrbits", "Spectrum", "TranslationOrbit",
+    "BandOverlapError", "CapacityError", "Coeffs22", "LabelledSpectrum", "ModelParams",
+    "MomentumBasis", "MomentumIndex", "NumericalError", "PTValidityWarning",
+    "ResonanceError", "SectorOrbits", "Spectrum", "TranslationOrbit",
     "ValidationError", "assemble_block", "band22_asymptotic", "band_mass",
     "bw_second_order_block", "classify_block", "coeffs22", "coeffs33", "coeffs42",
     "continuum42", "continuum42_bounds", "diagonal_energy", "effective_mass", "eigh",

@@ -5,10 +5,13 @@ site counts, e.g. (2, 2) or (4, 2)) by the squared-amplitude weight the
 eigenvector carries on basis states of that pattern.  A state counts as
 classified only when the best pattern's weight strictly exceeds the
 threshold, so an even two-way split at threshold 0.5 stays unclassified.
-The basis states are the orbit representatives, whose patterns the sector
-table keys once (`SectorOrbits.pattern_ids`), and the weights of a whole
-block of eigenvectors are summed per pattern at once.  `labelled_spectra`
-classifies each block right after it is solved and keeps the labels in
+The basis states are the orbit representatives, whose patterns and
+adjacency the sector table keys once (`SectorOrbits.pattern_ids` and
+`.adjacent`), and the weights of a whole block of eigenvectors are summed
+per pattern at once.  A label is three numbers per eigenvector: the index
+of its pattern in `SectorOrbits.patterns` (-1 when unclassified), its
+weight and the adjacency of its dominant basis state.  `labelled_spectra`
+classifies each block right after it is solved and keeps these arrays in
 place of the eigenvectors, which band extraction and the ground-state scan
 then read.
 
@@ -17,8 +20,9 @@ has the clumps on neighbouring sites is tagged "line", the rest
 "continuum".  Within a numerically degenerate cluster the tags are
 meaningful only if they agree; conflicting tags collapse to "merged",
 which is what happens to the whole band at epsilon = 0.  Where a closed
-second-order form exists, the selected states of each momentum are paired,
-in ascending order, slot by slot with its energies.
+second-order form exists, the selected states of each momentum that holds
+as many as it does are paired, in ascending order, slot by slot with its
+energies.
 
 Effective masses come from the curvature of E(k) at k = 0, estimated two
 ways (symmetric second difference and an exact quartic through the five
@@ -35,18 +39,16 @@ import numpy as np
 from .basis import (
     MomentumBasis,
     MomentumIndex,
-    Occ,
     SectorOrbits,
     momentum_basis,
     momentum_grid,
-    pattern_of,  # re-exported: one function defines a pattern
+    normalize_pattern,  # re-exported, as is pattern_of: basis defines a pattern
+    pattern_of,
 )
 from .eigensolve import Spectrum
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
 from .hamiltonian import ModelParams, momentum_spectra, reduced_label
 from .perturbation import coeffs22, pt_band
-
-ADJACENCY_TAGS = ("adjacent", "separated", "n/a")
 
 # tolerance for grouping eigenvalues into degenerate clusters, relative
 # to the block's energy scale
@@ -57,73 +59,29 @@ MAX_MASS_SPACING = 2.0 * math.pi / 17.0
 CURVATURE_AGREE_RTOL = 0.02
 
 
-def adjacency_of(state: Occ) -> str:
-    """Clump adjacency on the ring; defined only for two-clump states."""
-    sites = [s for s, c in enumerate(state) if c]
-    if len(sites) != 2:
-        return "n/a"
-    gap = sites[1] - sites[0]
-    return "adjacent" if gap == 1 or gap == len(state) - 1 else "separated"
-
-
-def normalize_pattern(pattern) -> tuple[int, ...]:
-    pat = tuple(sorted((int(c) for c in pattern), reverse=True))
-    if not pat or any(c < 1 for c in pat):
-        raise ValidationError(f"pattern entries must be positive integers, got {tuple(pattern)!r}")
-    return pat
-
-
-@dataclass(frozen=True)
-class PatternClass:
-    """An occupation pattern plus, for two clumps, their adjacency."""
-
-    pattern: tuple[int, ...]
-    adjacency: str = "n/a"
-
-    def __post_init__(self):
-        object.__setattr__(self, "pattern", normalize_pattern(self.pattern))
-        if self.adjacency not in ADJACENCY_TAGS:
-            raise ValidationError(f"unknown adjacency tag {self.adjacency!r}")
-        two = len(self.pattern) == 2
-        if two and self.adjacency == "n/a":
-            raise ValidationError("two-clump patterns need an adjacent/separated tag")
-        if not two and self.adjacency != "n/a":
-            raise ValidationError("adjacency is defined only for two-clump patterns")
-
-    @property
-    def label(self) -> str:
-        return "+".join(str(c) for c in self.pattern)
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Best pattern of an eigenvector; pattern is None when nothing clears
-    the threshold or the state holds no boson."""
-
-    pattern: PatternClass | None
-    weight: float
-
-
 def validate_threshold(threshold: float) -> None:
     if not 0.0 < threshold <= 1.0:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
 
 
-def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> list[Classification]:
-    """Classify each column of `vectors`, one amplitude per orbit of `basis`.
+def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5):
+    """Classify each column of `vectors`, one amplitude per orbit of `basis`,
+    as arrays (pattern_ids, weights, adjacent) over the columns.
 
     The weight of a pattern is the squared amplitude summed over basis states
-    with that pattern; classification requires the best weight to exceed the
-    threshold strictly, so an even split stays unclassified.  Equal best
-    weights go to the largest pattern, and the adjacency tag comes from the
-    first of its states with the largest amplitude.
+    with that pattern; `weights` holds the best one.  `pattern_ids` indexes
+    `basis.sector.patterns`; it is -1 where the best weight does not exceed
+    the threshold strictly, so an even split stays unclassified, and where
+    the state holds no boson.  Equal best weights go to the largest pattern,
+    and `adjacent` is that of the first of its states with the largest
+    amplitude.
     """
     validate_threshold(threshold)
     mat = np.asarray(vectors, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != basis.dim:
         raise ValidationError("vector length does not match the basis")
     if not mat.shape[1]:
-        return []
+        return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=bool)
     amp2 = np.abs(mat) ** 2
     if float(np.abs(amp2.sum(axis=0) - 1.0).max()) > 1e-8:
         raise ValidationError("vector is not normalized")
@@ -136,31 +94,24 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5) -> lis
     # the first of the tied groups holds the largest pattern
     best = groups[np.argmax(totals == weights, axis=0)]
     dominant = np.argmax(np.where(ids[:, None] == best, amp2, -1.0), axis=0)
-    shared = {}  # one PatternClass per (pattern, adjacency) of this call
-    out = []
-    for weight, pid, i in zip(weights.tolist(), best.tolist(), dominant.tolist()):
-        pattern = sector.patterns[pid]
-        if not weight > threshold or not pattern:
-            # the n = 0 vacuum has no clump to name
-            out.append(Classification(None, weight))
-            continue
-        key = (pid, adjacency_of(sector.orbits[basis.orbit_indices[i]].rep))
-        if key not in shared:
-            shared[key] = PatternClass(pattern, key[1])
-        out.append(Classification(shared[key], weight))
-    return out
+    # the n = 0 vacuum has no clump to name
+    classified = (weights > threshold) & (sector.n > 0)
+    return (np.where(classified, best, -1), weights,
+            sector.adjacent[basis.orbit_indices[dominant]])
 
 
 @dataclass
 class LabelledSpectrum:
-    """The certified eigenvalues of one momentum block and the classification
-    of each eigenvector; the eigenvectors are not kept.  Its momentum is
-    `basis.k`."""
+    """The certified eigenvalues of one momentum block and the `classify_block`
+    arrays of its eigenvectors; the eigenvectors are not kept.  Its momentum
+    is `basis.k`."""
 
     basis: MomentumBasis
     eigenvalues: np.ndarray
     residual_bound: float
-    labels: list[Classification]
+    pattern_ids: np.ndarray
+    weights: np.ndarray
+    adjacent: np.ndarray
 
 
 def labelled_spectra(params: ModelParams, threshold: float = 0.5,
@@ -195,7 +146,7 @@ def _labelled(basis: MomentumBasis, spectrum: Spectrum, threshold: float) -> Lab
     """A solved block with its eigenvectors replaced by their labels; a function
     of its own, so that the eigenvectors are freed before the next solve."""
     return LabelledSpectrum(basis, spectrum.eigenvalues, spectrum.residual_bound,
-                            classify_block(spectrum.eigenvectors, basis, threshold))
+                            *classify_block(spectrum.eigenvectors, basis, threshold))
 
 
 # ------------------------------------------------------------ band extraction
@@ -264,9 +215,10 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
     degenerate clusters with conflicting tags become "merged".  When fewer
     states than pattern classes are found at some momentum another band has
     mixed in; the band is returned as found, with a note in `overlap_notes`.
-    Where a closed perturbative form applies, the selected states of each
-    momentum, in ascending order, take its energies slot by slot as `pt`, and
-    `pt_residuals` holds their worst difference where the counts agree.
+    Where a closed perturbative form applies and a momentum holds as many
+    selected states as it has energies, those states, in ascending order, take
+    them slot by slot as `pt`, and `pt_residuals` holds their worst difference
+    (None at a momentum whose counts differ).
     """
     pat = sector_pattern(params, pattern)
     for ksp in spectra:
@@ -289,31 +241,30 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
 
     for ksp in spectra:
         basis, sector, l = ksp.basis, ksp.basis.sector, ksp.basis.k.l
-        pid = sector.patterns.index(pat) if pat in sector.patterns else -1
+        # a pattern that passes sector_pattern is that of some orbit
+        pid = sector.patterns.index(pat)
         expected = int(np.count_nonzero(sector.pattern_ids[basis.orbit_indices] == pid))
-        selected = [(idx, cls) for idx, cls in enumerate(ksp.labels)
-                    if cls.pattern is not None and cls.pattern.pattern == pat]
+        selected = np.flatnonzero(ksp.pattern_ids == pid)
         counts[l] = (len(selected), expected)
         if len(selected) < expected:
             notes.append(f"pattern {pat} at l = {l}: found {len(selected)} of {expected} "
                          "states; another band overlaps or the threshold is too strict")
-        energies = [float(ksp.eigenvalues[idx]) for idx, _ in selected]
+        energies = ksp.eigenvalues[selected].tolist()
         if two_clump:
-            tags = ["line" if c.pattern.adjacency == "adjacent" else "continuum"
-                    for _, c in selected]
+            tags = np.where(ksp.adjacent[selected], "line", "continuum").tolist()
         else:
             tags = ["n/a"] * len(selected)
         # a valid pattern has n >= 1, so every block of its sector holds a state
         scale = max(1.0, float(np.abs(ksp.eigenvalues).max()))
         tags = _merge_degenerate_tags(energies, tags, scale)
         reference = pt_eigs.get(l, np.empty(0)).tolist() if pt_eigs is not None else []
-        band = [BandPoint(l=l, k=basis.k.k, index=idx, energy=energy, weight=cls.weight,
-                          tag=tag, pt=reference[slot] if slot < len(reference) else None)
-                for slot, ((idx, cls), energy, tag) in enumerate(zip(selected, energies, tags))]
+        complete = 0 < len(selected) == len(reference)
+        paired = reference if complete else [None] * len(selected)
+        band = [BandPoint(l, basis.k.k, *point) for point in zip(
+            selected.tolist(), energies, ksp.weights[selected].tolist(), tags, paired)]
         points += band
         if pt_residuals is not None:
-            pt_residuals[l] = (max(abs(p.energy - p.pt) for p in band)
-                               if band and len(band) == len(reference) else None)
+            pt_residuals[l] = max(abs(p.energy - p.pt) for p in band) if complete else None
     return BandReport(pattern=pat, points=points, counts=counts,
                       pt_residuals=pt_residuals, overlap_notes=notes)
 
@@ -326,12 +277,13 @@ class GroundState:
     l: int
     k: float
     energy: float
-    classification: Classification
+    pattern: tuple[int, ...] | None  # None when unclassified
+    weight: float
 
 
 def ground_state(spectra: list[LabelledSpectrum]) -> GroundState:
-    """Global minimum over all momentum blocks, with its classification.  Of
-    equal minima the first in grid order is kept."""
+    """Global minimum over all momentum blocks, with its pattern and weight.
+    Of equal minima the first in grid order is kept."""
     best: tuple[LabelledSpectrum, float] | None = None
     for ksp in spectra:
         if ksp.eigenvalues.size == 0:
@@ -342,8 +294,10 @@ def ground_state(spectra: list[LabelledSpectrum]) -> GroundState:
     if best is None:
         raise ValidationError("no eigenvalues to scan")
     ksp, energy = best
+    pid = int(ksp.pattern_ids[0])
     return GroundState(l=ksp.basis.k.l, k=ksp.basis.k.k, energy=energy,
-                       classification=ksp.labels[0])
+                       pattern=ksp.basis.sector.patterns[pid] if pid >= 0 else None,
+                       weight=float(ksp.weights[0]))
 
 
 # ---------------------------------------------------------- effective masses

@@ -4,11 +4,12 @@ The sector (f sites, n bosons) is enumerated in descending lexicographic
 order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>; a state's
 index in that order is its rank, and `rank_rows` ranks a whole integer array.
 `SectorOrbits` holds the sector as one integer table: occupation rows in rank
-order, per-row orbit index and shift, orbit representatives, periods and
-occupation patterns (`pattern_of`, ranked once per orbit), and the
-single-boson `hops` out of any set of rows.  An orbit is represented by its
-lexicographically maximal rotation (the lowest rank), which puts the largest
-occupation first and matches the usual class labels |22> or |202>.
+order, per-row orbit index and shift, orbit representatives, periods,
+occupation patterns (`pattern_of`, ranked once per orbit), whether each
+orbit is two adjacent clumps, and the single-boson `hops` out of any set of
+rows.  An orbit is represented by its lexicographically maximal rotation
+(the lowest rank), which puts the largest occupation first and matches the
+usual class labels |22> or |202>.
 The table ranks the sector once: the translation T, which moves the
 occupation of site s to site s + 1 (mod f), maps the sector onto itself, so
 the ranks of a row's f rotations are the powers of one permutation `step`
@@ -88,6 +89,14 @@ def _rank_table(f: int, n: int) -> np.ndarray:
 def pattern_of(state: Occ) -> tuple[int, ...]:
     """Multiset of nonzero site occupations, largest first."""
     return tuple(sorted((c for c in state if c), reverse=True))
+
+
+def normalize_pattern(pattern) -> tuple[int, ...]:
+    """`pattern` largest first, checked to hold positive counts only."""
+    pat = tuple(sorted((int(c) for c in pattern), reverse=True))
+    if not pat or any(c < 1 for c in pat):
+        raise ValidationError(f"pattern entries must be positive integers, got {tuple(pattern)!r}")
+    return pat
 
 
 def rank_rows(rows) -> np.ndarray:
@@ -173,6 +182,7 @@ class SectorOrbits:
     0 <= shift_of[i] < period.  These equal `canonical_rows(occ)`, read off the
     translation permutation of the ranks instead of f rankings.  Orbit g has
     occupation pattern `patterns[pattern_ids[g]]`; `patterns` runs largest first.
+    `adjacent[g]` holds when orbit g is two clumps on neighbouring sites.
     """
 
     def __init__(self, f: int, n: int):
@@ -195,6 +205,10 @@ class SectorOrbits:
         _, first, self.pattern_ids = np.unique(rank_rows(-np.sort(-rep_rows, axis=1)),
                                                return_index=True, return_inverse=True)
         self.patterns = [pattern_of(self.orbits[g].rep) for g in first.tolist()]
+        # a representative holds its largest clump on site 0, so a second clump
+        # is adjacent on site 1 or, around the ring, on site f - 1
+        occupied = rep_rows > 0
+        self.adjacent = (occupied.sum(axis=1) == 2) & (occupied[:, 1] | occupied[:, -1])
 
     def hops(self, rows):
         """Single-boson hops out of the given rows, as arrays (src, dst, amp):

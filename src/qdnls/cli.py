@@ -15,11 +15,12 @@ threshold apply wherever those flags are left at their defaults.
 `spectrum`, `band` and `compare` solve the momentum blocks through
 `labelled_spectra`, which checks the threshold before the first solve,
 classifies each block's eigenvectors as soon as it is solved and keeps only
-the eigenvalues and labels; each +-k pair of blocks is solved once, and a
-single --k on its own.  A band overlap is reported once, in the output's
-`overlap_warnings`.  `compare` prints each band point beside the closed-form
-energy that `extract_band` paired with it.  `oracle` asks for eigenvalues
-only, certified by the trace and the Frobenius norm (see `eigensolve`).
+the eigenvalues and the label arrays (pattern id, weight, adjacency); each
++-k pair of blocks is solved once, and a single --k on its own.  A band
+overlap is reported once, in the output's `overlap_warnings`.  `compare`
+prints each band point beside the closed-form energy that `extract_band`
+paired with it where the counts agree.  `oracle` asks for eigenvalues only,
+certified by the trace and the Frobenius norm (see `eigensolve`).
 
 Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 """
@@ -229,9 +230,11 @@ def spectrum(params: ModelParams, grid, threshold: float):
     """Momentum-resolved exact spectrum with per-state pattern labels."""
     rows = []
     for ksp in labelled_spectra(params, threshold, grid):
-        for idx, (energy, cls) in enumerate(zip(ksp.eigenvalues, ksp.labels)):
-            band = cls.pattern.label if cls.pattern is not None else "unclassified"
-            rows.append((ksp.basis.k.l, ksp.basis.k.k, idx, float(energy), band, cls.weight))
+        # pattern id -1 (unclassified) picks the last name
+        names = ["+".join(map(str, p)) for p in ksp.basis.sector.patterns] + ["unclassified"]
+        rows += [(ksp.basis.k.l, ksp.basis.k.k, idx, energy, names[pid], weight)
+                 for idx, (energy, pid, weight) in enumerate(zip(
+                     ksp.eigenvalues.tolist(), ksp.pattern_ids.tolist(), ksp.weights.tolist()))]
     return CSV_COLUMNS, rows, {}
 
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentumIndex, SectorOrbits, canonical_rows, hop_moves, momentum_grid
+from .basis import (MomentumIndex, SectorOrbits, canonical_rows, hop_moves, momentum_grid,
+                    normalize_pattern)
 from .eigensolve import eigh
 from .errors import PTValidityWarning, ResonanceError, ResonanceWarning, ValidationError
 from .hamiltonian import ModelParams, diagonal_energy
@@ -316,12 +317,13 @@ PT_BUILDERS = {(2, 2): h22_matrix, (4, 2): h42_matrix, (3, 3): h33_matrix}
 def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = None
             ) -> dict[int, np.ndarray]:
     """Absolute second-order band energies {l: ascending energies} of a pattern
-    with a closed form, over the canonical momentum grid or the given one.
+    with a closed form, in any order, over the canonical momentum grid or the
+    given one.
 
     Raises ValidationError for a pattern without a closed form, a boson count
     other than n or an even ring, and ResonanceError for resonant couplings.
     """
-    pattern = tuple(pattern)
+    pattern = normalize_pattern(pattern)
     build = PT_BUILDERS.get(pattern)
     if build is None:
         raise ValidationError(

@@ -94,9 +94,7 @@ def test_criterion_2_pair_band_ground_state():
     literal = -40.0 - 0.05 * (2.0 + 1.4 + 1.0 / 1.4)
     record(2, "pair-band ground state with the three-body term", {
         "pair band complete at every momentum": not report.overlap_notes,
-        "ground state classified into the pair band":
-            gs.classification.pattern is not None
-            and gs.classification.pattern.pattern == (2, 2),
+        "ground state classified into the pair band": gs.pattern == (2, 2),
         "ground state is the line state of its momentum": on_line,
         "coupling regime gamma1 < 3*gamma2": params.gamma1 < 3.0 * params.gamma2,
         "asymptotic line equals its arithmetic form to 1e-12":

@@ -5,15 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdnls import (
     BandOverlapError,
-    Classification,
     ModelParams,
     NumericalError,
-    PatternClass,
     ValidationError,
     band22_asymptotic,
     band_mass,
@@ -28,8 +26,8 @@ from qdnls import (
 )
 import qdnls.bands as bands_module
 import qdnls.basis as basis_module
-from qdnls.basis import MomentumIndex, SectorOrbits, momentum_basis, momentum_grid
-from qdnls.bands import adjacency_of, normalize_pattern, pattern_of
+from qdnls.basis import MomentumIndex, SectorOrbits, momentum_basis, momentum_grid, rank_rows
+from qdnls.bands import normalize_pattern, pattern_of
 
 
 def basis_states(basis):
@@ -59,15 +57,38 @@ def test_pattern_of_collects_nonzero_counts():
     assert pattern_of((0, 0, 0)) == ()
 
 
+def adjacent_clumps(state):
+    """Whether `state` is two clumps on neighbouring ring sites, read off site
+    by site."""
+    sites = [s for s, c in enumerate(state) if c]
+    return len(sites) == 2 and sites[1] - sites[0] in (1, len(state) - 1)
+
+
 def test_adjacency_tags_ring_neighbors():
-    assert adjacency_of((2, 2, 0, 0, 0)) == "adjacent"
-    assert adjacency_of((2, 0, 2, 0, 0)) == "separated"
-    assert adjacency_of((2, 0, 0, 0, 2)) == "adjacent"   # wraps around the ring
-    assert adjacency_of((4, 0, 0, 0, 0)) == "n/a"
-    assert adjacency_of((2, 1, 1, 0, 0)) == "n/a"
+    sector = SectorOrbits(5, 4)
+
+    def adjacent(state):
+        return bool(sector.adjacent[sector.orbit_of[rank_rows([state])[0]]])
+
+    for state, want in (((2, 2, 0, 0, 0), True), ((2, 0, 2, 0, 0), False),
+                        ((2, 0, 0, 0, 2), True),    # wraps around the ring
+                        ((1, 3, 0, 0, 0), True),    # its representative (3, 0, 0, 0, 1) too
+                        ((4, 0, 0, 0, 0), False), ((2, 1, 1, 0, 0), False)):
+        assert adjacent(state) == adjacent_clumps(state) == want
+
+
+@given(st.integers(2, 9), st.integers(0, 6))
+@example(2, 2).via("the pair (1, 1) neighbours on both sides")
+@example(5, 4).via("the representative (3, 0, 0, 0, 1) wraps around the ring")
+@settings(max_examples=40, deadline=None)
+def test_sector_keys_adjacency_once_per_orbit(f, n):
+    sector = SectorOrbits(f, n)
+    assert sector.adjacent.dtype == bool
+    assert sector.adjacent.tolist() == [adjacent_clumps(orb.rep) for orb in sector.orbits]
 
 
 def test_normalize_pattern_sorts_and_validates():
+    assert normalize_pattern is basis_module.normalize_pattern
     assert normalize_pattern([2, 4]) == (4, 2)
     with pytest.raises(ValidationError):
         normalize_pattern([2, 0])
@@ -75,27 +96,21 @@ def test_normalize_pattern_sorts_and_validates():
         normalize_pattern([])
 
 
-def test_pattern_class_requires_consistent_adjacency():
-    assert PatternClass((2, 4), "separated").label == "4+2"
-    assert PatternClass((3,)).label == "3"
-    with pytest.raises(ValidationError):
-        PatternClass((2, 2))                 # two clumps need a tag
-    with pytest.raises(ValidationError):
-        PatternClass((4,), "adjacent")       # one clump cannot have one
-    with pytest.raises(ValidationError):
-        PatternClass((2, 2), "touching")
-
-
 # -------------------------------------------------------------- classification
+
+
+def label(vector, basis, threshold=0.5):
+    """The (pattern or None, weight, adjacent) label of one vector."""
+    (pid,), (weight,), (adjacent,) = classify_block(vector[:, None], basis, threshold)
+    return basis.sector.patterns[pid] if pid >= 0 else None, weight, adjacent
 
 
 def test_pure_states_classify_with_full_weight():
     basis = momentum_basis(5, 4, MomentumIndex(0, 5))
-    cls = classify_block(vector_on(basis, {(2, 0, 2, 0, 0): 1.0})[:, None], basis)[0]
-    assert cls.pattern == PatternClass((2, 2), "separated")
-    assert cls.weight == pytest.approx(1.0)
-    cls = classify_block(vector_on(basis, {(2, 2, 0, 0, 0): 1.0})[:, None], basis)[0]
-    assert cls.pattern.adjacency == "adjacent"
+    pattern, weight, adjacent = label(vector_on(basis, {(2, 0, 2, 0, 0): 1.0}), basis)
+    assert (pattern, adjacent) == ((2, 2), False)
+    assert weight == pytest.approx(1.0)
+    assert label(vector_on(basis, {(2, 2, 0, 0, 0): 1.0}), basis)[2]
 
 
 def test_pure_bloch_state_classifies_by_orbit_representative():
@@ -103,9 +118,9 @@ def test_pure_bloch_state_classifies_by_orbit_representative():
     target = next(i for i, rep in enumerate(basis_states(basis)) if pattern_of(rep) == (3, 3))
     vec = np.zeros(basis.dim)
     vec[target] = 1.0
-    cls = classify_block(vec[:, None], basis)[0]
-    assert cls.pattern == PatternClass((3, 3), "adjacent")
-    assert cls.weight == pytest.approx(1.0)
+    pattern, weight, adjacent = label(vec, basis)
+    assert (pattern, adjacent) == ((3, 3), True)
+    assert weight == pytest.approx(1.0)
 
 
 # amplitudes of 1/2 on two (2,2) and two (2,1,1) orbits keep both pattern
@@ -114,15 +129,15 @@ EVEN_SPLIT = {(2, 2, 0, 0): 0.5, (2, 0, 2, 0): 0.5, (2, 1, 1, 0): 0.5, (2, 1, 0,
 
 
 def test_even_split_stays_unclassified_at_half():
-    cls = classify_block(vector_on(RING4, EVEN_SPLIT)[:, None], RING4)[0]
-    assert cls.pattern is None
-    assert cls.weight == 0.5
+    pattern, weight, _ = label(vector_on(RING4, EVEN_SPLIT), RING4)
+    assert pattern is None
+    assert weight == 0.5
 
 
 def test_tie_above_threshold_breaks_deterministically():
     # the larger pattern wins the tie; its first equal-amplitude orbit tags it
-    cls = classify_block(vector_on(RING4, EVEN_SPLIT)[:, None], RING4, threshold=0.4)[0]
-    assert cls.pattern == PatternClass((2, 2), "adjacent")
+    pattern, _, adjacent = label(vector_on(RING4, EVEN_SPLIT), RING4, threshold=0.4)
+    assert (pattern, adjacent) == ((2, 2), True)
 
 
 def test_classify_validates_inputs():
@@ -136,11 +151,12 @@ def test_classify_validates_inputs():
     with pytest.raises(ValidationError):
         classify_block(np.append(pure, 0.0)[:, None], RING4)  # wrong length
     # threshold 1.0 is allowed but nothing can strictly exceed it
-    assert classify_block(pure[:, None], RING4, threshold=1.0)[0].pattern is None
+    assert label(pure, RING4, threshold=1.0)[0] is None
 
 
 def reference_classification(vectors, basis, threshold):
-    """Classification read off state by state from pattern_of and adjacency_of."""
+    """classify_block's (pattern_ids, weights, adjacent), read off state by
+    state from pattern_of and adjacent_clumps."""
     states = basis_states(basis)
     amp2 = np.abs(np.asarray(vectors, dtype=complex)) ** 2
     out = []
@@ -150,13 +166,11 @@ def reference_classification(vectors, basis, threshold):
             weights[pattern_of(state)] = weights.get(pattern_of(state), 0.0) + a
         weight = max(weights.values())
         best = max(p for p, w in weights.items() if w == weight)
-        if not weight > threshold or not best:
-            out.append(Classification(None, weight))
-            continue
         members = [i for i, state in enumerate(states) if pattern_of(state) == best]
         dominant = max(members, key=lambda i: amp2[i, j])  # the first of equal maxima
-        out.append(Classification(PatternClass(best, adjacency_of(states[dominant])), weight))
-    return out
+        pid = basis.sector.patterns.index(best) if weight > threshold and best else -1
+        out.append((pid, weight, adjacent_clumps(states[dominant])))
+    return tuple(np.array(column) for column in zip(*out))
 
 
 @given(st.integers(2, 7), st.integers(0, 5), st.data(),
@@ -187,8 +201,10 @@ def test_block_classification_matches_per_state_reference(f, n, data, threshold,
             col /= np.linalg.norm(col)
         columns.append(col)
     vectors = np.column_stack(columns)
-    assert classify_block(vectors, basis, threshold) == \
-        reference_classification(vectors, basis, threshold)
+    got = classify_block(vectors, basis, threshold)
+    assert [a.dtype.kind for a in got] == ["i", "f", "b"]
+    for array, want in zip(got, reference_classification(vectors, basis, threshold)):
+        assert np.array_equal(array, want)
 
 
 @given(st.integers(2, 9), st.integers(0, 6), st.data(), st.integers(1, 40),
@@ -206,7 +222,7 @@ def test_block_weights_equal_an_add_at_reference(f, n, data, columns, seed):
     for block in (vectors, vectors[:, :1]):
         totals = np.zeros((len(set(patterns)), block.shape[1]))
         np.add.at(totals, ids, np.abs(block) ** 2)
-        weights = np.array([c.weight for c in classify_block(block, basis)])
+        weights = classify_block(block, basis)[1]
         assert np.array_equal(weights, totals.max(axis=0))
 
 
@@ -215,20 +231,10 @@ def test_classified_count_decreases_with_threshold():
     basis, spectrum = momentum_spectra(p)[3]
     counts = []
     for threshold in (0.2, 0.4, 0.6, 0.8):
-        out = classify_block(spectrum.eigenvectors, basis, threshold)
-        counts.append(sum(1 for c in out if c.pattern is not None))
+        pattern_ids = classify_block(spectrum.eigenvectors, basis, threshold)[0]
+        counts.append(int(np.count_nonzero(pattern_ids >= 0)))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] > counts[-1]
-
-
-def test_block_labels_share_one_pattern_class_per_pattern_and_adjacency():
-    p = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    basis, spectrum = momentum_spectra(p)[3]
-    labels = [c.pattern for c in classify_block(spectrum.eigenvectors, basis, 0.3)]
-    classes = [c for c in labels if c is not None]
-    distinct = {(c.pattern, c.adjacency) for c in classes}
-    assert len(classes) > len(distinct) > 2
-    assert len({id(c) for c in classes}) == len(distinct)
 
 
 # ------------------------------------------------------------- band extraction
@@ -314,12 +320,13 @@ def test_band_points_pair_the_closed_form_slot_by_slot():
             points = report.points_at(l)
             energies = [q.energy for q in points]
             assert energies == sorted(energies)
-            assert [q.pt for q in points] == reference[l][:found].tolist()
             if found == len(reference[l]):
+                assert [q.pt for q in points] == reference[l].tolist()
                 assert report.pt_residuals[l] == max(abs(q.energy - q.pt) for q in points)
-            else:
+            else:  # a short momentum pairs none of its states
+                assert all(q.pt is None for q in points)
                 assert report.pt_residuals[l] is None
-    # at 0.999 some momenta come up short: pt is set on their first slots only
+    # at 0.999 some momenta come up short
     assert any(0 < found < want for found, want in report.counts.values())
 
 
@@ -366,12 +373,12 @@ def test_ground_state_is_the_single_clump_at_zero_momentum():
     g = ground_state(spectra)
     assert g.l == 0
     assert g.energy == pytest.approx(-120.0333462948, abs=1e-9)
-    assert g.classification.pattern == PatternClass((4,))
+    assert g.pattern == (4,)
     with pytest.raises(ValidationError):
         ground_state([])
     # the first label of the ground momentum is its ground state's label
     basis, ground = next(pair for pair in momentum_spectra(p) if pair[0].k.l == 0)
-    assert [g.classification] == classify_block(ground.eigenvectors[:, :1], basis)
+    assert (g.pattern, g.weight) == label(ground.eigenvectors[:, 0], basis)[:2]
 
 
 # ------------------------------------------------------------ effective masses

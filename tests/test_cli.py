@@ -274,11 +274,12 @@ def test_compare_scaling_shows_quartic_decay(runner):
 
 
 def test_compare_scaling_without_residual_reports_no_decay(runner):
-    # nothing clears threshold 0.999 at eps, so that row has no residual
+    # at threshold 0.995 every momentum comes up short at eps, so that row
+    # pairs nothing and has no residual, and the next has no decay factor
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = invoke_ok(runner, ["compare", *FIG_FLAGS, "--pattern", "2,2", "--threshold",
-                                    "0.999", "--scaling", "--format", "json"])
+                                    "0.995", "--scaling", "--format", "json"])
     doc = json.loads(result.stdout)
     # the overlap is reported once, in the output, and not warned as well
     assert any("another band overlaps" in note for note in doc["overlap_warnings"])

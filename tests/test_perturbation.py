@@ -215,6 +215,13 @@ def test_heavy_pair_continuum_identities():
     assert lo < center < hi
 
 
+def test_pt_band_takes_a_pattern_in_any_order():
+    params = ModelParams(f=11, n=6, gamma1=30.0, gamma2=0.0, epsilon=0.5)
+    ordered, reversed_ = pt_band(params, (4, 2)), pt_band(params, (2, 4))
+    assert ordered.keys() == reversed_.keys()
+    assert all(np.array_equal(ordered[l], reversed_[l]) for l in ordered)
+
+
 def test_closed_form_explains_criterion_3_spread():
     # acceptance criterion 3 asks the exact {4,2} continuum at this point to be
     # k-independent within 10 eps^3 / gamma1^2 per eigenvalue index; the
