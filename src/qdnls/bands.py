@@ -175,9 +175,6 @@ class BandReport:
     pt_residuals: dict[int, float | None] | None  # None when no closed form applies
     overlap_notes: list[str] = field(default_factory=list)
 
-    def points_at(self, l: int) -> list[BandPoint]:
-        return [p for p in self.points if p.l == l]
-
 
 def _merge_degenerate_tags(energies: list[float], tags: list[str], scale: float) -> list[str]:
     """Collapse conflicting tags inside numerically degenerate clusters."""

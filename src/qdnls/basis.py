@@ -13,11 +13,12 @@ usual class labels |22> or |202>.
 The table ranks the sector once: the translation T, which moves the
 occupation of site s to site s + 1 (mod f), maps the sector onto itself, so
 the ranks of a row's f rotations are the powers of one permutation `step`
-of the ranks.
+of the ranks.  Pointer doubling finds the lowest rank on each cycle of
+`step`, which marks the representatives, and only their cycles are walked.
 `canonical_rows` folds raw rows that need not form a sector, for the numeric
 perturbation reference (with `hop_moves`, the single-boson moves out of each
 row): it gathers all f rotations of a chunk of rows into one array and ranks
-them in a single call.  Both fold rotation ranks to orbits the same way.
+them in a single call.
 A momentum basis is an index array into that table: the orbits, in sector
 order, whose period admits the momentum.
 
@@ -59,21 +60,22 @@ def sector_dimension(f: int, n: int) -> int:
 
 
 def _occupations(f: int, n: int) -> np.ndarray:
-    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order."""
+    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order,
+    which is the lexicographic order of each state's boson sites listed ascending."""
     dim = sector_dimension(f, n)
     if dim > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"sector (f={f}, n={n}) has {dim} states, above the cap {DEFAULT_STATE_CAP}")
-    occ = np.full((1, 1), n, dtype=np.int64)
-    for _ in range(f - 1):
-        # split the last column (bosons not yet placed) into the next site and
-        # the rest, the next site taking the most bosons first
-        rest = occ[:, -1]
-        parent = np.repeat(np.arange(len(occ)), rest + 1)
-        start = np.cumsum(rest + 1) - (rest + 1)
-        head = rest[parent] - (np.arange(len(parent)) - start[parent])
-        occ = np.column_stack([occ[parent, :-1], head, rest[parent] - head])
-    return occ
+    # each pass gives every row one more boson on a site at or after its last
+    # one, the sites ascending, so the rows stay in lexicographic order
+    sites, last = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        width = f - last
+        parent = np.repeat(np.arange(len(sites)), width)
+        last = last[parent] + np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
+        sites = np.column_stack([sites[parent], last])
+    flat = sites + f * np.arange(dim)[:, None]
+    return np.bincount(flat.ravel(), minlength=dim * f).reshape(dim, f)
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,7 +90,7 @@ def _rank_table(f: int, n: int) -> np.ndarray:
 
 def pattern_of(state: Occ) -> tuple[int, ...]:
     """Multiset of nonzero site occupations, largest first."""
-    return tuple(sorted((c for c in state if c), reverse=True))
+    return tuple(sorted(filter(None, state), reverse=True))
 
 
 def normalize_pattern(pattern) -> tuple[int, ...]:
@@ -107,8 +109,12 @@ def rank_rows(rows) -> np.ndarray:
     there are comb(t - 1 + m, m) such states; the rank sums them over j.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    f = rows.shape[1]
-    after = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # bosons on the sites after j < f - 1
+    return _rank_suffixes(np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1])
+
+
+def _rank_suffixes(after) -> np.ndarray:
+    """`rank_rows` of the rows holding after[:, j] bosons on the sites after j < f - 1."""
+    f = after.shape[1] + 1
     table = _rank_table(f, int(after.max(initial=0)))
     return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
 
@@ -180,7 +186,9 @@ class SectorOrbits:
     `orbits[g]` carries both as a TranslationOrbit.  Every row i satisfies
     occ[i] == T^shift_of[i] orbits[orbit_of[i]].rep with
     0 <= shift_of[i] < period.  These equal `canonical_rows(occ)`, read off the
-    translation permutation of the ranks instead of f rankings.  Orbit g has
+    translation permutation of the ranks instead of f rankings: ceil(log2 f)
+    pointer-doubling rounds over the sector, then one (orbits, f) walk from
+    the representatives.  Orbit g has
     occupation pattern `patterns[pattern_ids[g]]`; `patterns` runs largest first.
     `adjacent[g]` holds when orbit g is two clumps on neighbouring sites.
     """
@@ -188,18 +196,30 @@ class SectorOrbits:
     def __init__(self, f: int, n: int):
         occ = _occupations(f, n)
         self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
-        step = rank_rows(np.roll(occ, 1, axis=1))
-        rot = np.empty((self.dim, f), dtype=np.int64)
-        rot[:, 0] = np.arange(self.dim)
-        for t in range(1, f):  # T maps the sector onto itself: rank(T^t row i) = step^t(i)
-            rot[:, t] = step[rot[:, t - 1]]
-        rep_rank, self.shift_of, period_of = _fold_rotations(rot)
-        self.reps = np.flatnonzero(rep_rank == np.arange(self.dim))
-        self.orbit_of = np.searchsorted(self.reps, rep_rank)
-        self.periods = period_of[self.reps]
+        # T maps the sector onto itself, and T row i holds occ[i, j - 1] on each
+        # site j >= 1, so the bosons after its site j < f - 1 are occ[i, j:f - 1]
+        step = _rank_suffixes(np.cumsum(occ[:, -2::-1], axis=1)[:, ::-1])
+        # lowest rank on each cycle of step by pointer doubling: after round r,
+        # low[i] = min of step^t(i) over 0 <= t < 2^r, and a cycle has at most f ranks
+        low, jump = np.arange(self.dim), step
+        for _ in range((f - 1).bit_length()):
+            low, jump = np.minimum(low, low[jump]), jump[jump]
+        self.reps = np.flatnonzero(low == np.arange(self.dim))
+        # walk[g, t] is the rank of T^t reps[g]; its first periods[g] steps cover orbit g once
+        walk = np.empty((len(self.reps), f), dtype=np.int64)
+        walk[:, 0] = self.reps
+        for t in range(1, f):
+            walk[:, t] = step[walk[:, t - 1]]
+        self.periods = f // (walk == self.reps[:, None]).sum(axis=1)
+        g, t = np.nonzero(np.arange(f) < self.periods[:, None])
+        self.orbit_of = np.empty(self.dim, dtype=np.int64)
+        self.shift_of = np.empty(self.dim, dtype=np.int64)
+        members = walk[g, t]
+        self.orbit_of[members] = g
+        self.shift_of[members] = t
         rep_rows = occ[self.reps]
-        self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
-                       for r, d in zip(rep_rows.tolist(), self.periods.tolist())]
+        self.orbits = list(map(TranslationOrbit, map(tuple, rep_rows.tolist()),
+                               self.periods.tolist()))
         # a representative sorted largest first is a state of the sector whose
         # rank keys its pattern; ranks ascend as patterns descend
         _, first, self.pattern_ids = np.unique(rank_rows(-np.sort(-rep_rows, axis=1)),

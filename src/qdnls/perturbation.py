@@ -30,10 +30,10 @@ momentum.  `bw_second_order_block` builds the same object numerically
 from single-boson hops for any degenerate family of classes and is the
 independent check of the closed forms.  It takes only the hops out of the
 class representatives, through the move kernel the sector table uses
-(`basis.hop_moves`), and folds each destination onto its orbit on the fly
-(`basis.canonical_rows`, which ranks all f rotations of the destinations in
-one call); it needs no sector table and no dense block, so the dense cap
-does not apply and it reaches rings no exact solve does.
+(`basis.hop_moves`), and folds the classes and every destination onto their
+orbits in one `basis.canonical_rows` call; it needs no sector table and no
+dense block, so the dense cap does not apply and it reaches rings no exact
+solve does.
 """
 
 from __future__ import annotations
@@ -340,27 +340,20 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
 # ------------------------------------------------- numeric second-order block
 
 
-def _class_rows(params: ModelParams, classes: list):
-    """The representatives of `classes` as a (len, f) int array with their
-    `canonical_rows`, each checked to be an orbit representative of the (f, n)
-    sector: a row of f non-negative integers summing to n that is its own
-    lowest-rank rotation."""
+def _class_rows(params: ModelParams, classes: list) -> np.ndarray:
+    """The representatives of `classes` as a (len, f) int array, each checked
+    to be a row of f non-negative integers summing to n; whether a row is its
+    own lowest-rank rotation is left to the caller's `canonical_rows`."""
     if not classes:
         raise ValidationError("need at least one degenerate class")
     f, n = params.f, params.n
     for orb in classes:
         rep = orb.rep
-        if not (len(rep) == f and all(
-                isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
-                for c in rep) and sum(rep) == n):
+        if not (len(rep) == f and all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+                                      for t in set(map(type, rep)))
+                and min(rep) >= 0 and sum(rep) == n):
             raise ValidationError(f"{rep!r} is not an orbit representative of this sector")
-    rows = np.array([orb.rep for orb in classes], dtype=np.int64)
-    rep_rank, shift, period = canonical_rows(rows)
-    off = np.flatnonzero(shift)  # a representative is its own shift-0 rotation
-    if off.size:
-        raise ValidationError(
-            f"{classes[off[0]].rep!r} is not an orbit representative of this sector")
-    return rows, rep_rank, period
+    return np.array([orb.rep for orb in classes], dtype=np.int64)
 
 
 def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
@@ -373,11 +366,12 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     {2,2}, {4,2} and {3,3} matrices are validated against.
 
     Only the hops out of the class representatives are taken (`hop_moves`);
-    each destination is folded onto its orbit by `canonical_rows` (one
-    `rank_rows` call per `basis.ROW_CHUNK` destinations, whatever f), so no
-    sector table, dense block or dense cap is involved and rings far beyond
-    exact reach work.  `sector` is optional and unused beyond a check that
-    it is the (f, n) sector of `params`.
+    one `canonical_rows` call on the class rows stacked over the destinations
+    (one `rank_rows` call per `basis.ROW_CHUNK` rows, whatever f) checks each
+    class row is its own representative and folds each destination onto its
+    orbit, so no sector table, dense block or dense cap is involved and rings
+    far beyond exact reach work.  `sector` is optional and unused beyond a
+    check that it is the (f, n) sector of `params`.
     """
     classes = list(classes)
     f = params.f
@@ -387,19 +381,30 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
         raise ValidationError(
             f"sector (f={sector.f}, n={sector.n}) does not match the requested "
             f"(f={f}, n={params.n})")
-    p_rows, p_rank, p_period = _class_rows(params, classes)
-    for i, orb in enumerate(classes):
-        if k.l * p_period[i] % f:
-            raise ValidationError(f"class {orb.rep} carries no weight at momentum l={k.l}")
-        if p_rank[i] in p_rank[:i]:
-            raise ValidationError(f"duplicate class {orb.rep}")
+    p_rows = _class_rows(params, classes)
+    m = len(p_rows)
+    src, moved, amp = hop_moves(p_rows)
+    # the class rows and every hop destination, folded onto their orbits at once
+    rank, shift, period = canonical_rows(np.concatenate([p_rows, moved]))
+    p_rank, p_period = rank[:m], period[:m]
+    d_rank, d_shift, d_period = rank[m:], shift[m:], period[m:]
+    off = np.flatnonzero(shift[:m])  # a representative is its own shift-0 rotation
+    if off.size:
+        raise ValidationError(
+            f"{classes[off[0]].rep!r} is not an orbit representative of this sector")
+    # the first class without weight at k, or equal to an earlier one
+    weightless = k.l * p_period % f != 0
+    repeated = (p_rank[:, None] == p_rank).argmax(axis=1) < np.arange(m)
+    bad = np.flatnonzero(weightless | repeated)
+    if bad.size:
+        rep = classes[bad[0]].rep
+        raise ValidationError(f"class {rep} carries no weight at momentum l={k.l}"
+                              if weightless[bad[0]] else f"duplicate class {rep}")
     e0 = diagonal_energy(p_rows, params)
     if float(e0.max() - e0.min()) > 1e-9 * max(1.0, float(np.abs(e0).max())):
         raise ValidationError("classes are not degenerate at zero hopping")
     e_deg = float(e0[0])
 
-    src, moved, amp = hop_moves(p_rows)
-    d_rank, d_shift, d_period = canonical_rows(moved)
     # destination orbits without weight at this momentum drop out
     keep = k.l * d_period % f == 0
     src, moved, amp = src[keep], moved[keep], amp[keep]
@@ -408,11 +413,11 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     value = -params.epsilon * amp * np.sqrt(p_period[src] / d_period) * np.exp(1j * theta)
     # one row per destination orbit, in representative rank order
     ranks, first, row = np.unique(d_rank, return_index=True, return_inverse=True)
-    v = np.zeros((len(ranks), len(p_rows)), dtype=complex)
+    v = np.zeros((len(ranks), m), dtype=complex)
     np.add.at(v, (row, src), value)
-    in_p = np.isin(ranks, p_rank)
+    in_p = (ranks[:, None] == p_rank).any(axis=1)
     by_rank = np.argsort(p_rank)
-    h = np.zeros((len(p_rows), len(p_rows)), dtype=complex)
+    h = np.zeros((m, m), dtype=complex)
     h[by_rank[np.searchsorted(p_rank, ranks[in_p], sorter=by_rank)]] = v[in_p]
 
     v_qp = v[~in_p]

@@ -33,6 +33,8 @@ from qdnls import (
 )
 from qdnls.bands import pattern_of
 
+from conftest import points_at
+
 RESULTS: list[str] = []
 
 PAIR_PARAMS = dict(f=19, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
@@ -49,7 +51,7 @@ def record(num: int, label: str, parts: dict[str, bool]) -> None:
 
 
 def line_and_continuum(report, l):
-    points = report.points_at(l)
+    points = points_at(report, l)
     lines = [p for p in points if p.tag == "line"]
     cont = sorted(p.energy for p in points if p.tag == "continuum")
     return lines, cont

@@ -29,6 +29,8 @@ import qdnls.basis as basis_module
 from qdnls.basis import MomentumIndex, SectorOrbits, momentum_basis, momentum_grid, rank_rows
 from qdnls.bands import normalize_pattern, pattern_of
 
+from conftest import points_at
+
 
 def basis_states(basis):
     return [basis.sector.orbits[g].rep for g in basis.orbit_indices]
@@ -245,14 +247,14 @@ def test_pair_band_tags_one_line_and_a_continuum():
     report = extract_band(p, (2, 2), labelled_spectra(p))
     for l, (selected, expected) in report.counts.items():
         assert (selected, expected) == (3, 3)
-        points = report.points_at(l)
+        points = points_at(report, l)
         assert sum(1 for q in points if q.tag == "line") == 1
         assert sum(1 for q in points if q.tag == "continuum") == 2
     assert min(q.weight for q in report.points) > 0.98
     # the line sits above the continuum for attractive gamma1
     for l in report.counts:
-        line = [q for q in report.points_at(l) if q.tag == "line"][0]
-        rest = [q.energy for q in report.points_at(l) if q.tag == "continuum"]
+        line = [q for q in points_at(report, l) if q.tag == "line"][0]
+        rest = [q.energy for q in points_at(report, l) if q.tag == "continuum"]
         assert line.energy > max(rest)
 
 
@@ -317,7 +319,7 @@ def test_band_points_pair_the_closed_form_slot_by_slot():
     for threshold in (0.5, 0.999):
         report = extract_band(p, (2, 2), labelled_spectra(p, threshold))
         for l, (found, want) in report.counts.items():
-            points = report.points_at(l)
+            points = points_at(report, l)
             energies = [q.energy for q in points]
             assert energies == sorted(energies)
             if found == len(reference[l]):

@@ -1,6 +1,7 @@
 """Enumeration, ranking, translation orbits, and momentum bases."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from qdnls import (
     momentum_grid,
     sector_dimension,
 )
-from qdnls.basis import ROW_CHUNK, canonical_rows, pattern_of, rank_rows
+from qdnls.basis import ROW_CHUNK, TranslationOrbit, _occupations, canonical_rows, pattern_of, rank_rows
 
 SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
@@ -75,6 +76,27 @@ def test_enumeration_order_and_extremes():
     # strictly descending lexicographic order
     assert all(a > b for a, b in zip(states, states[1:]))
     assert all(sum(s) == 3 and len(s) == 4 for s in states)
+
+
+def occupations_by_product(f, n):
+    """Every row of f counts in 0 .. n summing to n, sorted descending."""
+    rows = sorted((row for row in itertools.product(range(n + 1), repeat=f) if sum(row) == n),
+                  reverse=True)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), f)
+
+
+@pytest.mark.parametrize("f,n", [(f, n) for f in range(2, 8) for n in range(5)]
+                         + [(2, 6), (3, 6), (5, 6)])
+def test_occupations_equal_an_independent_enumeration(f, n):
+    got, want = _occupations(f, n), occupations_by_product(f, n)
+    assert got.dtype == want.dtype and got.shape == want.shape == (sector_dimension(f, n), f)
+    assert np.array_equal(got, want)
+
+
+def test_occupations_check_the_cap_before_allocating():
+    # 3.5e16 states: an allocation before the check could not succeed
+    with pytest.raises(CapacityError, match="above the cap"):
+        _occupations(200, 10)
 
 
 def test_enumeration_respects_cap(monkeypatch):
@@ -235,6 +257,34 @@ def test_large_sector_table_equals_canonical_rows():
     sector = SectorOrbits(23, 4)
     assert sector.dim == math.comb(26, 4) and len(sector.orbits) == 650
     assert_table_is_canonical_rows_of_its_rows(sector)
+
+
+def sector_table_by_rotation_ranks(occ):
+    """(reps, orbit_of, shift_of, periods) from the full (dim, f) table of the
+    ranks of every rotation of every row, folded by min, argmin and count."""
+    dim, f = occ.shape
+    step = rank_rows(np.roll(occ, 1, axis=1))
+    rot = np.empty((dim, f), dtype=np.int64)
+    rot[:, 0] = np.arange(dim)
+    for t in range(1, f):
+        rot[:, t] = step[rot[:, t - 1]]
+    rep_rank = rot.min(axis=1)
+    period = f // (rot == rep_rank[:, None]).sum(axis=1)
+    reps = np.flatnonzero(rep_rank == np.arange(dim))
+    return reps, np.searchsorted(reps, rep_rank), -rot.argmin(axis=1) % period, period[reps]
+
+
+@pytest.mark.parametrize("f,n", sorted({(f, n) for f in range(2, 13) for n in range(7)}
+                                       | {(2, 0), (12, 0), (23, 4)}))
+def test_sector_table_equals_the_rotation_rank_table(f, n):
+    sector = SectorOrbits(f, n)
+    reps, orbit_of, shift_of, periods = sector_table_by_rotation_ranks(sector.occ)
+    for got, want in ((sector.reps, reps), (sector.orbit_of, orbit_of),
+                      (sector.shift_of, shift_of), (sector.periods, periods)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert sector.orbits == [TranslationOrbit(rep=tuple(sector.occ[r].tolist()), period=int(d))
+                             for r, d in zip(reps, periods)]
 
 
 def test_orbit_of_short_period():

@@ -1,12 +1,37 @@
 """The public surface of the `qdnls` package."""
 
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import qdnls
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+# the five CLI commands on small sectors and one numeric PT block, in a fresh
+# interpreter; prints the scipy and numpy.ma modules they left imported
+IMPORT_PROBE = """
+import contextlib, io, sys
+import qdnls.cli
+from qdnls import ModelParams, SectorOrbits, bw_second_order_block, momentum_grid, pattern_of
+
+model = ["--f", "7", "--n", "4", "--gamma1", "10", "--eps", "0.25"]
+for argv in (["spectrum", *model], ["band", *model, "--pattern", "2,2"],
+             ["pt", *model, "--pattern", "2,2"], ["compare", *model, "--pattern", "2,2"],
+             ["oracle", "--f", "5", "--n", "3", "--gamma1", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        qdnls.cli.main(argv, standalone_mode=False)
+sector = SectorOrbits(7, 4)
+classes = [o for o in sector.orbits if pattern_of(o.rep) == (2, 2)]
+params = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.25)
+bw_second_order_block(params, momentum_grid(7)[1], classes)
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
 
 
 def test_all_lists_the_public_names_that_star_import_binds():
@@ -27,3 +52,13 @@ def test_readme_library_entry_points_run():
     exec(compile(block, f"{README}:Library entry points", "exec"), namespace)
     assert namespace["ground"].pattern == (4,)
     assert namespace["line"]
+
+
+def test_cli_and_pt_reference_import_neither_scipy_nor_numpy_ma():
+    # scipy costs about 27 MB of resident memory and numpy.ma about 2 MB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -43,6 +43,8 @@ from qdnls.basis import rank_rows
 from qdnls.hamiltonian import block_parts
 from qdnls.perturbation import resonance_floor
 
+from conftest import points_at
+
 
 def classes_of(sector, pattern):
     return [orb for orb in sector.orbits if pattern_of(orb.rep) == pattern]
@@ -232,7 +234,7 @@ def test_closed_form_explains_criterion_3_spread():
     per_k = np.array([closed[l][1:-1] for l in sorted(closed)])
     spread = float((per_k.max(axis=0) - per_k.min(axis=0)).max())
     report = extract_band(params, (4, 2), labelled_spectra(params))
-    exact = np.array([sorted(p.energy for p in report.points_at(l) if p.tag == "continuum")
+    exact = np.array([sorted(p.energy for p in points_at(report, l) if p.tag == "continuum")
                       for l in sorted(report.counts)])
     exact_spread = float((exact.max(axis=0) - exact.min(axis=0)).max())
     bound = 10.0 * params.epsilon ** 3 / params.gamma1 ** 2
@@ -429,6 +431,50 @@ def test_reference_ranks_a_fixed_number_of_times_at_any_ring_size(monkeypatch):
         bw_second_order_block(params, momentum_grid(f)[1], classes)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def counting_canonical_rows(monkeypatch):
+    """Patch the perturbation module's canonical_rows to record each call's row count."""
+    calls = []
+    canonical_rows = qdnls.perturbation.canonical_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return canonical_rows(rows)
+
+    monkeypatch.setattr(qdnls.perturbation, "canonical_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("f", [11, 41])
+def test_reference_folds_classes_and_destinations_in_one_call(monkeypatch, f):
+    calls = counting_canonical_rows(monkeypatch)
+    params = ModelParams(f=f, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    classes = [TranslationOrbit(rep=(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j), period=f)
+               for j in range(1, f)]
+    for k in momentum_grid(f)[:3]:
+        calls.clear()
+        bw_second_order_block(params, k, classes)
+        # the f - 1 class rows stacked over their 4 (f - 1) hop destinations
+        assert calls == [(f - 1) + 4 * (f - 1)]
+
+
+@pytest.mark.parametrize("rep, folded", [
+    pytest.param((0, 2, 2) + (0,) * 8, True, id="rotation"),
+    pytest.param((2, 2, 0), False, id="length"),
+    pytest.param((2, 1) + (0,) * 9, False, id="count"),
+    pytest.param((3, -1, 2) + (0,) * 8, False, id="negative"),
+])
+def test_reference_names_a_bad_class_row(monkeypatch, rep, folded):
+    # only a row of the right length, sign and count reaches canonical_rows,
+    # which then rejects a row that is not its own lowest-rank rotation
+    calls = counting_canonical_rows(monkeypatch)
+    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    classes = classes_of(SectorOrbits(11, 4), (2, 2))[:2] + [TranslationOrbit(rep=rep, period=11)]
+    with pytest.raises(ValidationError) as info:
+        bw_second_order_block(params, momentum_grid(11)[0], classes)
+    assert str(info.value) == f"{rep!r} is not an orbit representative of this sector"
+    assert len(calls) == int(folded)
 
 
 @pytest.mark.parametrize("with_sector", [False, True])
