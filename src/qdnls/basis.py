@@ -60,22 +60,21 @@ def sector_dimension(f: int, n: int) -> int:
 
 
 def _occupations(f: int, n: int) -> np.ndarray:
-    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order,
-    which is the lexicographic order of each state's boson sites listed ascending."""
+    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order."""
     dim = sector_dimension(f, n)
     if dim > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"sector (f={f}, n={n}) has {dim} states, above the cap {DEFAULT_STATE_CAP}")
-    # each pass gives every row one more boson on a site at or after its last
-    # one, the sites ascending, so the rows stay in lexicographic order
-    sites, last = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        width = f - last
-        parent = np.repeat(np.arange(len(sites)), width)
-        last = last[parent] + np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
-        sites = np.column_stack([sites[parent], last])
-    flat = sites + f * np.arange(dim)[:, None]
-    return np.bincount(flat.ravel(), minlength=dim * f).reshape(dim, f)
+    occ = np.full((1, 1), n, dtype=np.int64)
+    for _ in range(f - 1):
+        # split the last column (bosons not yet placed) into the next site and
+        # the rest, the next site taking the most bosons first
+        rest = occ[:, -1]
+        parent = np.repeat(np.arange(len(occ)), rest + 1)
+        start = np.cumsum(rest + 1) - (rest + 1)
+        head = rest[parent] - (np.arange(len(parent)) - start[parent])
+        occ = np.column_stack([occ[parent, :-1], head, rest[parent] - head])
+    return occ
 
 
 @functools.lru_cache(maxsize=64)
@@ -109,12 +108,8 @@ def rank_rows(rows) -> np.ndarray:
     there are comb(t - 1 + m, m) such states; the rank sums them over j.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    return _rank_suffixes(np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1])
-
-
-def _rank_suffixes(after) -> np.ndarray:
-    """`rank_rows` of the rows holding after[:, j] bosons on the sites after j < f - 1."""
-    f = after.shape[1] + 1
+    f = rows.shape[1]
+    after = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # bosons on the sites after j < f - 1
     table = _rank_table(f, int(after.max(initial=0)))
     return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
 
@@ -196,9 +191,7 @@ class SectorOrbits:
     def __init__(self, f: int, n: int):
         occ = _occupations(f, n)
         self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
-        # T maps the sector onto itself, and T row i holds occ[i, j - 1] on each
-        # site j >= 1, so the bosons after its site j < f - 1 are occ[i, j:f - 1]
-        step = _rank_suffixes(np.cumsum(occ[:, -2::-1], axis=1)[:, ::-1])
+        step = rank_rows(np.roll(occ, 1, axis=1))  # T maps the sector onto itself
         # lowest rank on each cycle of step by pointer doubling: after round r,
         # low[i] = min of step^t(i) over 0 <= t < 2^r, and a cycle has at most f ranks
         low, jump = np.arange(self.dim), step
@@ -218,8 +211,8 @@ class SectorOrbits:
         self.orbit_of[members] = g
         self.shift_of[members] = t
         rep_rows = occ[self.reps]
-        self.orbits = list(map(TranslationOrbit, map(tuple, rep_rows.tolist()),
-                               self.periods.tolist()))
+        self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
+                       for r, d in zip(rep_rows.tolist(), self.periods.tolist())]
         # a representative sorted largest first is a state of the sector whose
         # rank keys its pattern; ranks ascend as patterns descend
         _, first, self.pattern_ids = np.unique(rank_rows(-np.sort(-rep_rows, axis=1)),

@@ -349,9 +349,9 @@ def _class_rows(params: ModelParams, classes: list) -> np.ndarray:
     f, n = params.f, params.n
     for orb in classes:
         rep = orb.rep
-        if not (len(rep) == f and all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-                                      for t in set(map(type, rep)))
-                and min(rep) >= 0 and sum(rep) == n):
+        if not (len(rep) == f and all(
+                isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
+                for c in rep) and sum(rep) == n):
             raise ValidationError(f"{rep!r} is not an orbit representative of this sector")
     return np.array([orb.rep for orb in classes], dtype=np.int64)
 

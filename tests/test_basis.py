@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_occupations_check_the_cap_before_allocating():
     # 3.5e16 states: an allocation before the check could not succeed
     with pytest.raises(CapacityError, match="above the cap"):
         _occupations(200, 10)
+
+
+def test_high_filling_sectors_build_in_memory_of_order_dim_times_f():
+    # n >> f: every array the build holds is (dim, f) or smaller, none (dim, n);
+    # _occupations(3, 400) is a (80601, 3) table of 1.9 MB, a (dim, n) one 258 MB
+    tracemalloc.start()
+    try:
+        occ = _occupations(3, 400)
+        sector = SectorOrbits(2, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ.shape == (80601, 3) and sector.dim == 2001
+    assert peak < 16 * occ.nbytes
 
 
 def test_enumeration_respects_cap(monkeypatch):

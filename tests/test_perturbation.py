@@ -459,28 +459,12 @@ def test_reference_folds_classes_and_destinations_in_one_call(monkeypatch, f):
         assert calls == [(f - 1) + 4 * (f - 1)]
 
 
-@pytest.mark.parametrize("rep, folded", [
-    pytest.param((0, 2, 2) + (0,) * 8, True, id="rotation"),
-    pytest.param((2, 2, 0), False, id="length"),
-    pytest.param((2, 1) + (0,) * 9, False, id="count"),
-    pytest.param((3, -1, 2) + (0,) * 8, False, id="negative"),
-])
-def test_reference_names_a_bad_class_row(monkeypatch, rep, folded):
-    # only a row of the right length, sign and count reaches canonical_rows,
-    # which then rejects a row that is not its own lowest-rank rotation
-    calls = counting_canonical_rows(monkeypatch)
-    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
-    classes = classes_of(SectorOrbits(11, 4), (2, 2))[:2] + [TranslationOrbit(rep=rep, period=11)]
-    with pytest.raises(ValidationError) as info:
-        bw_second_order_block(params, momentum_grid(11)[0], classes)
-    assert str(info.value) == f"{rep!r} is not an orbit representative of this sector"
-    assert len(calls) == int(folded)
-
-
 @pytest.mark.parametrize("with_sector", [False, True])
 @pytest.mark.parametrize("case", ["rotation", "length", "count", "negative", "duplicate",
                                   "empty", "ring"])
-def test_reference_validation_is_the_same_with_and_without_a_sector(case, with_sector):
+def test_reference_validation_is_the_same_with_and_without_a_sector(monkeypatch, case,
+                                                                    with_sector):
+    calls = counting_canonical_rows(monkeypatch)
     params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
     sector = SectorOrbits(11, 4)
     cls = classes_of(sector, (2, 2))
@@ -497,8 +481,13 @@ def test_reference_validation_is_the_same_with_and_without_a_sector(case, with_s
     }[case]
     if case == "ring":
         k = MomentumIndex(0, 7)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         bw_second_order_block(params, k, classes, sector if with_sector else None)
+    if case in ("rotation", "length", "count", "negative"):
+        assert str(info.value) == f"{classes[0].rep!r} is not an orbit representative of this sector"
+    # only rows of the right length, sign and count reach the one canonical_rows
+    # call, which rejects a row that is not its own lowest-rank rotation
+    assert len(calls) == (case in ("rotation", "duplicate"))
 
 
 @pytest.mark.parametrize("n, sector_f, sector_n", [(4, 11, 3), (4, 13, 4), (6, 11, 4)])
