@@ -23,6 +23,7 @@ from .basis import (
     TranslationOrbit,
     momentum_basis,
     momentum_grid,
+    pattern_classes,
     pattern_of,
     sector_dimension,
 )
@@ -65,6 +66,6 @@ __all__ = [
     "continuum42", "continuum42_bounds", "diagonal_energy", "effective_mass", "eigh",
     "extract_band", "full_matrix", "ground_state", "h22_matrix", "h33_matrix", "h42_matrix",
     "labelled_spectra", "mass_ratio_report", "momentum_basis", "momentum_grid",
-    "momentum_spectra", "onsite_energy", "pattern_energy", "pattern_of", "pt_band",
+    "momentum_spectra", "onsite_energy", "pattern_classes", "pattern_energy", "pattern_of", "pt_band",
     "sector_dimension",
 ]

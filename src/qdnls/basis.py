@@ -33,6 +33,7 @@ and exists exactly when l * d = 0 (mod f).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -163,6 +164,33 @@ def hop_moves(occ):
     moved[at, s] -= 1
     moved[at, t] += 1
     return src, moved, np.sqrt(occ[src, s] * (occ[src, t] + 1.0))
+
+
+def pattern_classes(f: int, pattern):
+    """The orbits of one occupation pattern (clump sizes in any order) on an
+    f-site ring, without a sector table, as arrays (reps, periods): the
+    representative rows and their periods, in sector order.
+
+    Every such orbit has a rotation with the first clump on site 0 and the
+    other clumps on a subset of sites 1 .. f - 1, in some order; one
+    `canonical_rows` call folds all those rows onto their orbits.
+    """
+    check_sector(f, 0)
+    pattern = tuple(pattern)
+    pattern = normalize_pattern(pattern) if pattern else ()
+    rest = pattern[1:]
+    sites = np.array(list(itertools.combinations(range(1, f), len(rest))),
+                     dtype=np.int64).reshape(math.comb(f - 1, len(rest)), len(rest))
+    orders = np.array(sorted(set(itertools.permutations(rest))), dtype=np.int64)
+    rows = np.zeros((len(sites) * len(orders), f), dtype=np.int64)
+    if pattern:
+        rows[:, 0] = pattern[0]
+    at = np.repeat(sites, len(orders), axis=0)
+    rows[np.arange(len(rows))[:, None], at] = np.tile(orders, (len(sites), 1))
+    rank, shift, period = canonical_rows(rows)
+    _, first = np.unique(rank, return_index=True)
+    # rep[s] = row[s + u]
+    return rows[first[:, None], (np.arange(f) + shift[first, None]) % f], period[first]
 
 
 @dataclass(frozen=True)

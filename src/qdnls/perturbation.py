@@ -31,16 +31,18 @@ from single-boson hops for any degenerate family of classes and is the
 independent check of the closed forms.  It takes only the hops out of the
 class representatives, through the move kernel the sector table uses
 (`basis.hop_moves`), and folds the classes and every destination onto their
-orbits in one `basis.canonical_rows` call; it needs no sector table and no
+orbits once per class family, memoized; it needs no sector table and no
 dense block, so the dense cap does not apply and it reaches rings no exact
 solve does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -356,6 +358,55 @@ def _class_rows(params: ModelParams, classes: list) -> np.ndarray:
     return np.array([orb.rep for orb in classes], dtype=np.int64)
 
 
+class _ClassFold(NamedTuple):
+    """The momentum- and parameter-free half of `bw_second_order_block` for
+    one family of class rows: their hops, folded onto the destination orbits.
+    Per hop: `src`, `amp`, `ratio` = sqrt(class period / destination period),
+    `shift` (destination == T^shift of its representative) and `row`, its
+    destination orbit.  Per destination orbit, in representative rank order:
+    `period`, `slot` (the class it is, or -1) and `rep_rows`."""
+
+    not_rep: int  # the first class row that is not its own representative, or -1
+    p_period: np.ndarray
+    repeated: np.ndarray  # whether each class equals an earlier one
+    src: np.ndarray
+    amp: np.ndarray
+    ratio: np.ndarray
+    shift: np.ndarray
+    row: np.ndarray
+    period: np.ndarray
+    slot: np.ndarray
+    rep_rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _class_fold(f: int, key: bytes) -> _ClassFold:
+    """The `_ClassFold` of the int64 class rows whose bytes are `key`."""
+    p_rows = np.frombuffer(key, dtype=np.int64).reshape(-1, f)
+    m = len(p_rows)
+    src, moved, amp = hop_moves(p_rows)
+    # the class rows and every hop destination, folded onto their orbits at once
+    rank, shift, period = canonical_rows(np.concatenate([p_rows, moved]))
+    p_rank, p_period = rank[:m], period[:m]
+    d_shift, d_period = shift[m:], period[m:]
+    off = np.flatnonzero(shift[:m])  # a representative is its own shift-0 rotation
+    # one row per destination orbit, in representative rank order
+    ranks, first, row = np.unique(rank[m:], return_index=True, return_inverse=True)
+    is_class = ranks[:, None] == p_rank
+    fold = _ClassFold(
+        not_rep=int(off[0]) if off.size else -1,
+        p_period=p_period,
+        repeated=(p_rank[:, None] == p_rank).argmax(axis=1) < np.arange(m),
+        src=src, amp=amp, ratio=np.sqrt(p_period[src] / d_period), shift=d_shift, row=row,
+        period=d_period[first],
+        slot=np.where(is_class.any(axis=1), is_class.argmax(axis=1), -1),
+        # rep[s] = dst[s + u]
+        rep_rows=moved[first[:, None], (np.arange(f) + d_shift[first, None]) % f])
+    for a in fold[1:]:
+        a.flags.writeable = False  # cached: every call with these classes shares it
+    return fold
+
+
 def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
                           sector: SectorOrbits | None = None) -> np.ndarray:
     """Second-order effective matrix over Bloch-symmetrized degenerate classes.
@@ -370,8 +421,10 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     (one `rank_rows` call per `basis.ROW_CHUNK` rows, whatever f) checks each
     class row is its own representative and folds each destination onto its
     orbit, so no sector table, dense block or dense cap is involved and rings
-    far beyond exact reach work.  `sector` is optional and unused beyond a
-    check that it is the (f, n) sector of `params`.
+    far beyond exact reach work.  That fold depends on neither k nor the
+    couplings, so it is made once per class family, memoized; each call adds
+    the Bloch phases and the denominators.  `sector` is optional and unused
+    beyond a check that it is the (f, n) sector of `params`.
     """
     classes = list(classes)
     f = params.f
@@ -383,19 +436,13 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
             f"(f={f}, n={params.n})")
     p_rows = _class_rows(params, classes)
     m = len(p_rows)
-    src, moved, amp = hop_moves(p_rows)
-    # the class rows and every hop destination, folded onto their orbits at once
-    rank, shift, period = canonical_rows(np.concatenate([p_rows, moved]))
-    p_rank, p_period = rank[:m], period[:m]
-    d_rank, d_shift, d_period = rank[m:], shift[m:], period[m:]
-    off = np.flatnonzero(shift[:m])  # a representative is its own shift-0 rotation
-    if off.size:
+    fold = _class_fold(f, p_rows.tobytes())
+    if fold.not_rep >= 0:
         raise ValidationError(
-            f"{classes[off[0]].rep!r} is not an orbit representative of this sector")
+            f"{classes[fold.not_rep].rep!r} is not an orbit representative of this sector")
     # the first class without weight at k, or equal to an earlier one
-    weightless = k.l * p_period % f != 0
-    repeated = (p_rank[:, None] == p_rank).argmax(axis=1) < np.arange(m)
-    bad = np.flatnonzero(weightless | repeated)
+    weightless = k.l * fold.p_period % f != 0
+    bad = np.flatnonzero(weightless | fold.repeated)
     if bad.size:
         rep = classes[bad[0]].rep
         raise ValidationError(f"class {rep} carries no weight at momentum l={k.l}"
@@ -405,27 +452,21 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
         raise ValidationError("classes are not degenerate at zero hopping")
     e_deg = float(e0[0])
 
+    theta = 2 * np.pi * k.l * fold.shift / f
+    value = -params.epsilon * fold.amp * fold.ratio * np.exp(1j * theta)
+    v = np.zeros((len(fold.period), m), dtype=complex)
+    np.add.at(v, (fold.row, fold.src), value)
     # destination orbits without weight at this momentum drop out
-    keep = k.l * d_period % f == 0
-    src, moved, amp = src[keep], moved[keep], amp[keep]
-    d_rank, d_shift, d_period = d_rank[keep], d_shift[keep], d_period[keep]
-    theta = 2 * np.pi * k.l * d_shift / f
-    value = -params.epsilon * amp * np.sqrt(p_period[src] / d_period) * np.exp(1j * theta)
-    # one row per destination orbit, in representative rank order
-    ranks, first, row = np.unique(d_rank, return_index=True, return_inverse=True)
-    v = np.zeros((len(ranks), m), dtype=complex)
-    np.add.at(v, (row, src), value)
-    in_p = (ranks[:, None] == p_rank).any(axis=1)
-    by_rank = np.argsort(p_rank)
+    keep = k.l * fold.period % f == 0
+    v, slot, rep_rows = v[keep], fold.slot[keep], fold.rep_rows[keep]
+    in_p = slot >= 0
     h = np.zeros((m, m), dtype=complex)
-    h[by_rank[np.searchsorted(p_rank, ranks[in_p], sorter=by_rank)]] = v[in_p]
+    h[slot[in_p]] = v[in_p]
 
     v_qp = v[~in_p]
     coupled = np.abs(v_qp).max(axis=1, initial=0.0) > 1e-12 * max(params.epsilon, 1.0)
     if coupled.any():
-        # representative rows of the coupled intermediates: rep[s] = dst[s + u]
-        at = first[~in_p][coupled]
-        q_rows = moved[at[:, None], (np.arange(f) + d_shift[at, None]) % f]
+        q_rows = rep_rows[~in_p][coupled]
         den = e_deg - diagonal_energy(q_rows, params)
         worst_pos = int(np.argmin(np.abs(den)))
         worst = float(abs(den[worst_pos]))

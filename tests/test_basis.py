@@ -17,6 +17,7 @@ from qdnls import (
     ValidationError,
     momentum_basis,
     momentum_grid,
+    pattern_classes,
     sector_dimension,
 )
 from qdnls.basis import ROW_CHUNK, TranslationOrbit, _occupations, canonical_rows, pattern_of, rank_rows
@@ -308,6 +309,46 @@ def test_orbit_of_short_period():
     for state in enumerate_sector(4, 2):
         orb = sector.orbits[locate(sector, state)[0]]
         assert (orb.rep, orb.period) == orbit_of(state)
+
+
+
+def partitions(n, largest=None):
+    """Every occupation pattern of n bosons, largest clump first."""
+    if n == 0:
+        yield ()
+        return
+    for c in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions(n - c, c):
+            yield (c,) + rest
+
+
+@pytest.mark.parametrize("f,n", [(f, n) for f in range(2, 13) for n in range(7)])
+def test_pattern_classes_equal_the_filtered_sector_table(f, n):
+    # every pattern of n, including those with more clumps than sites, and
+    # given smallest clump first
+    sector = SectorOrbits(f, n)
+    for pattern in partitions(n):
+        g = [i for i, orb in enumerate(sector.orbits) if pattern_of(orb.rep) == pattern]
+        reps, periods = pattern_classes(f, pattern[::-1])
+        want = sector.occ[sector.reps[g]]
+        assert reps.dtype == want.dtype and reps.shape == want.shape
+        assert np.array_equal(reps, want)
+        assert np.array_equal(periods, sector.periods[g])
+
+
+def test_pattern_classes_reach_rings_beyond_the_sector_table():
+    # f = 41, n = 6 would hold 9.4e6 states; {4,2} has one class per separation
+    f = 41
+    reps, periods = pattern_classes(f, (4, 2))
+    want = [(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j) for j in range(1, f)]
+    assert reps.tolist() == [list(rep) for rep in want]
+    assert periods.tolist() == [f] * (f - 1)
+
+
+@pytest.mark.parametrize("f,pattern", [(1, (2,)), (5, (2, 0)), (5, (2, -1))])
+def test_pattern_classes_validate_their_inputs(f, pattern):
+    with pytest.raises(ValidationError):
+        pattern_classes(f, pattern)
 
 
 # ------------------------------------------------------------- momentum bases

@@ -40,6 +40,7 @@ from qdnls import (
 )
 from qdnls.bands import pattern_of
 from qdnls.basis import rank_rows
+from qdnls.errors import ResonanceWarning
 from qdnls.hamiltonian import block_parts
 from qdnls.perturbation import resonance_floor
 
@@ -242,6 +243,29 @@ def test_closed_form_explains_criterion_3_spread():
     assert f"{spread:.3g}" == f"{exact_spread:.3g}"
 
 
+def test_criterion_3_spread_is_a_second_order_finite_size_effect():
+    # the k-spread of the closed {4,2} continuum at criterion 3's couplings:
+    # spread * f falls with f (about 0.015 / f), so the spread crosses the
+    # bound 10 eps^3 / gamma1^2 between f = 11 and f = 13, and every entry of
+    # the matrix carries eps^2, so halving eps quarters the spread exactly
+    # while the bound falls by 8
+    def spread(f, eps):
+        params = ModelParams(f=f, n=6, gamma1=30.0, gamma2=0.0, epsilon=eps)
+        ev = np.linalg.eigvalsh(np.array([h42_matrix(params, k) for k in momentum_grid(f)]))
+        continuum = ev[:, 1:-1]
+        return float((continuum.max(axis=0) - continuum.min(axis=0)).max())
+
+    rings = range(7, 82, 2)
+    spreads = {f: spread(f, 0.5) for f in rings}
+    scaled = [spreads[f] * f for f in rings]
+    assert all(a > b for a, b in zip(scaled, scaled[1:]))
+    assert 0.0139 < scaled[-1] < scaled[0] < 0.0173
+    bound = 10.0 * 0.5 ** 3 / 30.0 ** 2
+    assert spreads[11] > bound > spreads[13]
+    for f in (7, 11, 13, 41):
+        assert spread(f, 0.25) * 4 == spreads[f]
+
+
 # ------------------------------------------------- numeric second-order check
 
 
@@ -427,6 +451,7 @@ def test_reference_ranks_a_fixed_number_of_times_at_any_ring_size(monkeypatch):
         params = ModelParams(f=f, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
         classes = [TranslationOrbit(rep=(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j), period=f)
                    for j in range(1, f)]
+        qdnls.perturbation._class_fold.cache_clear()  # fold this family afresh
         calls.clear()
         bw_second_order_block(params, momentum_grid(f)[1], classes)
         counts.append(len(calls))
@@ -434,7 +459,9 @@ def test_reference_ranks_a_fixed_number_of_times_at_any_ring_size(monkeypatch):
 
 
 def counting_canonical_rows(monkeypatch):
-    """Patch the perturbation module's canonical_rows to record each call's row count."""
+    """Patch the perturbation module's canonical_rows to record each call's row
+    count, and forget every memoized class fold, so the next call makes its own."""
+    qdnls.perturbation._class_fold.cache_clear()
     calls = []
     canonical_rows = qdnls.perturbation.canonical_rows
 
@@ -453,22 +480,32 @@ def test_reference_folds_classes_and_destinations_in_one_call(monkeypatch, f):
     classes = [TranslationOrbit(rep=(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j), period=f)
                for j in range(1, f)]
     for k in momentum_grid(f)[:3]:
-        calls.clear()
         bw_second_order_block(params, k, classes)
-        # the f - 1 class rows stacked over their 4 (f - 1) hop destinations
-        assert calls == [(f - 1) + 4 * (f - 1)]
+    # the f - 1 class rows stacked over their 4 (f - 1) hop destinations, folded
+    # at the first momentum and reused at the others
+    assert calls == [(f - 1) + 4 * (f - 1)]
 
 
-@pytest.mark.parametrize("with_sector", [False, True])
-@pytest.mark.parametrize("case", ["rotation", "length", "count", "negative", "duplicate",
-                                  "empty", "ring"])
-def test_reference_validation_is_the_same_with_and_without_a_sector(monkeypatch, case,
-                                                                    with_sector):
+def test_a_class_family_is_folded_once_at_every_momentum_and_coupling(monkeypatch):
     calls = counting_canonical_rows(monkeypatch)
-    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
     sector = SectorOrbits(11, 4)
     cls = classes_of(sector, (2, 2))
-    k = momentum_grid(11)[0]
+    for eps in (0.5, 0.25):
+        params = ModelParams(f=11, n=4, gamma1=10.0, gamma2=0.0, epsilon=eps)
+        for k in momentum_grid(11):
+            bw_second_order_block(params, k, cls, sector)
+    # each class row has two 2-clumps, each with two moves
+    assert calls == [len(cls) + 4 * len(cls)]
+
+
+VALIDATION_CASES = ["rotation", "length", "count", "negative", "duplicate", "empty", "ring"]
+
+
+def invalid_input(case):
+    """(params, k, classes) on the f=11, n=4 sector that the reference rejects."""
+    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    cls = classes_of(SectorOrbits(11, 4), (2, 2))
+    k = MomentumIndex(0, 7) if case == "ring" else momentum_grid(11)[0]
     tail = (0,) * 8
     classes = {
         "rotation": [TranslationOrbit(rep=(0, 2, 2) + tail, period=11)],
@@ -479,8 +516,16 @@ def test_reference_validation_is_the_same_with_and_without_a_sector(monkeypatch,
         "empty": [],
         "ring": cls,
     }[case]
-    if case == "ring":
-        k = MomentumIndex(0, 7)
+    return params, k, classes
+
+
+@pytest.mark.parametrize("with_sector", [False, True])
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_reference_validation_is_the_same_with_and_without_a_sector(monkeypatch, case,
+                                                                    with_sector):
+    calls = counting_canonical_rows(monkeypatch)
+    params, k, classes = invalid_input(case)
+    sector = SectorOrbits(11, 4)
     with pytest.raises(ValidationError) as info:
         bw_second_order_block(params, k, classes, sector if with_sector else None)
     if case in ("rotation", "length", "count", "negative"):
@@ -498,3 +543,128 @@ def test_reference_rejects_a_sector_other_than_the_requested_one(n, sector_f, se
     with pytest.raises(ValidationError, match="does not match"):
         bw_second_order_block(params, momentum_grid(11)[0], classes,
                               SectorOrbits(sector_f, sector_n))
+
+
+# ------------------------------------------- the memoized class fold
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (not isinstance(got, Exception) and got.dtype == want.dtype
+            and np.array_equal(got, want))
+
+
+def assert_warm_equals_cold(params, classes, other_params, sector=None):
+    """Every momentum of `params`, each call on a fold made afresh, equals the
+    same calls on one fold made at the first momentum of `other_params`."""
+    fold = qdnls.perturbation._class_fold
+    grid = momentum_grid(params.f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cold = []
+        for k in grid:
+            fold.cache_clear()
+            cold.append(outcome(bw_second_order_block, params, k, classes, sector))
+        fold.cache_clear()
+        outcome(bw_second_order_block, other_params, grid[0], classes, sector)
+        warm = [outcome(bw_second_order_block, params, k, classes, sector) for k in grid]
+    assert fold.cache_info().misses == 1
+    assert all(same_outcome(got, want) for got, want in zip(warm, cold))
+    return cold
+
+
+# the six points of qbench's pt-reference workload: (pattern, f, n, gamma1, gamma2)
+PT_REFERENCE_POINTS = [((2, 2), 19, 4, 10.0, 0.0), ((2, 2), 23, 4, 10.0, 0.0),
+                       ((4, 2), 11, 6, 30.0, 0.0), ((4, 2), 13, 6, 30.0, 0.0),
+                       ((3, 3), 11, 6, 10.0, 20.0), ((3, 3), 13, 6, 10.0, 20.0)]
+
+
+@pytest.mark.parametrize("point", PT_REFERENCE_POINTS)
+def test_warm_fold_is_bitwise_equal_to_a_cold_one_at_the_reference_points(point):
+    pattern, f, n, gamma1, gamma2 = point
+    sector = SectorOrbits(f, n)
+    classes = classes_of(sector, pattern)
+    shipped = ModelParams(f=f, n=n, gamma1=gamma1, gamma2=gamma2, epsilon=0.5)
+    jittered = ModelParams(f=f, n=n, gamma1=gamma1 * 1.013, gamma2=gamma2 * 0.988,
+                           epsilon=0.5 * 1.017)
+    for params, other in ((shipped, jittered), (jittered, shipped)):
+        cold = assert_warm_equals_cold(params, classes, other, sector)
+        assert not any(isinstance(c, Exception) for c in cold)
+
+
+def test_warm_fold_is_bitwise_equal_to_a_cold_one_on_an_even_ring():
+    # {2,2}: the period-5 class (2,0,0,0,0,2,0,0,0,0) reaches period-10 orbits,
+    # so sqrt(d_p / d_q) differs from 1, and it has no weight at odd l;
+    # {2,1,1}: hops reach period-5 orbits, which drop out at odd l
+    sector = SectorOrbits(10, 4)
+    params = ModelParams(f=10, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+    other = ModelParams(f=10, n=4, gamma1=10.2, gamma2=0.1, epsilon=0.49)
+    pairs = classes_of(sector, (2, 2))
+    assert [orb.period for orb in pairs].count(5) == 1
+    cold = assert_warm_equals_cold(params, pairs, other)
+    assert [isinstance(c, Exception) for c in cold] == [k.l % 2 == 1 for k in momentum_grid(10)]
+    singles = classes_of(sector, (2, 1, 1))
+    cold = assert_warm_equals_cold(params, singles, other)
+    assert not any(isinstance(c, Exception) for c in cold)
+    fold = qdnls.perturbation._class_fold(10, np.array([orb.rep for orb in singles], dtype=np.int64).tobytes())
+    assert 5 in fold.period
+
+
+def rejected_input(case):
+    """`invalid_input`, a class without weight at k, classes of two patterns,
+    or resonant couplings."""
+    if case in VALIDATION_CASES:
+        return invalid_input(case)
+    if case == "weightless":
+        return (ModelParams(f=10, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5),
+                MomentumIndex(1, 10), classes_of(SectorOrbits(10, 4), (2, 2)))
+    if case == "mixed":
+        sector = SectorOrbits(11, 6)
+        return (ModelParams(f=11, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5), momentum_grid(11)[0],
+                classes_of(sector, (4, 2))[:1] + classes_of(sector, (3, 3))[:1])
+    return (ModelParams(f=11, n=4, gamma1=3.0, gamma2=1.0, epsilon=0.1), momentum_grid(11)[5],
+            classes_of(SectorOrbits(11, 4), (2, 2)))
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES + ["weightless", "mixed", "resonant"])
+def test_warm_fold_raises_what_a_cold_one_raises(case):
+    params, k, classes = rejected_input(case)
+    qdnls.perturbation._class_fold.cache_clear()
+    cold = outcome(bw_second_order_block, params, k, classes)
+    warm = outcome(bw_second_order_block, params, k, classes)
+    assert isinstance(cold, ResonanceError if case == "resonant" else ValidationError)
+    assert type(warm) is type(cold) and str(warm) == str(cold)
+
+
+def test_a_bool_entry_is_rejected_after_its_int_twin_is_folded():
+    # True packs to the same int64 bytes as 1, so the fold key is made only
+    # from rows that passed the entry checks
+    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    k = momentum_grid(11)[0]
+    ints = classes_of(SectorOrbits(11, 4), (2, 1, 1))
+    assert ints[0].rep[:3] == (2, 1, 1)
+
+    def twin(*head):
+        return [TranslationOrbit(rep=head + ints[0].rep[3:], period=11)] + ints[1:]
+
+    qdnls.perturbation._class_fold.cache_clear()
+    want = bw_second_order_block(params, k, ints)
+    assert np.array_equal(bw_second_order_block(params, k, twin(np.int64(2), 1, np.int64(1))), want)
+    bools = twin(2, 1, True)
+    with pytest.raises(ValidationError) as info:
+        bw_second_order_block(params, k, bools)
+    assert str(info.value) == f"{bools[0].rep!r} is not an orbit representative of this sector"
+    assert qdnls.perturbation._class_fold.cache_info().misses == 1
+
+
+def test_resonance_warning_names_the_caller_with_a_warm_or_cold_fold():
+    params = ModelParams(f=11, n=4, gamma1=10.0, gamma2=0.0, epsilon=2.5)
+    cls = classes_of(SectorOrbits(11, 4), (2, 2))
+    qdnls.perturbation._class_fold.cache_clear()
+    for _ in ("cold", "warm"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bw_second_order_block(params, momentum_grid(11)[5], cls)
+        assert [w.category for w in caught] == [ResonanceWarning]
+        assert caught[0].filename == __file__
