@@ -4,21 +4,21 @@ The sector (f sites, n bosons) is enumerated in descending lexicographic
 order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>; a state's
 index in that order is its rank, and `rank_rows` ranks a whole integer array.
 `SectorOrbits` holds the sector as one integer table: occupation rows in rank
-order, per-row orbit index and shift, orbit representatives, periods,
-occupation patterns (`pattern_of`, ranked once per orbit), whether each
-orbit is two adjacent clumps, and the single-boson `hops` out of any set of
-rows.  An orbit is represented by its lexicographically maximal rotation
-(the lowest rank), which puts the largest occupation first and matches the
-usual class labels |22> or |202>.
+order, orbit representatives, periods, occupation patterns (`pattern_of`,
+ranked once per orbit) and whether each orbit is two adjacent clumps.  An
+orbit is represented by its lexicographically maximal rotation (the lowest
+rank), which puts the largest occupation first and matches the usual class
+labels |22> or |202>.
 The table ranks the sector once: the translation T, which moves the
 occupation of site s to site s + 1 (mod f), maps the sector onto itself, so
 the ranks of a row's f rotations are the powers of one permutation `step`
 of the ranks.  Pointer doubling finds the lowest rank on each cycle of
 `step`, which marks the representatives, and only their cycles are walked.
-`canonical_rows` folds raw rows that need not form a sector, for the numeric
-perturbation reference (with `hop_moves`, the single-boson moves out of each
-row): it gathers all f rotations of a chunk of rows into one array and ranks
-them in a single call.
+`canonical_rows` folds raw rows that need not form a sector onto their
+orbits, ranking all f rotations of a chunk of rows in one call.
+`class_fold` is the one hop table every Bloch block, exact or perturbative,
+is built from: the moves out of a family of orbit representatives
+(`hop_moves`) folded onto their destination orbits, memoized.
 A momentum basis is an index array into that table: the orbits, in sector
 order, whose period admits the momentum.
 
@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,11 +95,12 @@ def pattern_of(state: Occ) -> tuple[int, ...]:
 
 
 def normalize_pattern(pattern) -> tuple[int, ...]:
-    """`pattern` largest first, checked to hold positive counts only."""
-    pat = tuple(sorted((int(c) for c in pattern), reverse=True))
-    if not pat or any(c < 1 for c in pat):
-        raise ValidationError(f"pattern entries must be positive integers, got {tuple(pattern)!r}")
-    return pat
+    """`pattern` largest first, checked to hold positive ints only (no bools, floats, strings)."""
+    pattern = tuple(pattern)
+    if not pattern or not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                              and c >= 1 for c in pattern):
+        raise ValidationError(f"pattern entries must be positive integers, got {pattern!r}")
+    return tuple(sorted((int(c) for c in pattern), reverse=True))
 
 
 def rank_rows(rows) -> np.ndarray:
@@ -166,6 +168,59 @@ def hop_moves(occ):
     return src, moved, np.sqrt(occ[src, s] * (occ[src, t] + 1.0))
 
 
+class ClassFold(NamedTuple):
+    """The hops out of a family of class rows, folded onto their destination
+    orbits; it depends on neither the momentum nor the couplings.
+    Per hop: `src`, `amp`, `ratio` = sqrt(class period / destination period),
+    `shift` (destination == T^shift of its representative) and `row`, its
+    destination orbit.  Per destination orbit, in representative rank order:
+    `period`, `slot` (the class it is, or -1) and `rep_rows`."""
+
+    not_rep: int  # the first class row that is not its own representative, or -1
+    p_period: np.ndarray
+    repeated: np.ndarray  # whether each class equals an earlier one
+    src: np.ndarray
+    amp: np.ndarray
+    ratio: np.ndarray
+    shift: np.ndarray
+    row: np.ndarray
+    period: np.ndarray
+    slot: np.ndarray
+    rep_rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def class_fold(f: int, key: bytes) -> ClassFold:
+    """The `ClassFold` of the int64 class rows whose bytes are `key`: one
+    `hop_moves` and one `canonical_rows` call, memoized, so every Bloch block
+    over the same classes shares them."""
+    p_rows = np.frombuffer(key, dtype=np.int64).reshape(-1, f)
+    m = len(p_rows)
+    src, moved, amp = hop_moves(p_rows)
+    # the class rows and every hop destination, folded onto their orbits at once
+    rank, shift, period = canonical_rows(np.concatenate([p_rows, moved]))
+    p_rank, p_period = rank[:m], period[:m]
+    d_shift, d_period = shift[m:], period[m:]
+    off = np.flatnonzero(shift[:m])  # a representative is its own shift-0 rotation
+    # one row per destination orbit, in representative rank order
+    ranks, first, row = np.unique(rank[m:], return_index=True, return_inverse=True)
+    # the first class of each class rank, found for each class and destination orbit
+    p_ranks, p_first = np.unique(p_rank, return_index=True)
+    at = np.searchsorted(p_ranks, ranks).clip(max=len(p_ranks) - 1)
+    fold = ClassFold(
+        not_rep=int(off[0]) if off.size else -1,
+        p_period=p_period,
+        repeated=p_first[np.searchsorted(p_ranks, p_rank)] < np.arange(m),
+        src=src, amp=amp, ratio=np.sqrt(p_period[src] / d_period), shift=d_shift, row=row,
+        period=d_period[first],
+        slot=np.where(p_ranks[at] == ranks, p_first[at], -1),
+        # rep[s] = dst[s + u]
+        rep_rows=moved[first[:, None], (np.arange(f) + d_shift[first, None]) % f])
+    for a in fold[1:]:
+        a.flags.writeable = False  # cached: every call with these classes shares it
+    return fold
+
+
 def pattern_classes(f: int, pattern):
     """The orbits of one occupation pattern (clump sizes in any order) on an
     f-site ring, without a sector table, as arrays (reps, periods): the
@@ -205,14 +260,13 @@ class SectorOrbits:
     """Integer table of one (f, n) sector and its translation orbits.
 
     `occ[i]` is the state of rank i.  Orbits are ordered by representative;
-    orbit g has representative row `reps[g]` and period `periods[g]`, and
-    `orbits[g]` carries both as a TranslationOrbit.  Every row i satisfies
-    occ[i] == T^shift_of[i] orbits[orbit_of[i]].rep with
-    0 <= shift_of[i] < period.  These equal `canonical_rows(occ)`, read off the
-    translation permutation of the ranks instead of f rankings: ceil(log2 f)
+    orbit g has the representative of rank `reps[g]` and period `periods[g]`,
+    and `orbits[g]` carries both as a TranslationOrbit.  These equal the
+    shift-0 rows of `canonical_rows(occ)`, read off the translation
+    permutation of the ranks instead of f rankings: ceil(log2 f)
     pointer-doubling rounds over the sector, then one (orbits, f) walk from
-    the representatives.  Orbit g has
-    occupation pattern `patterns[pattern_ids[g]]`; `patterns` runs largest first.
+    the representatives.  Orbit g has occupation pattern
+    `patterns[pattern_ids[g]]`; `patterns` runs largest first.
     `adjacent[g]` holds when orbit g is two clumps on neighbouring sites.
     """
 
@@ -226,18 +280,12 @@ class SectorOrbits:
         for _ in range((f - 1).bit_length()):
             low, jump = np.minimum(low, low[jump]), jump[jump]
         self.reps = np.flatnonzero(low == np.arange(self.dim))
-        # walk[g, t] is the rank of T^t reps[g]; its first periods[g] steps cover orbit g once
+        # walk[g, t] is the rank of T^t reps[g], where reps[g] recurs f / periods[g] times
         walk = np.empty((len(self.reps), f), dtype=np.int64)
         walk[:, 0] = self.reps
         for t in range(1, f):
             walk[:, t] = step[walk[:, t - 1]]
         self.periods = f // (walk == self.reps[:, None]).sum(axis=1)
-        g, t = np.nonzero(np.arange(f) < self.periods[:, None])
-        self.orbit_of = np.empty(self.dim, dtype=np.int64)
-        self.shift_of = np.empty(self.dim, dtype=np.int64)
-        members = walk[g, t]
-        self.orbit_of[members] = g
-        self.shift_of[members] = t
         rep_rows = occ[self.reps]
         self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
                        for r, d in zip(rep_rows.tolist(), self.periods.tolist())]
@@ -250,13 +298,6 @@ class SectorOrbits:
         # is adjacent on site 1 or, around the ring, on site f - 1
         occupied = rep_rows > 0
         self.adjacent = (occupied.sum(axis=1) == 2) & (occupied[:, 1] | occupied[:, -1])
-
-    def hops(self, rows):
-        """Single-boson hops out of the given rows, as arrays (src, dst, amp):
-        the `hop_moves` of their occupations, each destination as its rank."""
-        rows = np.asarray(rows, dtype=np.int64)
-        src, moved, amp = hop_moves(self.occ[rows])
-        return rows[src], rank_rows(moved), amp
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ block element between orbits r' and r at momentum k is
 
 with the Bloch convention of `basis` (phase exp(-i k t) on T^t |rep>).
 
-The dense oracle and the blocks share one hop table, `SectorOrbits.hops`: the
-oracle takes the hops out of every state, a block those out of its orbit
-representatives, each destination folded onto its orbit with a Bloch phase.
-The table's move kernel, `basis.hop_moves`, also drives the numeric
-perturbation reference, which folds destinations onto their orbits without
-any table.
+Every block, like the numeric perturbation reference, takes its elements
+from one hop table, `basis.class_fold`: the single-boson moves out of its
+orbit representatives, each destination folded onto its orbit, memoized per
+family of representatives.  `bloch_elements` turns that fold into the
+per-hop block elements at one momentum.  The dense oracle takes the moves out
+of every state (`basis.hop_moves`) and ranks their destinations itself, so
+it shares no fold with the blocks it checks.
 
 The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
@@ -44,12 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    ClassFold,
     MomentumBasis,
     MomentumIndex,
     SectorOrbits,
     check_sector,
+    class_fold,
+    hop_moves,
     momentum_basis,
     momentum_grid,
+    rank_rows,
     sector_dimension,
 )
 from .eigensolve import Spectrum, eigh
@@ -114,10 +119,10 @@ def full_matrix(params: ModelParams) -> np.ndarray:
     cap = dense_cap()
     if dim > cap:
         raise CapacityError(f"sector dimension {dim} exceeds the dense cap {cap}")
-    sector = SectorOrbits(params.f, params.n)
-    h = np.diag(diagonal_energy(sector.occ, params))
-    src, dst, amp = sector.hops(np.arange(dim))
-    np.add.at(h, (dst, src), -params.epsilon * amp)
+    occ = SectorOrbits(params.f, params.n).occ
+    h = np.diag(diagonal_energy(occ, params))
+    src, moved, amp = hop_moves(occ)
+    np.add.at(h, (rank_rows(moved), src), -params.epsilon * amp)
     return h
 
 
@@ -125,6 +130,13 @@ def reduced_label(l: int, f: int) -> int:
     """l - f * round(l / f), halves to even: congruent to l mod f and odd in
     l, so -l and, unless l = f/2, f - l reduce to minus the reduction of l."""
     return l - f * round(l / f)
+
+
+def bloch_elements(fold: ClassFold, params: ModelParams, k: MomentumIndex) -> np.ndarray:
+    """Per hop of `fold`, its Bloch element at momentum k between the class
+    and destination orbits: -epsilon amp sqrt(d_class / d_dest) exp(i k u)."""
+    theta = 2 * np.pi * reduced_label(k.l, params.f) * fold.shift / params.f
+    return -params.epsilon * fold.amp * fold.ratio * np.exp(1j * theta)
 
 
 def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None):
@@ -137,23 +149,17 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     cap = dense_cap()
     if dim > cap:
         raise CapacityError(f"momentum block dimension {dim} exceeds the dense cap {cap}")
-    sec = basis.sector
-    reps = sec.reps[basis.orbit_indices]
-    col_of = np.full(len(sec.orbits), -1)
-    col_of[basis.orbit_indices] = np.arange(dim)
-    src, dst, amp = sec.hops(reps)
-    # destination orbits without weight at this momentum drop out
-    keep = col_of[sec.orbit_of[dst]] >= 0
-    g_src, g_dst = sec.orbit_of[src[keep]], sec.orbit_of[dst[keep]]
-    theta = 2 * np.pi * reduced_label(k.l, params.f) * sec.shift_of[dst[keep]] / params.f
+    rows = basis.sector.occ[basis.sector.reps[basis.orbit_indices]]
+    fold = class_fold(params.f, rows.tobytes())
+    # destination orbits without weight at this momentum are not in the basis
+    col = fold.slot[fold.row]
+    keep = col >= 0
     v = np.zeros((dim, dim), dtype=complex)
-    np.add.at(v, (col_of[g_dst], col_of[g_src]),
-              -params.epsilon * amp[keep] * np.sqrt(sec.periods[g_src] / sec.periods[g_dst])
-              * np.exp(1j * theta))
+    np.add.at(v, (col[keep], fold.src[keep]), bloch_elements(fold, params, k)[keep])
     # in place, so only v and its conjugate transpose are alive at once
     v += v.conj().T
     v *= 0.5
-    return basis, diagonal_energy(sec.occ[reps], params), v
+    return basis, diagonal_energy(rows, params), v
 
 
 def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None

@@ -28,29 +28,25 @@ All three return only the order-eps^2 correction; add `pattern_energy` for
 absolute energies, or call `pt_band` for the absolute band energies at every
 momentum.  `bw_second_order_block` builds the same object numerically
 from single-boson hops for any degenerate family of classes and is the
-independent check of the closed forms.  It takes only the hops out of the
-class representatives, through the move kernel the sector table uses
-(`basis.hop_moves`), and folds the classes and every destination onto their
-orbits once per class family, memoized; it needs no sector table and no
-dense block, so the dense cap does not apply and it reaches rings no exact
-solve does.
+independent check of the closed forms.  It takes its first-order couplings
+from the hop table the exact Bloch blocks use, `basis.class_fold` over the
+class representatives, and `hamiltonian.bloch_elements`; it needs no sector
+table and no dense block, so the dense cap does not apply and it reaches
+rings no exact solve does.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (MomentumIndex, SectorOrbits, canonical_rows, hop_moves, momentum_grid,
-                    normalize_pattern)
+from .basis import MomentumIndex, SectorOrbits, class_fold, momentum_grid, normalize_pattern
 from .eigensolve import eigh
 from .errors import PTValidityWarning, ResonanceError, ResonanceWarning, ValidationError
-from .hamiltonian import ModelParams, diagonal_energy
+from .hamiltonian import ModelParams, bloch_elements, diagonal_energy
 
 RESONANCE_FLOOR_REL = 1e-6
 WARN_EPS_FACTOR = 10.0
@@ -90,8 +86,13 @@ def _sigma_for_pt(params: ModelParams) -> int:
     return sigma
 
 
-def _kval(k) -> float:
-    return k.k if isinstance(k, MomentumIndex) else float(k)
+def _kval(params: ModelParams, k) -> float:
+    """k as a float; a MomentumIndex must be a momentum of the ring of `params`."""
+    if not isinstance(k, MomentumIndex):
+        return float(k)
+    if k.f != params.f:
+        raise ValidationError(f"momentum index on f={k.f} does not match the ring f={params.f}")
+    return k.k
 
 
 def onsite_energy(s: int, gamma1: float, gamma2: float) -> float:
@@ -144,7 +145,7 @@ def h22_matrix(params: ModelParams, k) -> np.ndarray:
     """
     sigma = _sigma_for_pt(params)
     c = coeffs22(params)
-    kv = _kval(k)
+    kv = _kval(params, k)
     if sigma == 1:
         # adjacent and maximal separation coincide; keep the impurity entry only
         return np.array([[c.shift + c.prefactor * c.impurity]], dtype=complex)
@@ -188,7 +189,7 @@ def band22_asymptotic(params: ModelParams, k) -> AsymptoticBand22:
     if abs(3.0 * g2 - 4.0 * g1) < resonance_floor(params):
         # impurity strength vanishes and the line formula degenerates
         raise ResonanceError("3*gamma2 - 4*gamma1 (line coupling)", 3.0 * g2 - 4.0 * g1)
-    kv = _kval(k)
+    kv = _kval(params, k)
     kn = math.remainder(kv, 2.0 * math.pi)
     hc = math.cos(0.5 * kn)
     center = 2.0 * onsite_energy(2, g1, g2)
@@ -256,7 +257,7 @@ def h42_matrix(params: ModelParams, k) -> np.ndarray:
     # With the rightward translation and exp(-i k t) Bloch phase used
     # throughout, the winding corner carries the conjugate phase in the
     # upper-right entry, mirroring the kappa orientation of the {2, 2} band.
-    cl = c.closure(_kval(k))
+    cl = c.closure(_kval(params, k))
     m[0, dim - 1] += np.conj(cl)
     m[dim - 1, 0] += cl
     h = c.prefactor * m
@@ -304,9 +305,11 @@ def h33_matrix(params: ModelParams, k=None) -> np.ndarray:
 
     Basis index j = 1 .. sigma is the clump separation; the adjacent class
     |33> carries the impurity.  Add pattern_energy((3, 3), params) for
-    absolute energies.
+    absolute energies.  A momentum index from another ring is still rejected.
     """
     sigma = _sigma_for_pt(params)
+    if k is not None:
+        _kval(params, k)
     c = coeffs33(params)
     diag = np.full(sigma, c.prefactor, dtype=complex)
     diag[0] = c.prefactor * (1.0 + c.impurity)
@@ -323,7 +326,8 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
     given one.
 
     Raises ValidationError for a pattern without a closed form, a boson count
-    other than n or an even ring, and ResonanceError for resonant couplings.
+    other than n, an even ring or a momentum of another ring, and
+    ResonanceError for resonant couplings.
     """
     pattern = normalize_pattern(pattern)
     build = PT_BUILDERS.get(pattern)
@@ -345,7 +349,7 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
 def _class_rows(params: ModelParams, classes: list) -> np.ndarray:
     """The representatives of `classes` as a (len, f) int array, each checked
     to be a row of f non-negative integers summing to n; whether a row is its
-    own lowest-rank rotation is left to the caller's `canonical_rows`."""
+    own lowest-rank rotation is left to `basis.class_fold`."""
     if not classes:
         raise ValidationError("need at least one degenerate class")
     f, n = params.f, params.n
@@ -358,55 +362,6 @@ def _class_rows(params: ModelParams, classes: list) -> np.ndarray:
     return np.array([orb.rep for orb in classes], dtype=np.int64)
 
 
-class _ClassFold(NamedTuple):
-    """The momentum- and parameter-free half of `bw_second_order_block` for
-    one family of class rows: their hops, folded onto the destination orbits.
-    Per hop: `src`, `amp`, `ratio` = sqrt(class period / destination period),
-    `shift` (destination == T^shift of its representative) and `row`, its
-    destination orbit.  Per destination orbit, in representative rank order:
-    `period`, `slot` (the class it is, or -1) and `rep_rows`."""
-
-    not_rep: int  # the first class row that is not its own representative, or -1
-    p_period: np.ndarray
-    repeated: np.ndarray  # whether each class equals an earlier one
-    src: np.ndarray
-    amp: np.ndarray
-    ratio: np.ndarray
-    shift: np.ndarray
-    row: np.ndarray
-    period: np.ndarray
-    slot: np.ndarray
-    rep_rows: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def _class_fold(f: int, key: bytes) -> _ClassFold:
-    """The `_ClassFold` of the int64 class rows whose bytes are `key`."""
-    p_rows = np.frombuffer(key, dtype=np.int64).reshape(-1, f)
-    m = len(p_rows)
-    src, moved, amp = hop_moves(p_rows)
-    # the class rows and every hop destination, folded onto their orbits at once
-    rank, shift, period = canonical_rows(np.concatenate([p_rows, moved]))
-    p_rank, p_period = rank[:m], period[:m]
-    d_shift, d_period = shift[m:], period[m:]
-    off = np.flatnonzero(shift[:m])  # a representative is its own shift-0 rotation
-    # one row per destination orbit, in representative rank order
-    ranks, first, row = np.unique(rank[m:], return_index=True, return_inverse=True)
-    is_class = ranks[:, None] == p_rank
-    fold = _ClassFold(
-        not_rep=int(off[0]) if off.size else -1,
-        p_period=p_period,
-        repeated=(p_rank[:, None] == p_rank).argmax(axis=1) < np.arange(m),
-        src=src, amp=amp, ratio=np.sqrt(p_period[src] / d_period), shift=d_shift, row=row,
-        period=d_period[first],
-        slot=np.where(is_class.any(axis=1), is_class.argmax(axis=1), -1),
-        # rep[s] = dst[s + u]
-        rep_rows=moved[first[:, None], (np.arange(f) + d_shift[first, None]) % f])
-    for a in fold[1:]:
-        a.flags.writeable = False  # cached: every call with these classes shares it
-    return fold
-
-
 def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
                           sector: SectorOrbits | None = None) -> np.ndarray:
     """Second-order effective matrix over Bloch-symmetrized degenerate classes.
@@ -416,27 +371,25 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     state q outside it.  No closed forms enter; this is the reference the
     {2,2}, {4,2} and {3,3} matrices are validated against.
 
-    Only the hops out of the class representatives are taken (`hop_moves`);
-    one `canonical_rows` call on the class rows stacked over the destinations
-    (one `rank_rows` call per `basis.ROW_CHUNK` rows, whatever f) checks each
-    class row is its own representative and folds each destination onto its
-    orbit, so no sector table, dense block or dense cap is involved and rings
-    far beyond exact reach work.  That fold depends on neither k nor the
-    couplings, so it is made once per class family, memoized; each call adds
-    the Bloch phases and the denominators.  `sector` is optional and unused
+    Only the hops out of the class representatives are taken: `class_fold`
+    checks each class row is its own representative and folds each hop
+    destination onto its orbit with one `canonical_rows` call (one
+    `rank_rows` call per `basis.ROW_CHUNK` rows, whatever f), so no sector
+    table, dense block or dense cap is involved.  The fold is memoized per
+    class family; each call adds the Bloch elements of the exact blocks
+    (`bloch_elements`) and the denominators.  `sector` is optional and unused
     beyond a check that it is the (f, n) sector of `params`.
     """
     classes = list(classes)
     f = params.f
-    if k.f != f:
-        raise ValidationError(f"momentum index on f={k.f} does not match the ring f={f}")
+    _kval(params, k)  # k must be a momentum of this ring
     if sector is not None and (sector.f, sector.n) != (f, params.n):
         raise ValidationError(
             f"sector (f={sector.f}, n={sector.n}) does not match the requested "
             f"(f={f}, n={params.n})")
     p_rows = _class_rows(params, classes)
     m = len(p_rows)
-    fold = _class_fold(f, p_rows.tobytes())
+    fold = class_fold(f, p_rows.tobytes())
     if fold.not_rep >= 0:
         raise ValidationError(
             f"{classes[fold.not_rep].rep!r} is not an orbit representative of this sector")
@@ -452,10 +405,8 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
         raise ValidationError("classes are not degenerate at zero hopping")
     e_deg = float(e0[0])
 
-    theta = 2 * np.pi * k.l * fold.shift / f
-    value = -params.epsilon * fold.amp * fold.ratio * np.exp(1j * theta)
     v = np.zeros((len(fold.period), m), dtype=complex)
-    np.add.at(v, (fold.row, fold.src), value)
+    np.add.at(v, (fold.row, fold.src), bloch_elements(fold, params, k))
     # destination orbits without weight at this momentum drop out
     keep = k.l * fold.period % f == 0
     v, slot, rep_rows = v[keep], fold.slot[keep], fold.rep_rows[keep]

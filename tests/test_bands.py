@@ -26,7 +26,7 @@ from qdnls import (
 )
 import qdnls.bands as bands_module
 import qdnls.basis as basis_module
-from qdnls.basis import MomentumIndex, SectorOrbits, momentum_basis, momentum_grid, rank_rows
+from qdnls.basis import MomentumIndex, SectorOrbits, canonical_rows, momentum_basis, momentum_grid
 from qdnls.bands import normalize_pattern, pattern_of
 
 from conftest import points_at
@@ -70,7 +70,7 @@ def test_adjacency_tags_ring_neighbors():
     sector = SectorOrbits(5, 4)
 
     def adjacent(state):
-        return bool(sector.adjacent[sector.orbit_of[rank_rows([state])[0]]])
+        return bool(sector.adjacent[np.searchsorted(sector.reps, canonical_rows([state])[0][0])])
 
     for state, want in (((2, 2, 0, 0, 0), True), ((2, 0, 2, 0, 0), False),
                         ((2, 0, 0, 0, 2), True),    # wraps around the ring
@@ -96,6 +96,11 @@ def test_normalize_pattern_sorts_and_validates():
         normalize_pattern([2, 0])
     with pytest.raises(ValidationError):
         normalize_pattern([])
+    assert normalize_pattern((np.int64(2), 4)) == (4, 2)
+    # entries are never truncated or parsed: (2.5, 2.5) is no {2,2}
+    for bad in ([2.5, 2.5], [2.9, 2], ["2", "2"], [True, 1], [4, np.float64(2.0)]):
+        with pytest.raises(ValidationError, match="positive integers"):
+            normalize_pattern(bad)
 
 
 # -------------------------------------------------------------- classification
@@ -354,6 +359,8 @@ def test_extract_band_validates_pattern_and_inputs():
     spectra = labelled_spectra(p)
     with pytest.raises(ValidationError):
         extract_band(p, (5, 1), spectra)  # wrong boson count
+    with pytest.raises(ValidationError):
+        extract_band(p, (2.5, 2.5), spectra)  # not truncated to (2, 2)
     three = ModelParams(f=3, n=4, gamma1=10.0)
     three_spectra = labelled_spectra(three)
     with pytest.raises(ValidationError):

@@ -40,8 +40,8 @@ def rank(state):
 
 def locate(sector, state):
     """(orbit index g, shift u) with state == T^u orbits[g].rep."""
-    i = rank(state)
-    return int(sector.orbit_of[i]), int(sector.shift_of[i])
+    rep_rank, shift, _ = canonical_rows([state])
+    return int(np.searchsorted(sector.reps, rep_rank[0])), int(shift[0])
 
 
 def translate(state, t):
@@ -250,9 +250,9 @@ def test_canonical_rows_across_several_chunks(f):
 def assert_table_is_canonical_rows_of_its_rows(sector):
     rep_rank, shift, period = canonical_rows(sector.occ)
     reps = np.flatnonzero(rep_rank == np.arange(sector.dim))
-    for got, want in ((sector.reps, reps), (sector.reps[sector.orbit_of], rep_rank),
-                      (sector.shift_of, shift), (sector.periods, period[reps]),
-                      (sector.periods[sector.orbit_of], period)):
+    orbit = np.searchsorted(sector.reps, rep_rank)
+    for got, want in ((sector.reps, reps), (sector.reps[orbit], rep_rank),
+                      (sector.periods, period[reps]), (sector.periods[orbit], period)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -295,8 +295,10 @@ def sector_table_by_rotation_ranks(occ):
 def test_sector_table_equals_the_rotation_rank_table(f, n):
     sector = SectorOrbits(f, n)
     reps, orbit_of, shift_of, periods = sector_table_by_rotation_ranks(sector.occ)
-    for got, want in ((sector.reps, reps), (sector.orbit_of, orbit_of),
-                      (sector.shift_of, shift_of), (sector.periods, periods)):
+    # each row's orbit and shift: canonical_rows, then the table's representatives
+    rep_rank, shift, _ = canonical_rows(sector.occ)
+    for got, want in ((sector.reps, reps), (np.searchsorted(sector.reps, rep_rank), orbit_of),
+                      (shift, shift_of), (sector.periods, periods)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert sector.orbits == [TranslationOrbit(rep=tuple(sector.occ[r].tolist()), period=int(d))
@@ -345,7 +347,8 @@ def test_pattern_classes_reach_rings_beyond_the_sector_table():
     assert periods.tolist() == [f] * (f - 1)
 
 
-@pytest.mark.parametrize("f,pattern", [(1, (2,)), (5, (2, 0)), (5, (2, -1))])
+@pytest.mark.parametrize("f,pattern", [(1, (2,)), (5, (2, 0)), (5, (2, -1)), (7, (2.9, 2)),
+                                       (7, ("2", "2"))])
 def test_pattern_classes_validate_their_inputs(f, pattern):
     with pytest.raises(ValidationError):
         pattern_classes(f, pattern)

@@ -26,7 +26,8 @@ from qdnls import (
     momentum_grid,
     momentum_spectra,
 )
-from qdnls.basis import momentum_basis, rank_rows
+import qdnls.basis as basis_module
+from qdnls.basis import hop_moves, momentum_basis
 from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap
 
 
@@ -74,13 +75,12 @@ def test_diagonal_energy_is_additive_over_sites():
 def test_hop_element_amplitudes():
     # boson moves from site s to s+direction with sqrt(n_src (n_dst + 1)),
     # listed by site and then direction +1, -1; empty sites contribute nothing
-    sector = SectorOrbits(3, 3)
-    src, dst, amp = sector.hops(rank_rows([(2, 1, 0)]))
-    assert [tuple(sector.occ[d]) for d in dst] == [(1, 2, 0), (1, 1, 1), (2, 0, 1), (3, 0, 0)]
+    src, moved, amp = hop_moves([(2, 1, 0)])
+    assert [tuple(m) for m in moved.tolist()] == [(1, 2, 0), (1, 1, 1), (2, 0, 1), (3, 0, 0)]
     assert amp == pytest.approx(np.sqrt([2.0 * 2.0, 2.0, 1.0, 3.0]))
-    assert list(src) == list(rank_rows([(2, 1, 0)])) * 4
-    _, dst, _ = sector.hops(rank_rows([(2, 0, 1)]))
-    assert [tuple(sector.occ[d]) for d in dst] == [(1, 1, 1), (1, 0, 2), (3, 0, 0), (2, 1, 0)]
+    assert list(src) == [0] * 4
+    _, moved, _ = hop_moves([(2, 0, 1)])
+    assert [tuple(m) for m in moved.tolist()] == [(1, 1, 1), (1, 0, 2), (3, 0, 0), (2, 1, 0)]
 
 
 def test_two_site_spectrum_doubles_the_bond():
@@ -131,6 +131,27 @@ def test_blocks_are_bitwise_hermitian():
     for l in (-3, 0, 2):
         _, block = assemble_block(params, MomentumIndex(l, 7))
         assert np.array_equal(block, block.conj().T)
+
+
+def test_a_sector_is_folded_once_and_the_oracle_not_at_all(monkeypatch):
+    calls = []
+    canonical_rows = basis_module.canonical_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return canonical_rows(rows)
+
+    monkeypatch.setattr(basis_module, "canonical_rows", counting)
+    basis_module.class_fold.cache_clear()
+    params = ModelParams(f=7, n=3, gamma1=1.3, gamma2=0.4, epsilon=0.7)
+    # prime f, n < f: every orbit has period f, so every momentum has the same
+    # basis and all seven blocks read one fold
+    assert len(momentum_spectra(params)) == 7
+    assert len(calls) == 1
+    calls.clear()
+    basis_module.class_fold.cache_clear()
+    full_matrix(params)  # the oracle ranks its hops itself
+    assert calls == []
 
 
 def test_opposite_momenta_share_eigenvalues():

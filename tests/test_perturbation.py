@@ -126,6 +126,24 @@ def test_even_ring_rejected():
         h22_matrix(params, 0.0)
 
 
+def test_closed_forms_reject_a_momentum_of_another_ring():
+    pair = ModelParams(f=11, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+    heavy = ModelParams(f=11, n=6, gamma1=30.0, gamma2=0.0, epsilon=0.5)
+    flat = ModelParams(f=11, n=6, gamma1=10.0, gamma2=20.0, epsilon=0.5)
+    alien = MomentumIndex(1, 13)
+    for build, params in ((h22_matrix, pair), (h42_matrix, heavy), (h33_matrix, flat),
+                          (band22_asymptotic, pair)):
+        with pytest.raises(ValidationError,
+                           match="momentum index on f=13 does not match the ring f=11"):
+            build(params, alien)  # h33_matrix never reads k, and still rejects it
+        # a float k is taken as it is, and a momentum index of the ring as its k
+        own = MomentumIndex(1, 11)
+        want, got = build(params, own.k), build(params, own)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+    with pytest.raises(ValidationError, match="does not match the ring"):
+        pt_band(pair, (2, 2), momentum_grid(13))
+
+
 def test_matrices_conjugate_under_momentum_reversal():
     params = ModelParams(f=11, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
     pair = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
@@ -277,7 +295,7 @@ def test_first_order_coupling_vanishes_between_pair_classes():
     cls = classes_of(sector, (2, 2))
     for k in momentum_grid(11)[:3]:
         basis, _, v = block_parts(params, k, sector)
-        orbits = sector.orbit_of[rank_rows([orb.rep for orb in cls])]
+        orbits = np.searchsorted(sector.reps, rank_rows([orb.rep for orb in cls]))
         rows = [int(np.flatnonzero(basis.orbit_indices == g)[0]) for g in orbits]
         assert np.abs(v[np.ix_(rows, rows)]).max() == 0.0
 
@@ -354,7 +372,7 @@ def dense_reference(params, k, classes, sector):
     basis, diag, v = block_parts(params, k, sector)
     p = []
     for orb in classes:
-        g = sector.orbit_of[rank_rows([orb.rep])[0]]
+        g = np.searchsorted(sector.reps, rank_rows([orb.rep])[0])
         j = int(np.searchsorted(basis.orbit_indices, g))
         if j == basis.dim or basis.orbit_indices[j] != g:
             raise ValidationError(f"class {orb.rep} carries no weight at momentum l={k.l}")
@@ -416,6 +434,28 @@ def test_local_engine_equals_dense_block_reference(family):
             assert np.abs(got - want).max() <= tol
 
 
+@pytest.mark.parametrize("f,n,pattern,gamma1", [(10, 4, (2, 2), 10.0), (12, 6, (4, 2), 30.0),
+                                                (8, 4, (2, 2), 10.0)])
+def test_reference_at_opposite_momenta_of_an_even_ring_is_bitwise_conjugate(f, n, pattern,
+                                                                           gamma1):
+    # the Bloch phase reads the reduced label, so l and f - l give exactly
+    # opposite phases, as in the exact blocks
+    params = ModelParams(f=f, n=n, gamma1=gamma1, gamma2=0.0, epsilon=0.5)
+    reps, periods = qdnls.pattern_classes(f, pattern)
+    classes = [TranslationOrbit(rep=tuple(r), period=d)
+               for r, d in zip(reps.tolist(), periods.tolist())]
+    checked = 0
+    for l in range(1, f // 2):
+        plus = outcome(bw_second_order_block, params, MomentumIndex(l, f), classes)
+        minus = outcome(bw_second_order_block, params, MomentumIndex(f - l, f), classes)
+        if isinstance(plus, Exception):  # a period-f/2 class has no weight at odd l
+            assert type(minus) is type(plus)
+            continue
+        assert np.array_equal(minus, plus.conj())
+        checked += 1
+    assert checked >= (f // 2 - 1) // 2
+
+
 def test_reference_reaches_rings_beyond_the_sector_table(monkeypatch):
     # f = 41, n = 6 has 9.4e6 states; the {4,2} classes are the 4-clump at
     # site 0 and the 2-clump at each clockwise separation 1 .. 40
@@ -451,7 +491,7 @@ def test_reference_ranks_a_fixed_number_of_times_at_any_ring_size(monkeypatch):
         params = ModelParams(f=f, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
         classes = [TranslationOrbit(rep=(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j), period=f)
                    for j in range(1, f)]
-        qdnls.perturbation._class_fold.cache_clear()  # fold this family afresh
+        qdnls.basis.class_fold.cache_clear()  # fold this family afresh
         calls.clear()
         bw_second_order_block(params, momentum_grid(f)[1], classes)
         counts.append(len(calls))
@@ -459,17 +499,18 @@ def test_reference_ranks_a_fixed_number_of_times_at_any_ring_size(monkeypatch):
 
 
 def counting_canonical_rows(monkeypatch):
-    """Patch the perturbation module's canonical_rows to record each call's row
-    count, and forget every memoized class fold, so the next call makes its own."""
-    qdnls.perturbation._class_fold.cache_clear()
+    """Patch the basis module's canonical_rows, which the class fold calls, to
+    record each call's row count, and forget every memoized class fold, so the
+    next call makes its own."""
+    qdnls.basis.class_fold.cache_clear()
     calls = []
-    canonical_rows = qdnls.perturbation.canonical_rows
+    canonical_rows = qdnls.basis.canonical_rows
 
     def counting(rows):
         calls.append(len(rows))
         return canonical_rows(rows)
 
-    monkeypatch.setattr(qdnls.perturbation, "canonical_rows", counting)
+    monkeypatch.setattr(qdnls.basis, "canonical_rows", counting)
     return calls
 
 
@@ -558,7 +599,7 @@ def same_outcome(got, want):
 def assert_warm_equals_cold(params, classes, other_params, sector=None):
     """Every momentum of `params`, each call on a fold made afresh, equals the
     same calls on one fold made at the first momentum of `other_params`."""
-    fold = qdnls.perturbation._class_fold
+    fold = qdnls.basis.class_fold
     grid = momentum_grid(params.f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -607,7 +648,7 @@ def test_warm_fold_is_bitwise_equal_to_a_cold_one_on_an_even_ring():
     singles = classes_of(sector, (2, 1, 1))
     cold = assert_warm_equals_cold(params, singles, other)
     assert not any(isinstance(c, Exception) for c in cold)
-    fold = qdnls.perturbation._class_fold(10, np.array([orb.rep for orb in singles], dtype=np.int64).tobytes())
+    fold = qdnls.basis.class_fold(10, np.array([orb.rep for orb in singles], dtype=np.int64).tobytes())
     assert 5 in fold.period
 
 
@@ -630,7 +671,7 @@ def rejected_input(case):
 @pytest.mark.parametrize("case", VALIDATION_CASES + ["weightless", "mixed", "resonant"])
 def test_warm_fold_raises_what_a_cold_one_raises(case):
     params, k, classes = rejected_input(case)
-    qdnls.perturbation._class_fold.cache_clear()
+    qdnls.basis.class_fold.cache_clear()
     cold = outcome(bw_second_order_block, params, k, classes)
     warm = outcome(bw_second_order_block, params, k, classes)
     assert isinstance(cold, ResonanceError if case == "resonant" else ValidationError)
@@ -648,20 +689,20 @@ def test_a_bool_entry_is_rejected_after_its_int_twin_is_folded():
     def twin(*head):
         return [TranslationOrbit(rep=head + ints[0].rep[3:], period=11)] + ints[1:]
 
-    qdnls.perturbation._class_fold.cache_clear()
+    qdnls.basis.class_fold.cache_clear()
     want = bw_second_order_block(params, k, ints)
     assert np.array_equal(bw_second_order_block(params, k, twin(np.int64(2), 1, np.int64(1))), want)
     bools = twin(2, 1, True)
     with pytest.raises(ValidationError) as info:
         bw_second_order_block(params, k, bools)
     assert str(info.value) == f"{bools[0].rep!r} is not an orbit representative of this sector"
-    assert qdnls.perturbation._class_fold.cache_info().misses == 1
+    assert qdnls.basis.class_fold.cache_info().misses == 1
 
 
 def test_resonance_warning_names_the_caller_with_a_warm_or_cold_fold():
     params = ModelParams(f=11, n=4, gamma1=10.0, gamma2=0.0, epsilon=2.5)
     cls = classes_of(SectorOrbits(11, 4), (2, 2))
-    qdnls.perturbation._class_fold.cache_clear()
+    qdnls.basis.class_fold.cache_clear()
     for _ in ("cold", "warm"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
