@@ -1,8 +1,9 @@
 """Occupation basis for bosons on a periodic ring, translation orbits, momentum sectors.
 
 The sector (f sites, n bosons) is enumerated in descending lexicographic
-order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>; a state's
-index in that order is its rank, and `rank_rows` ranks a whole integer array.
+order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>, by f - 1
+passes over 1-D arrays that write the table once; a state's index in that
+order is its rank, and `rank_rows` ranks a whole integer array column by column.
 `SectorOrbits` holds the sector as one integer table: occupation rows in rank
 order, orbit representatives, periods, occupation patterns (`pattern_of`,
 ranked once per orbit) and whether each orbit is two adjacent clumps.  An
@@ -62,20 +63,29 @@ def sector_dimension(f: int, n: int) -> int:
 
 
 def _occupations(f: int, n: int) -> np.ndarray:
-    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order."""
+    """The (f, n) sector as a (dim, f) integer array in descending lexicographic order.
+
+    Pass j splits each prefix's unplaced bosons between site j (`head`, most
+    first) and the rest; the table is written once, walking `parent` back.
+    """
     dim = sector_dimension(f, n)
     if dim > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"sector (f={f}, n={n}) has {dim} states, above the cap {DEFAULT_STATE_CAP}")
-    occ = np.full((1, 1), n, dtype=np.int64)
+    rest, passes = np.full(1, n, dtype=np.int64), []
     for _ in range(f - 1):
-        # split the last column (bosons not yet placed) into the next site and
-        # the rest, the next site taking the most bosons first
-        rest = occ[:, -1]
-        parent = np.repeat(np.arange(len(occ)), rest + 1)
+        parent = np.repeat(np.arange(len(rest)), rest + 1)
         start = np.cumsum(rest + 1) - (rest + 1)
-        head = rest[parent] - (np.arange(len(parent)) - start[parent])
-        occ = np.column_stack([occ[parent, :-1], head, rest[parent] - head])
+        rest = rest[parent]
+        head = rest - (np.arange(len(parent)) - start[parent])
+        rest -= head
+        passes.append((head, parent))
+    occ = np.empty((dim, f), dtype=np.int64)
+    occ[:, -1] = rest
+    at = np.arange(dim)
+    for j, (head, parent) in reversed(list(enumerate(passes))):
+        occ[:, j] = head[at]
+        at = parent[at]
     return occ
 
 
@@ -108,13 +118,18 @@ def rank_rows(rows) -> np.ndarray:
 
     A state is preceded by every state that shares its sites 0 .. j-1 and holds
     more bosons on site j.  With t bosons on the m = f - 1 - j sites after j
-    there are comb(t - 1 + m, m) such states; the rank sums them over j.
+    there are comb(t - 1 + m, m) such states; the rank sums them over j, one
+    column at a time with a running count `after` of the bosons after site j.
     """
     rows = np.asarray(rows, dtype=np.int64)
     f = rows.shape[1]
-    after = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # bosons on the sites after j < f - 1
+    after = rows[:, 1:].sum(axis=1)  # bosons on the sites after site 0
     table = _rank_table(f, int(after.max(initial=0)))
-    return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
+    rank = table[:, f - 1].take(after)
+    for j in range(1, f - 1):
+        after -= rows[:, j]
+        rank += table[:, f - 1 - j].take(after)
+    return rank
 
 
 def _fold_rotations(rot):
@@ -248,8 +263,7 @@ def pattern_classes(f: int, pattern):
     return rows[first[:, None], (np.arange(f) + shift[first, None]) % f], period[first]
 
 
-@dataclass(frozen=True)
-class TranslationOrbit:
+class TranslationOrbit(NamedTuple):
     """Equivalence class of a state under ring translations."""
 
     rep: Occ
@@ -287,8 +301,8 @@ class SectorOrbits:
             walk[:, t] = step[walk[:, t - 1]]
         self.periods = f // (walk == self.reps[:, None]).sum(axis=1)
         rep_rows = occ[self.reps]
-        self.orbits = [TranslationOrbit(rep=tuple(r), period=d)
-                       for r, d in zip(rep_rows.tolist(), self.periods.tolist())]
+        self.orbits = list(map(TranslationOrbit, map(tuple, rep_rows.tolist()),
+                               self.periods.tolist()))
         # a representative sorted largest first is a state of the sector whose
         # rank keys its pattern; ranks ascend as patterns descend
         _, first, self.pattern_ids = np.unique(rank_rows(-np.sort(-rep_rows, axis=1)),
@@ -344,6 +358,8 @@ class MomentumBasis:
 def momentum_basis(f: int, n: int, k: MomentumIndex, sector: SectorOrbits | None = None) -> MomentumBasis:
     """Orbits of the (f, n) sector that carry momentum k (l * period = 0 mod f),
     in sector order."""
+    if not isinstance(k, MomentumIndex):
+        raise ValidationError(f"a momentum basis needs a MomentumIndex, got {k!r}")
     if sector is None:
         sector = SectorOrbits(f, n)
     if (sector.f, sector.n) != (f, n) or k.f != f:

@@ -37,6 +37,8 @@ rings no exact solve does.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -347,19 +349,25 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
 
 
 def _class_rows(params: ModelParams, classes: list) -> np.ndarray:
-    """The representatives of `classes` as a (len, f) int array, each checked
-    to be a row of f non-negative integers summing to n; whether a row is its
-    own lowest-rank rotation is left to `basis.class_fold`."""
+    """The representatives of `classes` as a (len, f) int array, checked as
+    arrays to be rows of f integers (no bools or floats) in 0 .. n summing to
+    n; whether a row is its own lowest-rank rotation is left to
+    `basis.class_fold`.  A failed check names the first bad class."""
     if not classes:
         raise ValidationError("need at least one degenerate class")
     f, n = params.f, params.n
-    for orb in classes:
-        rep = orb.rep
-        if not (len(rep) == f and all(
-                isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
-                for c in rep) and sum(rep) == n):
-            raise ValidationError(f"{rep!r} is not an orbit representative of this sector")
-    return np.array([orb.rep for orb in classes], dtype=np.int64)
+    reps = [orb.rep for orb in classes]
+    if {len(rep) for rep in reps} == {f} and all(
+            issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+            for t in set(map(type, itertools.chain.from_iterable(reps)))):
+        with contextlib.suppress(OverflowError):  # an entry beyond int64 is no occupation
+            rows = np.array(reps, dtype=np.int64)
+            # entries in 0 .. n keep the row sums far from int64 overflow
+            if ((rows >= 0) & (rows <= n)).all() and (rows.sum(axis=1) == n).all():
+                return rows
+    for orb in classes[:-1]:
+        _class_rows(params, [orb])  # raises if this class is bad, else the last one is
+    raise ValidationError(f"{reps[-1]!r} is not an orbit representative of this sector")
 
 
 def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
@@ -382,6 +390,8 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     """
     classes = list(classes)
     f = params.f
+    if not isinstance(k, MomentumIndex):
+        raise ValidationError(f"the numeric reference needs a MomentumIndex, got {k!r}")
     _kval(params, k)  # k must be a momentum of this ring
     if sector is not None and (sector.f, sector.n) != (f, params.n):
         raise ValidationError(

@@ -115,6 +115,38 @@ def test_high_filling_sectors_build_in_memory_of_order_dim_times_f():
     assert peak < 16 * occ.nbytes
 
 
+def occupations_by_column_stack(f, n):
+    """The f - 1-pass construction that copies the growing table every pass."""
+    occ = np.full((1, 1), n, dtype=np.int64)
+    for _ in range(f - 1):
+        rest = occ[:, -1]
+        parent = np.repeat(np.arange(len(occ)), rest + 1)
+        start = np.cumsum(rest + 1) - (rest + 1)
+        head = rest[parent] - (np.arange(len(parent)) - start[parent])
+        occ = np.column_stack([occ[parent, :-1], head, rest[parent] - head])
+    return occ
+
+
+@pytest.mark.parametrize("f,n", [(19, 4), (23, 4), (13, 6), (3, 400), (2, 2000)])
+def test_occupations_equal_the_column_stack_construction(f, n):
+    got, want = _occupations(f, n), occupations_by_column_stack(f, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f,n", [(23, 4), (13, 6)])
+def test_sector_tables_build_in_memory_of_a_few_tables(f, n):
+    # the table, one translated copy to rank and 1-D arrays; no (dim, f - 1)
+    # rank temporaries and no table copied per enumeration pass
+    tracemalloc.start()
+    try:
+        sector = SectorOrbits(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sector.occ.nbytes
+
+
 def test_enumeration_respects_cap(monkeypatch):
     monkeypatch.setattr("qdnls.basis.DEFAULT_STATE_CAP", 10)
     with pytest.raises(CapacityError, match="20 states, above the cap 10"):
@@ -136,6 +168,34 @@ def test_rank_round_trip(fn):
     states = enumerate_sector(f, n)
     for i, state in enumerate(states):
         assert rank(state) == i
+
+
+def rank_rows_by_suffix_table(rows):
+    """rank_rows from the (rows, f - 1) table of every row's suffix sums."""
+    rows = np.asarray(rows, dtype=np.int64)
+    f = rows.shape[1]
+    after = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]  # bosons on the sites after j < f - 1
+    table = np.array([[math.comb(t - 1 + m, m) if t else 0 for m in range(f)]
+                      for t in range(int(after.max(initial=0)) + 1)], dtype=np.int64)
+    return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
+
+
+def mixed_rows(f):
+    """Up to 40 rows of f sites, each from its own sector, with at most top <= 5
+    bosons a site, so that their largest rank comb(n + f - 1, f - 1) fits int64."""
+    top = max(t for t in range(6) if math.comb(t * (f - 1) + f - 1, f - 1) < 2**63)
+    return st.lists(st.lists(st.integers(0, top), min_size=f, max_size=f), max_size=40).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), f))
+
+
+@given(st.integers(2, 23).flatmap(mixed_rows))
+@example(np.zeros((0, 2), dtype=np.int64))
+@example(np.zeros((0, 23), dtype=np.int64))
+@settings(max_examples=80, deadline=None)
+def test_rank_rows_equal_the_suffix_table_on_mixed_sectors(rows):
+    got, want = rank_rows(rows), rank_rows_by_suffix_table(rows)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(rows),)
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------------- translate
@@ -379,6 +439,11 @@ def test_compatibility_condition():
 def test_momentum_dimensions_sum_to_sector(f, n):
     total = sum(momentum_basis(f, n, k).dim for k in momentum_grid(f))
     assert total == sector_dimension(f, n)
+
+
+def test_momentum_basis_needs_a_momentum_index():
+    with pytest.raises(ValidationError, match="needs a MomentumIndex, got 0.3"):
+        momentum_basis(7, 4, 0.3)
 
 
 def test_block_dimensions_at_figure_sizes():

@@ -539,20 +539,35 @@ def test_a_class_family_is_folded_once_at_every_momentum_and_coupling(monkeypatc
     assert calls == [len(cls) + 4 * len(cls)]
 
 
-VALIDATION_CASES = ["rotation", "length", "count", "negative", "duplicate", "empty", "ring"]
+VALIDATION_CASES = ["rotation", "length", "count", "negative", "bool", "float", "huge",
+                    "wrap", "duplicate", "empty", "ring"]
+# the cases rejected before the fold, each naming its one bad class
+ENTRY_CASES = ("rotation", "length", "count", "negative", "bool", "float", "huge", "wrap")
+
+
+def valid_input():
+    """(params, k, classes): the {2, 2} classes of the f=11, n=4 sector at l = 0."""
+    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
+    return params, momentum_grid(11)[0], classes_of(SectorOrbits(11, 4), (2, 2))
 
 
 def invalid_input(case):
     """(params, k, classes) on the f=11, n=4 sector that the reference rejects."""
-    params = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
-    cls = classes_of(SectorOrbits(11, 4), (2, 2))
-    k = MomentumIndex(0, 7) if case == "ring" else momentum_grid(11)[0]
+    params, k, cls = valid_input()
+    if case == "ring":
+        k = MomentumIndex(0, 7)
     tail = (0,) * 8
     classes = {
         "rotation": [TranslationOrbit(rep=(0, 2, 2) + tail, period=11)],
         "length": [TranslationOrbit(rep=(2, 2, 0), period=3)],
         "count": [TranslationOrbit(rep=(2, 1, 0) + tail, period=11)],
         "negative": [TranslationOrbit(rep=(3, -1, 2) + tail, period=11)],
+        "bool": [TranslationOrbit(rep=(2, 1, True) + tail, period=11)],
+        "float": [TranslationOrbit(rep=(2.0, 2, 0) + tail, period=11)],
+        # beyond int64: an OverflowError of the array conversion is no answer
+        "huge": [TranslationOrbit(rep=(2**70, 4 - 2**70, 0) + tail, period=11)],
+        # int64 entries whose int64 sum wraps round to n
+        "wrap": [TranslationOrbit(rep=(2**62,) * 4 + (4,) + (0,) * 6, period=11)],
         "duplicate": cls[:1] + cls[:1],
         "empty": [],
         "ring": cls,
@@ -569,11 +584,38 @@ def test_reference_validation_is_the_same_with_and_without_a_sector(monkeypatch,
     sector = SectorOrbits(11, 4)
     with pytest.raises(ValidationError) as info:
         bw_second_order_block(params, k, classes, sector if with_sector else None)
-    if case in ("rotation", "length", "count", "negative"):
+    if case in ENTRY_CASES:
         assert str(info.value) == f"{classes[0].rep!r} is not an orbit representative of this sector"
     # only rows of the right length, sign and count reach the one canonical_rows
     # call, which rejects a row that is not its own lowest-rank rotation
     assert len(calls) == (case in ("rotation", "duplicate"))
+
+
+@pytest.mark.parametrize("bad", [["count", "length"], ["length", "count"], ["float", "huge"],
+                                 ["huge", "negative"], ["bool", "rotation"]])
+def test_reference_names_the_first_bad_class(bad):
+    params, k, good = valid_input()
+    classes = good[:1] + [invalid_input(case)[2][0] for case in bad]
+    with pytest.raises(ValidationError) as info:
+        bw_second_order_block(params, k, classes)
+    assert str(info.value) == f"{classes[1].rep!r} is not an orbit representative of this sector"
+
+
+def test_reference_accepts_a_rep_of_numpy_integers():
+    params, k, classes = valid_input()
+    as_int64 = [TranslationOrbit(rep=tuple(map(np.int64, orb.rep)), period=orb.period)
+                for orb in classes]
+    want = bw_second_order_block(params, k, classes)
+    assert np.array_equal(bw_second_order_block(params, k, as_int64), want)
+
+
+def test_reference_needs_a_momentum_index():
+    params, _, classes = valid_input()
+    with pytest.raises(ValidationError, match="needs a MomentumIndex, got 0.3"):
+        bw_second_order_block(params, 0.3, classes)
+    # the closed forms take a float momentum
+    k = momentum_grid(11)[6]
+    assert np.array_equal(h22_matrix(params, k.k), h22_matrix(params, k))
 
 
 @pytest.mark.parametrize("n, sector_f, sector_n", [(4, 11, 3), (4, 13, 4), (6, 11, 4)])
