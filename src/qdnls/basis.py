@@ -1,27 +1,22 @@
 """Occupation basis for bosons on a periodic ring, translation orbits, momentum sectors.
 
-The sector (f sites, n bosons) is enumerated in descending lexicographic
-order, so the first state is |n 0 ... 0> and the last |0 ... 0 n>, by f - 1
-passes over 1-D arrays that write the table once; a state's index in that
-order is its rank, and `rank_rows` ranks a whole integer array column by column.
-`SectorOrbits` holds the sector as one integer table: occupation rows in rank
-order, orbit representatives, periods, occupation patterns (`pattern_of`,
-ranked once per orbit) and whether each orbit is two adjacent clumps.  An
-orbit is represented by its lexicographically maximal rotation (the lowest
-rank), which puts the largest occupation first and matches the usual class
-labels |22> or |202>.
-The table ranks the sector once: the translation T, which moves the
-occupation of site s to site s + 1 (mod f), maps the sector onto itself, so
-the ranks of a row's f rotations are the powers of one permutation `step`
-of the ranks.  Pointer doubling finds the lowest rank on each cycle of
-`step`, which marks the representatives, and only their cycles are walked.
-`canonical_rows` folds raw rows that need not form a sector onto their
-orbits, ranking all f rotations of a chunk of rows in one call.
+A sector (f sites, n bosons) is ordered descending lexicographically, from
+|n 0 ... 0> to |0 ... 0 n>; a state's index in that order is its rank, and
+`rank_rows` ranks a whole integer array column by column.  An orbit of the
+translation T, which moves the occupation of site s to site s + 1 (mod f),
+is represented by its lexicographically maximal rotation (the lowest rank),
+which puts the largest occupation first, as in the class labels |22> or |202>.
+`canonical_rows` is the one orbit finder: it folds rows of any sectors onto
+their orbits, ranking only the rotations that bring a largest entry to site 0.
+`pattern_classes` lists one occupation pattern's orbits from its rows with
+the first clump on site 0; `SectorOrbits` is the union of those lists over a
+sector's patterns, and holds orbits, not states.  Only the dense oracle
+enumerates the states (`_occupations`, f - 1 passes over 1-D arrays).
 `class_fold` is the one hop table every Bloch block, exact or perturbative,
 is built from: the moves out of a family of orbit representatives
 (`hop_moves`) folded onto their destination orbits, memoized.
-A momentum basis is an index array into that table: the orbits, in sector
-order, whose period admits the momentum.
+A momentum basis is an index array into the sector's orbits: those, in
+sector order, whose period admits the momentum.
 
 The Bloch state attached to an orbit with representative |r> and period d at
 crystal momentum k = 2 pi l / f is
@@ -46,7 +41,7 @@ from .errors import CapacityError, ValidationError
 Occ = tuple[int, ...]
 
 DEFAULT_STATE_CAP = 10**7
-ROW_CHUNK = 256  # rows per chunk of canonical_rows' (rows * f, f) rotation temporaries
+ROW_CHUNK = 256  # rows per chunk of canonical_rows' (at most rows * f, f) rotation temporaries
 
 
 def check_sector(f, n):
@@ -62,16 +57,22 @@ def sector_dimension(f: int, n: int) -> int:
     return math.comb(n + f - 1, n)
 
 
+def _capped_dimension(f: int, n: int) -> int:
+    """`sector_dimension`, refused above DEFAULT_STATE_CAP states."""
+    dim = sector_dimension(f, n)
+    if dim > DEFAULT_STATE_CAP:
+        raise CapacityError(
+            f"sector (f={f}, n={n}) has {dim} states, above the cap {DEFAULT_STATE_CAP}")
+    return dim
+
+
 def _occupations(f: int, n: int) -> np.ndarray:
     """The (f, n) sector as a (dim, f) integer array in descending lexicographic order.
 
     Pass j splits each prefix's unplaced bosons between site j (`head`, most
     first) and the rest; the table is written once, walking `parent` back.
     """
-    dim = sector_dimension(f, n)
-    if dim > DEFAULT_STATE_CAP:
-        raise CapacityError(
-            f"sector (f={f}, n={n}) has {dim} states, above the cap {DEFAULT_STATE_CAP}")
+    dim = _capped_dimension(f, n)
     rest, passes = np.full(1, n, dtype=np.int64), []
     for _ in range(f - 1):
         parent = np.repeat(np.arange(len(rest)), rest + 1)
@@ -132,34 +133,34 @@ def rank_rows(rows) -> np.ndarray:
     return rank
 
 
-def _fold_rotations(rot):
-    """(rep_rank, shift, period) from rot[i, t], the rank of T^t |row i>: the
-    representative is the lowest-rank rotation, first reached at t0 so that
-    |row> = T^(-t0) |rep>, and its rank recurs f / period times."""
-    rep_rank = rot.min(axis=1)
-    period = rot.shape[1] // (rot == rep_rank[:, None]).sum(axis=1)
-    return rep_rank, -rot.argmin(axis=1) % period, period
-
-
 def canonical_rows(rows):
     """Canonical form of each occupation row over its f rotations, as arrays
     (rep_rank, shift, period): the rank of its representative (its lowest-rank
     rotation), the shift u with row == T^u rep and 0 <= u < period,
     and the period of its orbit.  Rows may come from different sectors.
 
-    The f rotations of ROW_CHUNK rows at a time are gathered into one
-    (rows * f, f) array and ranked by one `rank_rows` call, so the number of
-    calls does not grow with f and the temporaries stay bounded.
+    A representative holds a largest entry on site 0, so only the rotations
+    that bring one there are ranked, ROW_CHUNK rows at a time in one
+    `rank_rows` call, whatever f.  f / period of them reach the
+    representative, and each one's site h gives row == T^h rep.
     """
     rows = np.asarray(rows, dtype=np.int64)
     f = rows.shape[1]
-    # rows[:, turn[t]] is T^t of each row: site s holds site (s - t) mod f
-    turn = (np.arange(f) - np.arange(f)[:, None]) % f
-    rot = np.empty((len(rows), f), dtype=np.int64)
+    rep_rank, shift, period = (np.empty(len(rows), dtype=np.int64) for _ in range(3))
+    turn = (np.arange(f) + np.arange(f)[:, None]) % f  # row[turn[h]] is T^(-h) row
     for a in range(0, len(rows), ROW_CHUNK):
-        turned = rows[a:a + ROW_CHUNK, turn].reshape(-1, f)  # (rows * f, f)
-        rot[a:a + ROW_CHUNK] = rank_rows(turned).reshape(-1, f)
-    return _fold_rotations(rot)
+        chunk = rows[a:a + ROW_CHUNK]
+        row, site = np.nonzero(chunk == chunk.max(axis=1, keepdims=True))
+        # every row has a largest entry, so each row starts one run of `row`
+        start = np.searchsorted(row, np.arange(len(chunk)))
+        rank = rank_rows(chunk.ravel()[turn[site] + f * row[:, None]])
+        low = np.minimum.reduceat(rank, start)
+        hit = rank == low[row]
+        at = slice(a, a + len(chunk))
+        rep_rank[at] = low
+        period[at] = f // np.bincount(row[hit], minlength=len(chunk))
+        shift[at] = np.maximum.reduceat(np.where(hit, site, 0), start) % period[at]
+    return rep_rank, shift, period
 
 
 def hop_moves(occ):
@@ -236,31 +237,52 @@ def class_fold(f: int, key: bytes) -> ClassFold:
     return fold
 
 
+def _classes(f: int, patterns):
+    """The orbits of `patterns` (each largest first) on an f-site ring, as
+    arrays (ranks, rep_rows, periods, owner): representative ranks and rows,
+    periods and the index of each orbit's pattern, in rank order.
+
+    Every such orbit has a rotation with the first clump on site 0 and the
+    others on a subset of sites 1 .. f - 1, in some order.  Those rows are
+    built per clump count, whose site subsets they share, and folded onto
+    their orbits by one `canonical_rows` call.
+    """
+    groups = {}  # clump count -> (pattern index, clump sizes in site order)
+    for i, pattern in enumerate(patterns):
+        head, rest = pattern[:1] or (0,), pattern[1:]  # the vacuum as one empty clump
+        groups.setdefault(1 + len(rest), []).extend(
+            (i, head + order) for order in set(itertools.permutations(rest)))
+    blocks, owners = [], []
+    for clumps, group in groups.items():
+        owner, sizes = (np.array(column, dtype=np.int64) for column in zip(*group))
+        sites = np.array([(0, *c) for c in itertools.combinations(range(1, f), clumps - 1)],
+                         dtype=np.int64).reshape(-1, clumps)
+        rows = np.zeros((len(sites), len(group), f), dtype=np.int64)
+        rows[np.arange(len(sites))[:, None, None], np.arange(len(group))[:, None],
+             sites[:, None]] = sizes
+        blocks.append(rows.reshape(-1, f))
+        owners.append(np.tile(owner, len(sites)))
+    rows = np.concatenate(blocks)
+    rank, shift, period = canonical_rows(rows)
+    ranks, first = np.unique(rank, return_index=True)
+    # rep[s] = row[s + u]
+    rep_rows = rows[first[:, None], (np.arange(f) + shift[first, None]) % f]
+    return ranks, rep_rows, period[first], np.concatenate(owners)[first]
+
+
 def pattern_classes(f: int, pattern):
     """The orbits of one occupation pattern (clump sizes in any order) on an
     f-site ring, without a sector table, as arrays (reps, periods): the
-    representative rows and their periods, in sector order.
-
-    Every such orbit has a rotation with the first clump on site 0 and the
-    other clumps on a subset of sites 1 .. f - 1, in some order; one
-    `canonical_rows` call folds all those rows onto their orbits.
-    """
+    representative rows and their periods, in sector order."""
     check_sector(f, 0)
     pattern = tuple(pattern)
-    pattern = normalize_pattern(pattern) if pattern else ()
-    rest = pattern[1:]
-    sites = np.array(list(itertools.combinations(range(1, f), len(rest))),
-                     dtype=np.int64).reshape(math.comb(f - 1, len(rest)), len(rest))
-    orders = np.array(sorted(set(itertools.permutations(rest))), dtype=np.int64)
-    rows = np.zeros((len(sites) * len(orders), f), dtype=np.int64)
-    if pattern:
-        rows[:, 0] = pattern[0]
-    at = np.repeat(sites, len(orders), axis=0)
-    rows[np.arange(len(rows))[:, None], at] = np.tile(orders, (len(sites), 1))
-    rank, shift, period = canonical_rows(rows)
-    _, first = np.unique(rank, return_index=True)
-    # rep[s] = row[s + u]
-    return rows[first[:, None], (np.arange(f) + shift[first, None]) % f], period[first]
+    return _classes(f, [normalize_pattern(pattern) if pattern else ()])[1:3]
+
+
+def _patterns(n: int, clumps: int, largest: int) -> list[tuple[int, ...]]:
+    """Every pattern of n in at most `clumps` clumps of at most `largest`, in descending order."""
+    return [(c,) + rest for c in range(min(n, largest), -(-n // clumps) - 1, -1)
+            for rest in _patterns(n - c, clumps - 1, c)] if n else [()]
 
 
 class TranslationOrbit(NamedTuple):
@@ -271,46 +293,23 @@ class TranslationOrbit(NamedTuple):
 
 
 class SectorOrbits:
-    """Integer table of one (f, n) sector and its translation orbits.
-
-    `occ[i]` is the state of rank i.  Orbits are ordered by representative;
-    orbit g has the representative of rank `reps[g]` and period `periods[g]`,
-    and `orbits[g]` carries both as a TranslationOrbit.  These equal the
-    shift-0 rows of `canonical_rows(occ)`, read off the translation
-    permutation of the ranks instead of f rankings: ceil(log2 f)
-    pointer-doubling rounds over the sector, then one (orbits, f) walk from
-    the representatives.  Orbit g has occupation pattern
-    `patterns[pattern_ids[g]]`; `patterns` runs largest first.
-    `adjacent[g]` holds when orbit g is two clumps on neighbouring sites.
+    """The translation orbits of one (f, n) sector, not its `dim` states: the
+    union of the class lists of its patterns, every pattern of n with at most
+    f clumps, listed largest first in `patterns`.  Orbit g, in rank order, has
+    the representative of rank `reps[g]` and row `rep_rows[g]`, period
+    `periods[g]` (both in `orbits[g]`) and pattern `patterns[pattern_ids[g]]`;
+    `adjacent[g]` holds when it is two clumps on neighbouring sites.
     """
 
     def __init__(self, f: int, n: int):
-        occ = _occupations(f, n)
-        self.f, self.n, self.dim, self.occ = f, n, len(occ), occ
-        step = rank_rows(np.roll(occ, 1, axis=1))  # T maps the sector onto itself
-        # lowest rank on each cycle of step by pointer doubling: after round r,
-        # low[i] = min of step^t(i) over 0 <= t < 2^r, and a cycle has at most f ranks
-        low, jump = np.arange(self.dim), step
-        for _ in range((f - 1).bit_length()):
-            low, jump = np.minimum(low, low[jump]), jump[jump]
-        self.reps = np.flatnonzero(low == np.arange(self.dim))
-        # walk[g, t] is the rank of T^t reps[g], where reps[g] recurs f / periods[g] times
-        walk = np.empty((len(self.reps), f), dtype=np.int64)
-        walk[:, 0] = self.reps
-        for t in range(1, f):
-            walk[:, t] = step[walk[:, t - 1]]
-        self.periods = f // (walk == self.reps[:, None]).sum(axis=1)
-        rep_rows = occ[self.reps]
-        self.orbits = list(map(TranslationOrbit, map(tuple, rep_rows.tolist()),
+        self.f, self.n, self.dim = f, n, _capped_dimension(f, n)
+        self.patterns = _patterns(n, f, n)
+        self.reps, self.rep_rows, self.periods, self.pattern_ids = _classes(f, self.patterns)
+        self.orbits = list(map(TranslationOrbit, map(tuple, self.rep_rows.tolist()),
                                self.periods.tolist()))
-        # a representative sorted largest first is a state of the sector whose
-        # rank keys its pattern; ranks ascend as patterns descend
-        _, first, self.pattern_ids = np.unique(rank_rows(-np.sort(-rep_rows, axis=1)),
-                                               return_index=True, return_inverse=True)
-        self.patterns = [pattern_of(self.orbits[g].rep) for g in first.tolist()]
         # a representative holds its largest clump on site 0, so a second clump
         # is adjacent on site 1 or, around the ring, on site f - 1
-        occupied = rep_rows > 0
+        occupied = self.rep_rows > 0
         self.adjacent = (occupied.sum(axis=1) == 2) & (occupied[:, 1] | occupied[:, -1])
 
 

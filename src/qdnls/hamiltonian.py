@@ -22,9 +22,9 @@ Every block, like the numeric perturbation reference, takes its elements
 from one hop table, `basis.class_fold`: the single-boson moves out of its
 orbit representatives, each destination folded onto its orbit, memoized per
 family of representatives.  `bloch_elements` turns that fold into the
-per-hop block elements at one momentum.  The dense oracle takes the moves out
-of every state (`basis.hop_moves`) and ranks their destinations itself, so
-it shares no fold with the blocks it checks.
+per-hop block elements at one momentum.  The dense oracle enumerates every
+state, takes their moves (`basis.hop_moves`) and ranks the destinations
+itself, so it shares no orbit code with the blocks it checks.
 
 The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
@@ -49,6 +49,7 @@ from .basis import (
     MomentumBasis,
     MomentumIndex,
     SectorOrbits,
+    _occupations,
     check_sector,
     class_fold,
     hop_moves,
@@ -111,15 +112,13 @@ def diagonal_energy(state, params: ModelParams):
 
 
 def full_matrix(params: ModelParams) -> np.ndarray:
-    """Dense Hamiltonian over the full (f, n) sector in enumeration order.
-
-    Symmetry-free oracle path; refuses sectors above the dense cap.
-    """
+    """Dense Hamiltonian over the states of `basis._occupations`, in rank
+    order: the symmetry-free oracle.  Refuses sectors above the dense cap."""
     dim = sector_dimension(params.f, params.n)
     cap = dense_cap()
     if dim > cap:
         raise CapacityError(f"sector dimension {dim} exceeds the dense cap {cap}")
-    occ = SectorOrbits(params.f, params.n).occ
+    occ = _occupations(params.f, params.n)
     h = np.diag(diagonal_energy(occ, params))
     src, moved, amp = hop_moves(occ)
     np.add.at(h, (rank_rows(moved), src), -params.epsilon * amp)
@@ -149,7 +148,7 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     cap = dense_cap()
     if dim > cap:
         raise CapacityError(f"momentum block dimension {dim} exceeds the dense cap {cap}")
-    rows = basis.sector.occ[basis.sector.reps[basis.orbit_indices]]
+    rows = basis.sector.rep_rows[basis.orbit_indices]
     fold = class_fold(params.f, rows.tobytes())
     # destination orbits without weight at this momentum are not in the basis
     col = fold.slot[fold.row]

@@ -31,7 +31,7 @@ def sectors(draw_f=st.integers(2, 7), draw_n=st.integers(0, 6)):
 
 def enumerate_sector(f, n):
     """The states of a sector as tuples, in the table's (rank) order."""
-    return [tuple(row) for row in SectorOrbits(f, n).occ.tolist()]
+    return [tuple(row) for row in _occupations(f, n).tolist()]
 
 
 def rank(state):
@@ -136,15 +136,15 @@ def test_occupations_equal_the_column_stack_construction(f, n):
 
 @pytest.mark.parametrize("f,n", [(23, 4), (13, 6)])
 def test_sector_tables_build_in_memory_of_a_few_tables(f, n):
-    # the table, one translated copy to rank and 1-D arrays; no (dim, f - 1)
-    # rank temporaries and no table copied per enumeration pass
+    # the orbits are listed from their patterns' class rows, so the build
+    # holds less than one (dim, f) table of the sector's states
     tracemalloc.start()
     try:
         sector = SectorOrbits(f, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * sector.occ.nbytes
+    assert peak < 8 * f * sector.dim
 
 
 def test_enumeration_respects_cap(monkeypatch):
@@ -307,12 +307,37 @@ def test_canonical_rows_across_several_chunks(f):
     assert_canonical_rows_as_by_rotation(rng.integers(0, 4, size=(3 * ROW_CHUNK + 7, f)))
 
 
+def rows_with_a_repeated_maximum(f, count, seed):
+    """`count` rows of f sites in 0 .. 2, each with its maximum 3 on two sites."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 3, size=(count, f))
+    rows[np.arange(count)[:, None], rng.permuted(np.tile(np.arange(f), (count, 1)), axis=1)[:, :2]] = 3
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((1, 5), dtype=np.int64),  # the vacuum: its maximum is on every site
+    np.full((1, 4), 2), np.full((2, 23), 1), np.zeros((3, 23), dtype=np.int64),
+    [(1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1), (2, 0, 2, 0, 2, 1), (0, 2, 1, 2, 0, 2)],
+    rows_with_a_repeated_maximum(7, ROW_CHUNK + 1, 0),
+    rows_with_a_repeated_maximum(23, 40, 1),
+    np.random.default_rng(2).integers(0, 3, size=(ROW_CHUNK + 3, 23)),
+], ids=["vacuum", "2222", "ones-23", "vacuum-23", "alternating", "chunk+1-repeated",
+        "repeated-23", "random-23"])
+def test_canonical_rows_edge_cases_equal_ranking_each_rotation(rows):
+    # rows whose maximum sits on several sites reach their representative
+    # through several of the ranked rotations
+    assert_canonical_rows_as_by_rotation(rows)
+
+
 def assert_table_is_canonical_rows_of_its_rows(sector):
-    rep_rank, shift, period = canonical_rows(sector.occ)
+    occ = _occupations(sector.f, sector.n)
+    rep_rank, shift, period = canonical_rows(occ)
     reps = np.flatnonzero(rep_rank == np.arange(sector.dim))
     orbit = np.searchsorted(sector.reps, rep_rank)
     for got, want in ((sector.reps, reps), (sector.reps[orbit], rep_rank),
-                      (sector.periods, period[reps]), (sector.periods[orbit], period)):
+                      (sector.periods, period[reps]), (sector.periods[orbit], period),
+                      (sector.rep_rows, occ[reps])):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -351,17 +376,18 @@ def sector_table_by_rotation_ranks(occ):
 
 
 @pytest.mark.parametrize("f,n", sorted({(f, n) for f in range(2, 13) for n in range(7)}
-                                       | {(2, 0), (12, 0), (23, 4)}))
+                                       | {(2, 0), (12, 0), (23, 4), (19, 4), (11, 6), (13, 6),
+                                          (2, 2000), (3, 400)}))
 def test_sector_table_equals_the_rotation_rank_table(f, n):
-    sector = SectorOrbits(f, n)
-    reps, orbit_of, shift_of, periods = sector_table_by_rotation_ranks(sector.occ)
+    sector, occ = SectorOrbits(f, n), _occupations(f, n)
+    reps, orbit_of, shift_of, periods = sector_table_by_rotation_ranks(occ)
     # each row's orbit and shift: canonical_rows, then the table's representatives
-    rep_rank, shift, _ = canonical_rows(sector.occ)
+    rep_rank, shift, _ = canonical_rows(occ)
     for got, want in ((sector.reps, reps), (np.searchsorted(sector.reps, rep_rank), orbit_of),
-                      (shift, shift_of), (sector.periods, periods)):
+                      (shift, shift_of), (sector.periods, periods), (sector.rep_rows, occ[reps])):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    assert sector.orbits == [TranslationOrbit(rep=tuple(sector.occ[r].tolist()), period=int(d))
+    assert sector.orbits == [TranslationOrbit(rep=tuple(occ[r].tolist()), period=int(d))
                              for r, d in zip(reps, periods)]
 
 
@@ -387,15 +413,16 @@ def partitions(n, largest=None):
 @pytest.mark.parametrize("f,n", [(f, n) for f in range(2, 13) for n in range(7)])
 def test_pattern_classes_equal_the_filtered_sector_table(f, n):
     # every pattern of n, including those with more clumps than sites, and
-    # given smallest clump first
-    sector = SectorOrbits(f, n)
+    # given smallest clump first, against the rotation rank table
+    occ = _occupations(f, n)
+    table_reps, _, _, table_periods = sector_table_by_rotation_ranks(occ)
     for pattern in partitions(n):
-        g = [i for i, orb in enumerate(sector.orbits) if pattern_of(orb.rep) == pattern]
+        g = [i for i, r in enumerate(table_reps) if pattern_of(tuple(occ[r])) == pattern]
         reps, periods = pattern_classes(f, pattern[::-1])
-        want = sector.occ[sector.reps[g]]
+        want = occ[table_reps[g]]
         assert reps.dtype == want.dtype and reps.shape == want.shape
         assert np.array_equal(reps, want)
-        assert np.array_equal(periods, sector.periods[g])
+        assert np.array_equal(periods, table_periods[g])
 
 
 def test_pattern_classes_reach_rings_beyond_the_sector_table():

@@ -134,6 +134,8 @@ def test_blocks_are_bitwise_hermitian():
 
 
 def test_a_sector_is_folded_once_and_the_oracle_not_at_all(monkeypatch):
+    params = ModelParams(f=7, n=3, gamma1=1.3, gamma2=0.4, epsilon=0.7)
+    sector = SectorOrbits(params.f, params.n)  # lists its orbits with canonical_rows too
     calls = []
     canonical_rows = basis_module.canonical_rows
 
@@ -143,10 +145,9 @@ def test_a_sector_is_folded_once_and_the_oracle_not_at_all(monkeypatch):
 
     monkeypatch.setattr(basis_module, "canonical_rows", counting)
     basis_module.class_fold.cache_clear()
-    params = ModelParams(f=7, n=3, gamma1=1.3, gamma2=0.4, epsilon=0.7)
     # prime f, n < f: every orbit has period f, so every momentum has the same
     # basis and all seven blocks read one fold
-    assert len(momentum_spectra(params)) == 7
+    assert len(momentum_spectra(params, sector)) == 7
     assert len(calls) == 1
     calls.clear()
     basis_module.class_fold.cache_clear()

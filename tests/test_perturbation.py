@@ -528,9 +528,9 @@ def test_reference_folds_classes_and_destinations_in_one_call(monkeypatch, f):
 
 
 def test_a_class_family_is_folded_once_at_every_momentum_and_coupling(monkeypatch):
-    calls = counting_canonical_rows(monkeypatch)
     sector = SectorOrbits(11, 4)
     cls = classes_of(sector, (2, 2))
+    calls = counting_canonical_rows(monkeypatch)
     for eps in (0.5, 0.25):
         params = ModelParams(f=11, n=4, gamma1=10.0, gamma2=0.0, epsilon=eps)
         for k in momentum_grid(11):
@@ -579,9 +579,9 @@ def invalid_input(case):
 @pytest.mark.parametrize("case", VALIDATION_CASES)
 def test_reference_validation_is_the_same_with_and_without_a_sector(monkeypatch, case,
                                                                     with_sector):
-    calls = counting_canonical_rows(monkeypatch)
     params, k, classes = invalid_input(case)
     sector = SectorOrbits(11, 4)
+    calls = counting_canonical_rows(monkeypatch)
     with pytest.raises(ValidationError) as info:
         bw_second_order_block(params, k, classes, sector if with_sector else None)
     if case in ENTRY_CASES:
