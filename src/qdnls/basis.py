@@ -123,9 +123,12 @@ def rank_rows(rows) -> np.ndarray:
     column at a time with a running count `after` of the bosons after site j.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    if rows.min(initial=0) < 0:
+        raise ValidationError("occupation rows must not hold negative entries")
     f = rows.shape[1]
     after = rows[:, 1:].sum(axis=1)  # bosons on the sites after site 0
-    table = _rank_table(f, int(after.max(initial=0)))
+    # one table per largest boson count, shared by every chunk of a sector
+    table = _rank_table(f, int((after + rows[:, 0]).max(initial=0)))
     rank = table[:, f - 1].take(after)
     for j in range(1, f - 1):
         after -= rows[:, j]

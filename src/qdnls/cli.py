@@ -168,7 +168,9 @@ def _write_output(settings: dict, out: str | None, fmt: str, columns, rows,
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     if out is None:
-        click.echo(text, nl=False)
+        # click caches its default stdout in a WeakKeyDictionary that maps a
+        # redirected stream to itself, which keeps every in-process output alive
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

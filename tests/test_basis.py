@@ -1,6 +1,7 @@
 """Enumeration, ranking, translation orbits, and momentum bases."""
 
 import cmath
+import functools
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from qdnls import (
     pattern_classes,
     sector_dimension,
 )
+import qdnls.basis as basis_module
 from qdnls.basis import ROW_CHUNK, TranslationOrbit, _occupations, canonical_rows, pattern_of, rank_rows
 
 SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
@@ -178,6 +180,24 @@ def rank_rows_by_suffix_table(rows):
     table = np.array([[math.comb(t - 1 + m, m) if t else 0 for m in range(f)]
                       for t in range(int(after.max(initial=0)) + 1)], dtype=np.int64)
     return table[after, np.arange(f - 1, 0, -1)].sum(axis=1)
+
+
+def test_rank_rows_rejects_negative_entries():
+    # a negative count of the bosons after a site would index the rank
+    # table from its end: [3, -1, 2] ranked as another state of (3, 4)
+    with pytest.raises(ValidationError, match="negative"):
+        rank_rows([[3, -1, 2]])
+    with pytest.raises(ValidationError, match="negative"):
+        canonical_rows(np.array([[0, 2, 1], [1, 1, -1]]))
+
+
+def test_one_rank_table_serves_every_chunk_of_a_sector(monkeypatch):
+    # the table is keyed on the rows' largest boson count, not on the
+    # largest count after site 0, which differs from chunk to chunk
+    monkeypatch.setattr(basis_module, "_rank_table",
+                        functools.lru_cache(maxsize=64)(basis_module._rank_table.__wrapped__))
+    SectorOrbits(3, 400)
+    assert basis_module._rank_table.cache_info().misses == 1
 
 
 def mixed_rows(f):

@@ -1,11 +1,15 @@
 """End-to-end CLI checks through click's test runner."""
 
+import contextlib
+import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -377,3 +381,17 @@ def test_invalid_settings_exit_2_before_any_block_is_solved(runner, block_solves
     assert result.exit_code == 2
     assert result.stderr == f"error: {message}\n"
     assert block_solves == []
+
+
+def test_in_process_runs_keep_no_redirected_output_alive():
+    # click's cache of its default stdout maps each redirected stream to
+    # itself; a caller that runs many commands in one process and captures
+    # their output would keep every output alive
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["oracle", *FIG_FLAGS], standalone_mode=False)
+    assert buf.getvalue().startswith("# params:")
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
