@@ -13,7 +13,8 @@ of its pattern in `SectorOrbits.patterns` (-1 when unclassified), its
 weight and the adjacency of its dominant basis state.  `labelled_spectra`
 classifies each block right after it is solved and keeps these arrays in
 place of the eigenvectors, which band extraction and the ground-state scan
-then read.
+then read.  A band's solve forms only the eigenvectors that may carry the
+pattern (see `eigensolve`), and the arrays record which ones they label.
 
 Two-clump bands split further: an eigenvalue whose dominant basis state
 has the clumps on neighbouring sites is tagged "line", the rest
@@ -103,12 +104,16 @@ def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5):
 @dataclass
 class LabelledSpectrum:
     """The certified eigenvalues of one momentum block and the `classify_block`
-    arrays of its eigenvectors; the eigenvectors are not kept.  Its momentum
-    is `basis.k`."""
+    arrays of the eigenvectors of the eigenvalues indexed by `columns`; the
+    eigenvectors are not kept.  `columns` holds every index, or, when the
+    solve was windowed on the pattern `window`, the lowest and each whose
+    vector may be classified as that pattern.  Its momentum is `basis.k`."""
 
     basis: MomentumBasis
     eigenvalues: np.ndarray
     residual_bound: float
+    window: tuple[int, ...] | None
+    columns: np.ndarray
     pattern_ids: np.ndarray
     weights: np.ndarray
     adjacent: np.ndarray
@@ -116,10 +121,13 @@ class LabelledSpectrum:
 
 def labelled_spectra(params: ModelParams, threshold: float = 0.5,
                      grid: list[MomentumIndex] | None = None,
-                     sector: SectorOrbits | None = None) -> list[LabelledSpectrum]:
+                     sector: SectorOrbits | None = None,
+                     pattern=None) -> list[LabelledSpectrum]:
     """Eigenvalues and eigenvector labels at `threshold` of every momentum of
     `grid` (the whole grid by default), in grid order, solving each +-k pair
-    once; the threshold is checked before the first solve.
+    once; the threshold and the pattern are checked before the first solve.
+    With a `pattern`, only the eigenvectors of its window are formed and
+    labelled: every one that may be classified as it, and the lowest.
 
     A momentum whose reduced label r is >= 0 is solved through
     `momentum_spectra` and classified at once, so only one block's
@@ -130,22 +138,27 @@ def labelled_spectra(params: ModelParams, threshold: float = 0.5,
     whose partner is not requested (a single --k, say) is solved directly.
     """
     validate_threshold(threshold)
+    if pattern is not None:
+        pattern = sector_pattern(params, pattern)
     if sector is None:
         sector = SectorOrbits(params.f, params.n)
     if grid is None:
         grid = momentum_grid(params.f)
     r_of = [reduced_label(kidx.l, params.f) for kidx in grid]
-    solved = {r: _labelled(*momentum_spectra(params, sector, [kidx])[0], threshold)
+    solved = {r: _labelled(*momentum_spectra(params, sector, [kidx], pattern, threshold)[0],
+                           threshold, pattern)
               for kidx, r in zip(grid, r_of) if r >= 0 or -r not in r_of}
     return [solved[r] if r in solved else
             replace(solved[-r], basis=momentum_basis(params.f, params.n, kidx, sector))
             for kidx, r in zip(grid, r_of)]
 
 
-def _labelled(basis: MomentumBasis, spectrum: Spectrum, threshold: float) -> LabelledSpectrum:
+def _labelled(basis: MomentumBasis, spectrum: Spectrum, threshold: float,
+              window: tuple[int, ...] | None) -> LabelledSpectrum:
     """A solved block with its eigenvectors replaced by their labels; a function
     of its own, so that the eigenvectors are freed before the next solve."""
-    return LabelledSpectrum(basis, spectrum.eigenvalues, spectrum.residual_bound,
+    return LabelledSpectrum(basis, spectrum.eigenvalues, spectrum.residual_bound, window,
+                            spectrum.columns,
                             *classify_block(spectrum.eigenvectors, basis, threshold))
 
 
@@ -207,7 +220,8 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
     """Collect, per momentum, the eigenpairs of `spectra` dominated by one pattern.
 
     The labels, and so the threshold, are those of `labelled_spectra`; spectra
-    of another sector than that of `params` are rejected.  Two-clump patterns
+    of another sector than that of `params`, or windowed on another pattern,
+    are rejected.  Two-clump patterns
     are tagged line/continuum by the adjacency of the dominant basis state;
     degenerate clusters with conflicting tags become "merged".  When fewer
     states than pattern classes are found at some momentum another band has
@@ -224,6 +238,9 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
             raise ValidationError(
                 f"spectra of the (f={sector.f}, n={sector.n}) sector do not match "
                 f"the requested (f={params.f}, n={params.n})")
+        if ksp.window not in (None, pat):
+            raise ValidationError(f"spectra windowed on pattern {ksp.window} hold no "
+                                  f"complete band of pattern {pat}")
     two_clump = len(pat) == 2
 
     points: list[BandPoint] = []
@@ -241,14 +258,15 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
         # a pattern that passes sector_pattern is that of some orbit
         pid = sector.patterns.index(pat)
         expected = int(np.count_nonzero(sector.pattern_ids[basis.orbit_indices] == pid))
-        selected = np.flatnonzero(ksp.pattern_ids == pid)
+        found = ksp.pattern_ids == pid
+        selected = ksp.columns[found]
         counts[l] = (len(selected), expected)
         if len(selected) < expected:
             notes.append(f"pattern {pat} at l = {l}: found {len(selected)} of {expected} "
                          "states; another band overlaps or the threshold is too strict")
         energies = ksp.eigenvalues[selected].tolist()
         if two_clump:
-            tags = np.where(ksp.adjacent[selected], "line", "continuum").tolist()
+            tags = np.where(ksp.adjacent[found], "line", "continuum").tolist()
         else:
             tags = ["n/a"] * len(selected)
         # a valid pattern has n >= 1, so every block of its sector holds a state
@@ -258,7 +276,7 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
         complete = 0 < len(selected) == len(reference)
         paired = reference if complete else [None] * len(selected)
         band = [BandPoint(l, basis.k.k, *point) for point in zip(
-            selected.tolist(), energies, ksp.weights[selected].tolist(), tags, paired)]
+            selected.tolist(), energies, ksp.weights[found].tolist(), tags, paired)]
         points += band
         if pt_residuals is not None:
             pt_residuals[l] = max(abs(p.energy - p.pt) for p in band) if complete else None
@@ -279,7 +297,8 @@ class GroundState:
 
 
 def ground_state(spectra: list[LabelledSpectrum]) -> GroundState:
-    """Global minimum over all momentum blocks, with its pattern and weight.
+    """Global minimum over all momentum blocks, with its pattern and weight:
+    the label of column 0, which every solve, windowed or not, returns first.
     Of equal minima the first in grid order is kept."""
     best: tuple[LabelledSpectrum, float] | None = None
     for ksp in spectra:
@@ -390,7 +409,7 @@ def _single_tag_dispersion(report: BandReport, tag: str) -> tuple[list[float], l
 def band_mass(params: ModelParams, pattern, tag: str, threshold: float = 0.5) -> MassFit:
     """Mass fit of the unique tagged member of a pattern band; a band that
     another overlaps raises BandOverlapError."""
-    report = extract_band(params, pattern, labelled_spectra(params, threshold))
+    report = extract_band(params, pattern, labelled_spectra(params, threshold, pattern=pattern))
     if report.overlap_notes:
         raise BandOverlapError(report.overlap_notes[0])
     ks, es = _single_tag_dispersion(report, tag)

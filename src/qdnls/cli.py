@@ -16,7 +16,9 @@ threshold apply wherever those flags are left at their defaults.
 `labelled_spectra`, which checks the threshold before the first solve,
 classifies each block's eigenvectors as soon as it is solved and keeps only
 the eigenvalues and the label arrays (pattern id, weight, adjacency); each
-+-k pair of blocks is solved once, and a single --k on its own.  A band
++-k pair of blocks is solved once, and a single --k on its own.  `spectrum`
+labels every eigenvector; `band` and `compare` form and label only those
+that may belong to their pattern, and the lowest of each block.  A band
 overlap is reported once, in the output's `overlap_warnings`.  `compare`
 prints each band point beside the closed-form energy that `extract_band`
 paired with it where the counts agree.  `oracle` asks for eigenvalues only,
@@ -246,7 +248,7 @@ def spectrum(params: ModelParams, grid, threshold: float):
 def _solved_band(params: ModelParams, pattern, threshold: float):
     """Solve every momentum and extract the band of `pattern`, with its
     per-momentum counts, overlap notes and worst perturbative residual."""
-    spectra = labelled_spectra(params, threshold)
+    spectra = labelled_spectra(params, threshold, pattern=pattern)
     report = extract_band(params, pattern, spectra)
     extras: dict = {
         "counts": {str(l): list(report.counts[l]) for l in sorted(report.counts)},

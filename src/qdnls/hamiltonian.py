@@ -31,7 +31,8 @@ rounded to even), which is congruent to l mod f and odd in l.  So
 block(-l), and on an even ring block(f - l), is bitwise the complex
 conjugate of block(l): its eigenvalues are the same and its eigenvectors are
 the conjugates.  `momentum_spectra` solves exactly the momenta it is given,
-as (basis, Spectrum) pairs, and is the one routine that solves blocks;
+as (basis, Spectrum) pairs, all eigenvectors or those of one pattern's
+window, and is the one routine that solves blocks;
 `bands.labelled_spectra` calls it for one member of each +-k pair and gives
 the other the same eigenvalues and labels.
 """
@@ -55,6 +56,7 @@ from .basis import (
     hop_moves,
     momentum_basis,
     momentum_grid,
+    normalize_pattern,
     rank_rows,
     sector_dimension,
 )
@@ -170,23 +172,35 @@ def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits |
 
 
 def momentum_spectra(params: ModelParams, sector: SectorOrbits | None = None,
-                     grid: list[MomentumIndex] | None = None
-                     ) -> list[tuple[MomentumBasis, Spectrum]]:
+                     grid: list[MomentumIndex] | None = None, pattern=None,
+                     threshold: float = 0.5) -> list[tuple[MomentumBasis, Spectrum]]:
     """The basis and certified eigenpairs of each momentum block, in grid order.
 
     By default every momentum on the canonical grid is solved; pass a
-    subset of grid labels to restrict the work.  A momentum that no orbit
-    carries gets an empty basis and an empty spectrum.  The block matrix is
-    dropped once solved; `assemble_block` rebuilds it.
+    subset of grid labels to restrict the work.  With a `pattern`, each
+    block's solve is windowed on the orbits of that pattern: it returns the
+    lowest eigenvector and those that may carry more than `threshold` of
+    their weight there (see `eigensolve`).  A momentum that no orbit carries
+    gets an empty basis and an empty spectrum.  The block matrix is dropped
+    once solved; `assemble_block` rebuilds it.
     """
     if sector is None:
         sector = SectorOrbits(params.f, params.n)
     if grid is None:
         grid = momentum_grid(params.f)
+    in_pattern = None
+    if pattern is not None:
+        pat = normalize_pattern(pattern)
+        if pat not in sector.patterns:
+            raise ValidationError(f"pattern {pat} has no orbit in the (f={params.f}, "
+                                  f"n={params.n}) sector")
+        in_pattern = sector.pattern_ids == sector.patterns.index(pat)
     out = []
     for kidx in grid:
         basis, matrix = assemble_block(params, kidx, sector)
-        spectrum = (eigh(matrix, want_vectors=True) if basis.dim
-                    else Spectrum(np.zeros(0), np.zeros((0, 0), complex), 0.0))
+        rows = None if in_pattern is None else np.flatnonzero(in_pattern[basis.orbit_indices])
+        spectrum = (eigh(matrix, want_vectors=True, rows=rows, threshold=threshold)
+                    if basis.dim else
+                    Spectrum(np.zeros(0), np.zeros((0, 0), complex), 0.0, np.zeros(0, np.intp)))
         out.append((basis, spectrum))
     return out

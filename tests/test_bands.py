@@ -1,7 +1,9 @@
 """Pattern classification, band extraction and tagging, effective masses."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +390,83 @@ def test_ground_state_is_the_single_clump_at_zero_momentum():
     # the first label of the ground momentum is its ground state's label
     basis, ground = next(pair for pair in momentum_spectra(p) if pair[0].k.l == 0)
     assert (g.pattern, g.weight) == label(ground.eigenvectors[:, 0], basis)[:2]
+
+
+# ------------------------------------------------- windowed band vs full solve
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+F7N4 = dict(f=7, n=4, gamma1=10.0, epsilon=0.5)
+F7N6 = dict(f=7, n=6, gamma1=30.0, epsilon=0.5)
+F7N6_G2 = dict(f=7, n=6, gamma1=10.0, gamma2=20.0, epsilon=0.5)
+
+
+def config(name):
+    return ModelParams(**json.loads((CONFIGS / f"{name}.json").read_text()))
+
+
+def assert_window_equals_the_full_solve(params, pattern, threshold):
+    """The band and ground of a solve windowed on `pattern` are those of the
+    solve of every eigenvector; returns the windowed spectra and band."""
+    windowed = labelled_spectra(params, threshold, pattern=pattern)
+    full = labelled_spectra(params, threshold)
+    assert all(w.window == normalize_pattern(pattern) and f.window is None
+               for w, f in zip(windowed, full))
+    band, want = (extract_band(params, pattern, spectra) for spectra in (windowed, full))
+    assert [(q.l, q.k, q.index, q.energy, q.tag, q.pt) for q in band.points] == \
+        [(q.l, q.k, q.index, q.energy, q.tag, q.pt) for q in want.points]
+    assert all(abs(q.weight - r.weight) <= 1e-12 for q, r in zip(band.points, want.points))
+    assert band.counts == want.counts
+    assert band.overlap_notes == want.overlap_notes
+    assert band.pt_residuals == want.pt_residuals
+    got, ground = ground_state(windowed), ground_state(full)
+    assert (got.l, got.k, got.energy, got.pattern) == \
+        (ground.l, ground.k, ground.energy, ground.pattern)
+    assert abs(got.weight - ground.weight) <= 1e-12
+    return windowed, band
+
+
+@pytest.mark.parametrize("name,pattern,threshold", [
+    ("band22_n4", (2, 2), 0.5), ("band22_ground", (2, 2), 0.5), ("band42_n6", (4, 2), 0.5),
+    ("band33_n6", (3, 3), 0.5), ("band22_n4", (2, 2), 0.3), ("band22_n4", (2, 2), 0.9),
+    ("band22_n4", (2, 2), 1.0)])
+def test_windowed_band_of_a_shipped_config_equals_the_full_solve(name, pattern, threshold):
+    spectra, band = assert_window_equals_the_full_solve(config(name), pattern, threshold)
+    # a window holds the lowest pair and the band's candidates, a few per block
+    assert all(ksp.columns[0] == 0 and len(ksp.columns) <= 12 for ksp in spectra)
+    if name == "band42_n6":
+        assert ground_state(spectra).l == -1  # the first of the tied E(-1) = E(0) = E(1)
+    assert bool(band.overlap_notes) == (threshold == 1.0)  # no vector is pure
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("model,pattern", [(F7N4, (2, 2)), (F7N6, (4, 2)), (F7N6_G2, (3, 3))],
+                         ids=["f7n4-22", "f7n6-42", "f7n6-33"])
+def test_windowed_golden_band_equals_the_full_solve(model, pattern, threshold):
+    assert_window_equals_the_full_solve(ModelParams(**model), pattern, threshold)
+
+
+@pytest.mark.parametrize("model,pattern,threshold", [
+    (dict(f=7, n=6, gamma1=3.0, epsilon=1.0), (4, 2), 0.9),
+    (dict(f=9, n=5, gamma1=2.0, epsilon=1.0), (3, 2), 0.5),
+    (dict(f=7, n=4, gamma1=1.0, epsilon=1.0), (2, 2), 0.5),
+])
+def test_windowed_overlapping_band_equals_the_full_solve(model, pattern, threshold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # strong hopping draws resonance warnings
+        _, band = assert_window_equals_the_full_solve(ModelParams(**model), pattern, threshold)
+    assert any(0 < found < want for found, want in band.counts.values())
+    assert band.overlap_notes
+
+
+def test_extract_band_rejects_spectra_windowed_on_another_pattern():
+    p = ModelParams(**F7N6)
+    spectra = labelled_spectra(p, pattern=(3, 3))
+    with pytest.raises(ValidationError, match="windowed on pattern"):
+        extract_band(p, (4, 2), spectra)
+    assert extract_band(p, (3, 3), spectra).points
+    with pytest.raises(ValidationError):
+        labelled_spectra(p, pattern=(5, 2))  # checked before any solve
 
 
 # ------------------------------------------------------------ effective masses

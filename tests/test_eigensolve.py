@@ -1,6 +1,7 @@
 """Certified Hermitian eigensolver."""
 
 import contextlib
+import ctypes
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import qdnls.eigensolve as eigensolve
 from qdnls import ModelParams, NumericalError, Spectrum, ValidationError, assemble_block, eigh
-from qdnls import SectorOrbits, momentum_grid
+from qdnls import SectorOrbits, extract_band, labelled_spectra, momentum_grid
 from qdnls.eigensolve import ORTHO_TOL, RESIDUAL_RTOL, SLICE
 from qdnls.hamiltonian import reduced_label
 
@@ -32,22 +33,31 @@ def random_hermitian(rng, dim, complex_entries=True):
 
 
 def numpy_eigh_not_called(a):
-    raise AssertionError("np.linalg.eigh called on the zheevd path")
+    raise AssertionError("np.linalg.eigh called on the split path")
 
 
-# eigh's vector paths for complex matrices, zheevd only where numpy's BLAS exports it
-LAPACK_PATHS = ("zheevd", "numpy") if eigensolve._zheevd() else ("numpy",)
-needs_zheevd = pytest.mark.skipif("zheevd" not in LAPACK_PATHS,
-                                  reason="numpy's BLAS does not export scipy_zheevd_64_")
+def near_diagonal(dim, seed=0):
+    """A Hermitian matrix whose eigenvectors are close to the unit vectors, so
+    that a window on a few basis rows returns those rows' columns."""
+    return np.diag(np.arange(dim, dtype=float)) + 0.01 * random_hermitian(
+        np.random.default_rng(seed), dim)
+
+
+# eigh's vector paths for complex matrices: zhetrd + dstedc + zunmtr through
+# ctypes only where numpy's BLAS exports the three
+LAPACK_PATHS = ("split", "numpy") if eigensolve._routines() else ("numpy",)
+needs_split = pytest.mark.skipif(
+    "split" not in LAPACK_PATHS,
+    reason="numpy's BLAS does not export scipy_zhetrd_64_, scipy_dstedc_64_ and scipy_zunmtr_64_")
 
 
 @contextlib.contextmanager
 def lapack_path(path):
-    """Send every complex vector solve down one path: zheevd through ctypes at
-    any size, or numpy's eigh, as when zheevd is not exported."""
+    """Send every complex vector solve down one path: the split steps through
+    ctypes at any size, or numpy's eigh, as when they are not exported."""
     with pytest.MonkeyPatch.context() as mp:
         if path == "numpy":
-            mp.setattr(eigensolve, "_zheevd", lambda: None)
+            mp.setattr(eigensolve, "_routines", lambda: None)
         else:
             mp.setattr(eigensolve, "_NUMPY_DIM", 0)
             mp.setattr(np.linalg, "eigh", numpy_eigh_not_called)
@@ -151,11 +161,11 @@ def test_vector_path_certificate_holds_at_extreme_scales(factor):
     # unscaled, their squares overflow to inf at 1e200 and underflow to 0 at
     # 1e-233, and either way pairs with shifted eigenvalues pass
     h = factor * random_hermitian(np.random.default_rng(5), 6)
-    true_lapack = eigensolve._lapack
+    true_solve = eigensolve._solve
 
-    def shifted(a, want_vectors):
-        w, v = true_lapack(a, want_vectors)
-        return 1.1 * w, v
+    def shifted(*args):
+        w, v, columns = true_solve(*args)
+        return 1.1 * w, v, columns
 
     for path in LAPACK_PATHS:
         with (lapack_path(path) as mp, warnings.catch_warnings(),
@@ -164,9 +174,35 @@ def test_vector_path_certificate_holds_at_extreme_scales(factor):
             spec = eigh(h, want_vectors=True)
             assert np.isfinite(spec.residual_bound)
             assert spec.residual_bound <= RESIDUAL_RTOL * factor * np.linalg.norm(h / factor)
-            mp.setattr(eigensolve, "_lapack", shifted)
+            mp.setattr(eigensolve, "_solve", shifted)
             with pytest.raises(NumericalError):
                 eigh(h, want_vectors=True)
+
+
+@pytest.mark.parametrize("factor", [1e-233, 1e200])
+def test_split_path_holds_at_extreme_scales_windowed_and_full(factor):
+    # zheevd would scale such a matrix before its reduction; eigh scales it by
+    # a power of two instead, so the split steps and the row weights see
+    # entries near 1 and no operation overflows
+    h = near_diagonal(3 * SLICE, seed=6)
+    rows = [5, 70, 130]
+    for path in LAPACK_PATHS:
+        with lapack_path(path):
+            want_full = eigh(h, want_vectors=True)
+            want_window = eigh(h, want_vectors=True, rows=rows, threshold=0.5)
+            with (warnings.catch_warnings(),
+                  np.errstate(over="raise", invalid="raise", divide="raise")):
+                warnings.simplefilter("error")
+                full = eigh(factor * h, want_vectors=True)
+                window = eigh(factor * h, want_vectors=True, rows=rows, threshold=0.5)
+        assert window.columns.tolist() == want_window.columns.tolist() == [0, 5, 70, 130]
+        for got, want in ((full, want_full), (window, want_window)):
+            scale = np.abs(want.eigenvalues).max()
+            assert np.abs(got.eigenvalues / factor - want.eigenvalues).max() <= 1e-12 * scale
+            assert np.array_equal(got.columns, want.columns)
+            assert np.abs(got.eigenvectors - want.eigenvectors).max() <= 1e-12
+            assert np.isfinite(got.residual_bound)
+            assert got.residual_bound <= RESIDUAL_RTOL * factor * np.linalg.norm(h)
 
 
 @pytest.mark.parametrize("want_vectors", [False, True])
@@ -209,8 +245,8 @@ def test_checks_hold_at_most_one_full_size_temporary(want_vectors, complex_entri
     # of the matrix and slices SLICE wide; LAPACK runs before tracing starts,
     # so neither its buffers nor its outputs are counted
     h = random_hermitian(np.random.default_rng(11), 12 * SLICE, complex_entries)
-    solved = eigensolve._lapack(h, want_vectors)
-    monkeypatch.setattr(eigensolve, "_lapack", lambda a, want_vectors: solved)
+    solved = eigensolve._solve(h, want_vectors, None, 0.5)
+    monkeypatch.setattr(eigensolve, "_solve", lambda *args: solved)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -229,11 +265,11 @@ def test_every_slice_is_checked():
     asymmetric[-1, -2] += 1e-6
     with pytest.raises(ValidationError):
         eigh(asymmetric)
-    true_lapack = eigensolve._lapack
+    true_solve = eigensolve._solve
     for path in LAPACK_PATHS:
         for fault, matrix in (("value", h), ("norm", h), ("overlap", np.eye(dim, dtype=complex))):
-            def faulty(a, want_vectors, fault=fault):
-                w, v = true_lapack(a, want_vectors)
+            def faulty(*args, fault=fault):
+                w, v, columns = true_solve(*args)
                 if fault == "value":
                     w[-1] += 1e-6 * np.abs(w).max()
                 elif fault == "norm":
@@ -241,10 +277,10 @@ def test_every_slice_is_checked():
                 else:  # not orthogonal to the first column, yet an eigenvector of I
                     v[:, -1] += 1e-6 * v[:, 0]
                     v[:, -1] /= np.linalg.norm(v[:, -1])
-                return w, v
+                return w, v, columns
 
             with lapack_path(path) as mp:
-                mp.setattr(eigensolve, "_lapack", faulty)
+                mp.setattr(eigensolve, "_solve", faulty)
                 with pytest.raises(NumericalError):
                     eigh(matrix, want_vectors=True)
         with lapack_path(path):
@@ -252,61 +288,99 @@ def test_every_slice_is_checked():
         assert spec.residual_bound <= RESIDUAL_RTOL * np.linalg.norm(h)
 
 
-# ------------------------------------------------ the zheevd path and its fallback
+# ------------------------------------- the split path, its window and its fallback
+
+# the band each shipped config is read for
+CONFIG_PATTERNS = {"band22_n4": (2, 2), "band22_ground": (2, 2), "band42_n6": (4, 2),
+                   "band33_n6": (3, 3)}
 
 
 def config_blocks():
-    """(name, l, block) of every block the band path solves for the shipped
-    configs: the r >= 0 half of each ring's grid."""
+    """(name, l, block, band rows) of every block the band path solves for the
+    shipped configs: the r >= 0 half of each ring's grid, with the basis rows
+    of the config's band pattern."""
     for path in sorted(CONFIGS.glob("*.json")):
         params = ModelParams(**json.loads(path.read_text()))
         sector = SectorOrbits(params.f, params.n)
+        pid = sector.patterns.index(CONFIG_PATTERNS[path.stem])
         for k in momentum_grid(params.f):
             if reduced_label(k.l, params.f) >= 0:
-                yield path.stem, k.l, assemble_block(params, k, sector)[1]
+                basis, h = assemble_block(params, k, sector)
+                yield path.stem, k.l, h, np.flatnonzero(sector.pattern_ids[basis.orbit_indices] == pid)
 
 
-@needs_zheevd
+def window_of(v, rows, threshold):
+    """The columns a window returns, from the full eigenvectors `v`."""
+    weights = (np.abs(v[rows]) ** 2).sum(axis=0)
+    return sorted({0} | set(np.flatnonzero(weights > threshold - ORTHO_TOL).tolist()))
+
+
+@needs_split
 def test_config_blocks_solve_to_numpys_eigenvalues_bitwise():
-    # zheevd differs from numpy's call only in zunmtr's workspace, which the
-    # eigenvalues never see; bitwise equality keeps ties such as band42_n6's
-    # E(-1) = E(0) = E(1) as they are
+    # the split steps are zheevd's own calls on the same input, so the
+    # eigenvalues are numpy's bitwise, windowed or not; that keeps ties such as
+    # band42_n6's E(-1) = E(0) = E(1) as they are
     blocks = 0
-    for name, l, h in config_blocks():
-        assert len(h) > eigensolve._NUMPY_DIM  # every one takes the zheevd path
-        spec = eigh(h, want_vectors=True)
+    for name, l, h, rows in config_blocks():
+        assert len(h) > eigensolve._NUMPY_DIM  # every one takes the split path
         w, v = np.linalg.eigh(h)
-        assert np.array_equal(spec.eigenvalues, w), (name, l)
-        assert np.abs(spec.eigenvectors - v).max() <= 1e-13, (name, l)
+        full = eigh(h, want_vectors=True)
+        window = eigh(h, want_vectors=True, rows=rows, threshold=0.5)
+        assert np.array_equal(full.eigenvalues, w), (name, l)
+        assert np.array_equal(window.eigenvalues, w), (name, l)
+        assert np.array_equal(full.columns, np.arange(len(w)))
+        assert np.abs(full.eigenvectors - v).max() <= 1e-13, (name, l)
+        assert window.columns.tolist() == window_of(v, rows, 0.5), (name, l)
+        assert np.abs(window.eigenvectors - v[:, window.columns]).max() <= 1e-13, (name, l)
         blocks += 1
     assert blocks == 32
 
 
-@needs_zheevd
+@needs_split
 def test_one_blas_thread_keeps_the_eigenvalues_bitwise():
-    # OpenBLAS picks its kernels' blocking by thread count; both calls must
-    # still agree when they share one thread, as they do at the default
+    # OpenBLAS picks its kernels' blocking by thread count; the split steps and
+    # numpy must still agree when they share one thread, as they do at the
+    # default, and the window must select the band of the full solve, which
+    # is the band selected at the default thread count
     script = """
 import json, sys
 import numpy as np
-from qdnls import ModelParams, MomentumIndex, assemble_block, eigh
-from qdnls.eigensolve import _zheevd
+from qdnls import ModelParams, MomentumIndex, assemble_block, eigh, extract_band, labelled_spectra
+from qdnls.eigensolve import _routines
 params = ModelParams(**json.load(open(sys.argv[1])))
 for l in (-1, 0, 1):
-    h = assemble_block(params, MomentumIndex(l, params.f))[1]
-    assert np.array_equal(eigh(h, want_vectors=True).eigenvalues, np.linalg.eigh(h)[0]), l
-assert _zheevd() is not None
+    basis, h = assemble_block(params, MomentumIndex(l, params.f))
+    rows = np.flatnonzero(basis.sector.pattern_ids[basis.orbit_indices]
+                          == basis.sector.patterns.index((4, 2)))
+    w = np.linalg.eigh(h)[0]
+    assert np.array_equal(eigh(h, want_vectors=True).eigenvalues, w), l
+    assert np.array_equal(eigh(h, want_vectors=True, rows=rows).eigenvalues, w), l
+assert _routines() is not None
+band = extract_band(params, (4, 2), labelled_spectra(params, pattern=(4, 2)))
+full = extract_band(params, (4, 2), labelled_spectra(params))
+points = [[p.l, p.index, p.energy, p.tag] for p in band.points]
+assert points == [[p.l, p.index, p.energy, p.tag] for p in full.points]
+print(json.dumps(points))
 """
+    config = CONFIGS / "band42_n6.json"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(Path(eigensolve.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "band42_n6.json")],
+    done = subprocess.run([sys.executable, "-c", script, str(config)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    params = ModelParams(**json.loads(config.read_text()))
+    band = extract_band(params, (4, 2), labelled_spectra(params, pattern=(4, 2)))
+    # the energies move by ulps with the thread count, the selection must not
+    one_thread = json.loads(done.stdout)
+    assert [[l, index, tag] for l, index, _, tag in one_thread] == \
+        [[p.l, p.index, p.tag] for p in band.points]
+    assert all(abs(e - p.energy) <= 1e-12 * abs(p.energy)
+               for (_, _, e, _), p in zip(one_thread, band.points))
 
 
-@needs_zheevd
-def test_contract_on_random_matrices_on_the_zheevd_path(monkeypatch):
+@needs_split
+def test_contract_on_random_matrices_on_the_split_path(monkeypatch):
     rng = np.random.default_rng(17)
     dims = [65, 300, *rng.integers(66, 300, size=8)]
     wants = {dim: np.linalg.eigh(random_hermitian(np.random.default_rng(dim), dim))[0]
@@ -323,27 +397,121 @@ def test_contract_on_random_matrices_on_the_zheevd_path(monkeypatch):
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= ORTHO_TOL
 
 
+def test_windowed_solve_returns_the_rows_columns_and_every_eigenvalue():
+    dim = 2 * SLICE + 5
+    h = near_diagonal(dim)
+    for path in LAPACK_PATHS:
+        with lapack_path(path):
+            full = eigh(h, want_vectors=True)
+            for rows, threshold, columns in (([3, 100], 0.5, [0, 3, 100]),
+                                             ([], 0.5, [0]),  # the lowest pair only
+                                             ([3, 100], 1.0, [0])):  # no vector is pure
+                window = eigh(h, want_vectors=True, rows=rows, threshold=threshold)
+                assert window.columns.tolist() == columns
+                assert np.array_equal(window.eigenvalues, full.eigenvalues)
+                assert np.abs(window.eigenvectors - full.eigenvectors[:, columns]).max() <= 1e-13
+                assert window.residual_bound <= RESIDUAL_RTOL * np.linalg.norm(h)
+
+
+def test_windowed_solve_certifies_its_columns_and_every_eigenvalue():
+    # a fault in a returned column fails the residual or the Gram check; a
+    # shifted eigenvalue whose vector is not returned fails the trace and
+    # Frobenius check
+    dim = 2 * SLICE + 5
+    true_solve = eigensolve._solve
+    for path in LAPACK_PATHS:
+        for fault, matrix, message in (
+                ("value", near_diagonal(dim), "residual"), ("norm", near_diagonal(dim), "Gram"),
+                ("overlap", np.eye(dim, dtype=complex), "Gram"),
+                ("unreturned", near_diagonal(dim), "tr H")):
+            def faulty(*args, fault=fault):
+                w, v, columns = true_solve(*args)
+                assert columns.tolist() == [0, 3, 100]
+                if fault == "value":
+                    w[columns[-1]] += 1e-6 * np.abs(w).max()
+                elif fault == "unreturned":
+                    w[50] += 1e-6 * np.abs(w).max()
+                elif fault == "norm":
+                    v[:, -1] *= 1.0 + 1e-6
+                else:  # not orthogonal to the first column, yet an eigenvector of I
+                    v[:, -1] += 1e-6 * v[:, 0]
+                    v[:, -1] /= np.linalg.norm(v[:, -1])
+                return w, v, columns
+
+            with lapack_path(path) as mp:
+                mp.setattr(eigensolve, "_solve", faulty)
+                with pytest.raises(NumericalError, match=message):
+                    eigh(matrix, want_vectors=True, rows=[3, 100], threshold=0.5)
+
+
+def test_row_weights_that_miss_their_count_raise():
+    # each row of the unitary V has unit norm, so the weights of every column
+    # on the rows add up to their count; Q^H E_P (or numpy's rows) off by 1e-6
+    # must raise before any vector is returned
+    h = near_diagonal(2 * SLICE + 5)
+    rows = [3, 100]
+    for path in LAPACK_PATHS:
+        with lapack_path(path) as mp:
+            if path == "split":
+                true_lapack = eigensolve._lapack
+
+                def skewed(name, *args):
+                    true_lapack(name, *args)
+                    if name == "zunmtr" and args[2] == b"C" and args[-1] != -1:
+                        args[8][...] *= 1.0 + 1e-6  # Q^H E_P, past the workspace query
+
+                mp.setattr(eigensolve, "_lapack", skewed)
+            else:
+                true_eigh = np.linalg.eigh
+
+                def skewed(a):
+                    w, v = true_eigh(a)
+                    v[rows[0]] *= 1.0 + 1e-6
+                    return w, v
+
+                mp.setattr(np.linalg, "eigh", skewed)
+            with pytest.raises(NumericalError, match="add up to"):
+                eigh(h, want_vectors=True, rows=rows, threshold=0.5)
+
+
 def test_forced_fallback_gives_the_same_eigenvalues(monkeypatch):
     h = random_hermitian(np.random.default_rng(19), 2 * SLICE + 5)
+    near = near_diagonal(2 * SLICE + 5)
+    params = ModelParams(f=7, n=6, gamma1=30.0, epsilon=0.5)  # blocks of dimension 132
     direct = eigh(h, want_vectors=True)
+    direct_window = eigh(near, want_vectors=True, rows=[3, 100], threshold=0.5)
+    direct_band = extract_band(params, (4, 2), labelled_spectra(params, pattern=(4, 2)))
     calls = []
-    monkeypatch.setattr(eigensolve, "_zheevd", lambda: calls.append(1))
+    monkeypatch.setattr(eigensolve, "_routines", lambda: calls.append(1))
     fallback = eigh(h, want_vectors=True)
     assert calls  # the lookup was asked, found nothing, and numpy solved
     assert np.array_equal(fallback.eigenvalues, direct.eigenvalues)
     assert np.array_equal(fallback.eigenvalues, np.linalg.eigh(h)[0])
     assert fallback.residual_bound <= RESIDUAL_RTOL * np.linalg.norm(h)
+    fallback_window = eigh(near, want_vectors=True, rows=[3, 100], threshold=0.5)
+    assert np.array_equal(fallback_window.eigenvalues, direct_window.eigenvalues)
+    assert fallback_window.columns.tolist() == direct_window.columns.tolist() == [0, 3, 100]
+    band = extract_band(params, (4, 2), labelled_spectra(params, pattern=(4, 2)))
+    assert [(p.l, p.index, p.energy, p.tag) for p in band.points] == \
+        [(p.l, p.index, p.energy, p.tag) for p in direct_band.points]
+    assert max(abs(p.weight - q.weight) for p, q in zip(band.points, direct_band.points)) <= 1e-12
+    assert band.counts == direct_band.counts
 
 
-@needs_zheevd
-def test_zheevd_failure_raises_numerical_error(monkeypatch):
-    zheevd, zunmtr = eigensolve._zheevd()
+@needs_split
+def test_split_step_failure_raises_numerical_error(monkeypatch):
+    # nonzero info from the solve (not the workspace query) of any of the
+    # three steps raises, windowed or not
+    h = random_hermitian(np.random.default_rng(23), 2 * SLICE)
+    routines = eigensolve._routines()
+    for name in ("zhetrd", "dstedc", "zunmtr"):
+        def failing(*args, routine=routines[name]):
+            routine(*args)
+            *ints, info = [x for x in args if isinstance(x, ctypes.c_int64)]
+            if all(x.value != -1 for x in ints):
+                info.value = 3
 
-    def no_convergence(*args):
-        zheevd(*args)
-        if args[7].value != -1:  # the solve, not the workspace query
-            args[12].value = 3
-
-    monkeypatch.setattr(eigensolve, "_zheevd", lambda: (no_convergence, zunmtr))
-    with pytest.raises(NumericalError, match="zheevd info 3"):
-        eigh(random_hermitian(np.random.default_rng(23), 2 * SLICE), want_vectors=True)
+        monkeypatch.setattr(eigensolve, "_routines", lambda: {**routines, name: failing})
+        for rows in (None, [3, 50]):
+            with pytest.raises(NumericalError, match=f"{name} info 3"):
+                eigh(h, want_vectors=True, rows=rows, threshold=0.5)
