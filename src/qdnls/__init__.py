@@ -10,7 +10,6 @@ from .bands import (
     LabelledSpectrum,
     band_mass,
     classify_block,
-    effective_mass,
     extract_band,
     ground_state,
     labelled_spectra,
@@ -20,8 +19,6 @@ from .basis import (
     MomentumBasis,
     MomentumIndex,
     SectorOrbits,
-    TranslationOrbit,
-    momentum_basis,
     momentum_grid,
     pattern_classes,
     pattern_of,
@@ -36,36 +33,25 @@ from .errors import (
     ResonanceError,
     ValidationError,
 )
-from .hamiltonian import ModelParams, assemble_block, diagonal_energy, full_matrix, momentum_spectra
+from .hamiltonian import ModelParams, assemble_block, full_matrix, momentum_spectra
 from .perturbation import (
-    Coeffs22,
     band22_asymptotic,
     bw_second_order_block,
-    coeffs22,
-    coeffs33,
-    coeffs42,
-    continuum42,
-    continuum42_bounds,
     h22_matrix,
     h33_matrix,
     h42_matrix,
-    onsite_energy,
-    pattern_energy,
     pt_band,
 )
 
 __version__ = "0.1.0"
 
-# the names that the README, the tests and the benchmark take from the package
+# the error classes and the names that the README and the benchmark take from the package
 __all__ = [
-    "BandOverlapError", "CapacityError", "Coeffs22", "LabelledSpectrum", "ModelParams",
+    "BandOverlapError", "CapacityError", "LabelledSpectrum", "ModelParams",
     "MomentumBasis", "MomentumIndex", "NumericalError", "PTValidityWarning",
-    "ResonanceError", "SectorOrbits", "Spectrum", "TranslationOrbit",
-    "ValidationError", "assemble_block", "band22_asymptotic", "band_mass",
-    "bw_second_order_block", "classify_block", "coeffs22", "coeffs33", "coeffs42",
-    "continuum42", "continuum42_bounds", "diagonal_energy", "effective_mass", "eigh",
+    "ResonanceError", "SectorOrbits", "Spectrum", "ValidationError", "assemble_block",
+    "band22_asymptotic", "band_mass", "bw_second_order_block", "classify_block", "eigh",
     "extract_band", "full_matrix", "ground_state", "h22_matrix", "h33_matrix", "h42_matrix",
-    "labelled_spectra", "mass_ratio_report", "momentum_basis", "momentum_grid",
-    "momentum_spectra", "onsite_energy", "pattern_classes", "pattern_energy", "pattern_of", "pt_band",
-    "sector_dimension",
+    "labelled_spectra", "mass_ratio_report", "momentum_grid", "momentum_spectra",
+    "pattern_classes", "pattern_of", "pt_band", "sector_dimension",
 ]

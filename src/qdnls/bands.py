@@ -7,7 +7,8 @@ classified only when the best pattern's weight strictly exceeds the
 threshold, so an even two-way split at threshold 0.5 stays unclassified.
 The basis states are the orbit representatives, whose patterns and
 adjacency the sector table keys once (`SectorOrbits.pattern_ids` and
-`.adjacent`), and the weights of a whole block of eigenvectors are summed
+`.adjacent`; every block of a sector shares one table, `sector_orbits`),
+and the weights of a whole block of eigenvectors are summed
 per pattern at once.  A label is three numbers per eigenvector: the index
 of its pattern in `SectorOrbits.patterns` (-1 when unclassified), its
 weight and the adjacency of its dominant basis state.  `labelled_spectra`
@@ -37,15 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import (
-    MomentumBasis,
-    MomentumIndex,
-    SectorOrbits,
-    momentum_basis,
-    momentum_grid,
-    normalize_pattern,  # re-exported, as is pattern_of: basis defines a pattern
-    pattern_of,
-)
+from .basis import MomentumBasis, MomentumIndex, momentum_basis, momentum_grid, sector_pattern
 from .eigensolve import Spectrum
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
 from .hamiltonian import ModelParams, momentum_spectra, reduced_label
@@ -121,7 +114,6 @@ class LabelledSpectrum:
 
 def labelled_spectra(params: ModelParams, threshold: float = 0.5,
                      grid: list[MomentumIndex] | None = None,
-                     sector: SectorOrbits | None = None,
                      pattern=None) -> list[LabelledSpectrum]:
     """Eigenvalues and eigenvector labels at `threshold` of every momentum of
     `grid` (the whole grid by default), in grid order, solving each +-k pair
@@ -139,17 +131,15 @@ def labelled_spectra(params: ModelParams, threshold: float = 0.5,
     """
     validate_threshold(threshold)
     if pattern is not None:
-        pattern = sector_pattern(params, pattern)
-    if sector is None:
-        sector = SectorOrbits(params.f, params.n)
+        pattern = sector_pattern(params.f, params.n, pattern)
     if grid is None:
         grid = momentum_grid(params.f)
     r_of = [reduced_label(kidx.l, params.f) for kidx in grid]
-    solved = {r: _labelled(*momentum_spectra(params, sector, [kidx], pattern, threshold)[0],
+    solved = {r: _labelled(*momentum_spectra(params, [kidx], pattern, threshold)[0],
                            threshold, pattern)
               for kidx, r in zip(grid, r_of) if r >= 0 or -r not in r_of}
     return [solved[r] if r in solved else
-            replace(solved[-r], basis=momentum_basis(params.f, params.n, kidx, sector))
+            replace(solved[-r], basis=momentum_basis(params.f, params.n, kidx))
             for kidx, r in zip(grid, r_of)]
 
 
@@ -205,17 +195,6 @@ def _merge_degenerate_tags(energies: list[float], tags: list[str], scale: float)
     return out
 
 
-def sector_pattern(params: ModelParams, pattern) -> tuple[int, ...]:
-    """`pattern` largest first, checked to fit the sector of `params`."""
-    pat = normalize_pattern(pattern)
-    if sum(pat) != params.n:
-        raise ValidationError(
-            f"pattern {pat} holds {sum(pat)} bosons, the sector has n = {params.n}")
-    if len(pat) > params.f:
-        raise ValidationError(f"pattern {pat} needs more than f = {params.f} sites")
-    return pat
-
-
 def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) -> BandReport:
     """Collect, per momentum, the eigenpairs of `spectra` dominated by one pattern.
 
@@ -231,7 +210,7 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
     them slot by slot as `pt`, and `pt_residuals` holds their worst difference
     (None at a momentum whose counts differ).
     """
-    pat = sector_pattern(params, pattern)
+    pat = sector_pattern(params.f, params.n, pattern)
     for ksp in spectra:
         sector = ksp.basis.sector
         if (sector.f, sector.n) != (params.f, params.n):

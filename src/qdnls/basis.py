@@ -12,11 +12,14 @@ their orbits, ranking only the rotations that bring a largest entry to site 0.
 the first clump on site 0; `SectorOrbits` is the union of those lists over a
 sector's patterns, and holds orbits, not states.  Only the dense oracle
 enumerates the states (`_occupations`, f - 1 passes over 1-D arrays).
+The table depends on f and n only, so the exact path builds each one once:
+`sector_orbits(f, n)` is the memo it reads, and `sector_pattern` checks a
+pattern against the sector without a table.
 `class_fold` is the one hop table every Bloch block, exact or perturbative,
 is built from: the moves out of a family of orbit representatives
 (`hop_moves`) folded onto their destination orbits, memoized.
-A momentum basis is an index array into the sector's orbits: those, in
-sector order, whose period admits the momentum.
+A momentum basis is an index array into the shared table's orbits: those,
+in sector order, whose period admits the momentum.
 
 The Bloch state attached to an orbit with representative |r> and period d at
 crystal momentum k = 2 pi l / f is
@@ -112,6 +115,17 @@ def normalize_pattern(pattern) -> tuple[int, ...]:
                               and c >= 1 for c in pattern):
         raise ValidationError(f"pattern entries must be positive integers, got {pattern!r}")
     return tuple(sorted((int(c) for c in pattern), reverse=True))
+
+
+def sector_pattern(f: int, n: int, pattern) -> tuple[int, ...]:
+    """`pattern` largest first, checked to be that of some orbit of the (f, n)
+    sector: n bosons in at most f clumps.  It builds no sector table."""
+    pat = normalize_pattern(pattern)
+    if sum(pat) != n:
+        raise ValidationError(f"pattern {pat} holds {sum(pat)} bosons, the sector has n = {n}")
+    if len(pat) > f:
+        raise ValidationError(f"pattern {pat} needs more than f = {f} sites")
+    return pat
 
 
 def rank_rows(rows) -> np.ndarray:
@@ -301,7 +315,9 @@ class SectorOrbits:
     f clumps, listed largest first in `patterns`.  Orbit g, in rank order, has
     the representative of rank `reps[g]` and row `rep_rows[g]`, period
     `periods[g]` (both in `orbits[g]`) and pattern `patterns[pattern_ids[g]]`;
-    `adjacent[g]` holds when it is two clumps on neighbouring sites.
+    `adjacent[g]` holds when it is two clumps on neighbouring sites.  The
+    arrays are read-only: the exact path shares one table per (f, n),
+    `sector_orbits(f, n)`.
     """
 
     def __init__(self, f: int, n: int):
@@ -314,6 +330,16 @@ class SectorOrbits:
         # is adjacent on site 1 or, around the ring, on site f - 1
         occupied = self.rep_rows > 0
         self.adjacent = (occupied.sum(axis=1) == 2) & (occupied[:, 1] | occupied[:, -1])
+        for a in (self.reps, self.rep_rows, self.periods, self.pattern_ids, self.adjacent):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def sector_orbits(f: int, n: int) -> SectorOrbits:
+    """The `SectorOrbits` table of the (f, n) sector, built once and shared by
+    every momentum basis of the sector.  The key is typed, so 2.0 or True
+    never finds the table of 2 or 1: it misses and `SectorOrbits` rejects it."""
+    return SectorOrbits(f, n)
 
 
 @dataclass(frozen=True)
@@ -346,7 +372,8 @@ def momentum_grid(f: int) -> list[MomentumIndex]:
 @dataclass
 class MomentumBasis:
     """Bloch-symmetrized orbit basis of one momentum sector: basis vector j is
-    the Bloch state of orbit `orbit_indices[j]` of `sector`."""
+    the Bloch state of orbit `orbit_indices[j]` of `sector`, the shared
+    `sector_orbits` table."""
 
     k: MomentumIndex
     sector: SectorOrbits
@@ -357,14 +384,13 @@ class MomentumBasis:
         return len(self.orbit_indices)
 
 
-def momentum_basis(f: int, n: int, k: MomentumIndex, sector: SectorOrbits | None = None) -> MomentumBasis:
+def momentum_basis(f: int, n: int, k: MomentumIndex) -> MomentumBasis:
     """Orbits of the (f, n) sector that carry momentum k (l * period = 0 mod f),
     in sector order."""
     if not isinstance(k, MomentumIndex):
         raise ValidationError(f"a momentum basis needs a MomentumIndex, got {k!r}")
-    if sector is None:
-        sector = SectorOrbits(f, n)
-    if (sector.f, sector.n) != (f, n) or k.f != f:
-        raise ValidationError("sector and momentum index do not match the requested (f, n)")
+    if k.f != f:
+        raise ValidationError(f"momentum index of an f = {k.f} ring does not match f = {f}")
+    sector = sector_orbits(f, n)
     return MomentumBasis(k=k, sector=sector,
                          orbit_indices=np.flatnonzero(k.l * sector.periods % f == 0))

@@ -37,8 +37,8 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .bands import extract_band, ground_state, labelled_spectra, sector_pattern
-from .basis import MomentumIndex, momentum_grid
+from .bands import extract_band, ground_state, labelled_spectra
+from .basis import MomentumIndex, momentum_grid, sector_pattern
 from .eigensolve import eigh
 from .errors import CapacityError, NumericalError, QdnlsError, ResonanceError, ValidationError
 from .hamiltonian import ModelParams, full_matrix
@@ -335,7 +335,7 @@ def _compare_once(params: ModelParams, pattern, threshold: float):
                        help="Repeat at eps, eps/2, eps/4 and report residual decay."))
 def compare(params: ModelParams, pattern, threshold: float, scaling: bool):
     """Exact band against the perturbative prediction, per momentum."""
-    pattern = sector_pattern(params, pattern)
+    pattern = sector_pattern(params.f, params.n, pattern)
     if scaling and params.epsilon <= 0:
         raise ValidationError("--scaling needs a positive epsilon")
     try:  # parity and resonances do not depend on epsilon: checked once

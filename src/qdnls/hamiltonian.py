@@ -18,9 +18,11 @@ block element between orbits r' and r at momentum k is
 
 with the Bloch convention of `basis` (phase exp(-i k t) on T^t |rep>).
 
-Every block, like the numeric perturbation reference, takes its elements
-from one hop table, `basis.class_fold`: the single-boson moves out of its
-orbit representatives, each destination folded onto its orbit, memoized per
+Every block reads its orbits from the shared sector table
+(`basis.sector_orbits`, built once per (f, n)) and, like the numeric
+perturbation reference, takes its elements from one hop table,
+`basis.class_fold`: the single-boson moves out of its orbit
+representatives, each destination folded onto its orbit, memoized per
 family of representatives.  `bloch_elements` turns that fold into the
 per-hop block elements at one momentum.  The dense oracle enumerates every
 state, takes their moves (`basis.hop_moves`) and ranks the destinations
@@ -49,16 +51,15 @@ from .basis import (
     ClassFold,
     MomentumBasis,
     MomentumIndex,
-    SectorOrbits,
     _occupations,
     check_sector,
     class_fold,
     hop_moves,
     momentum_basis,
     momentum_grid,
-    normalize_pattern,
     rank_rows,
     sector_dimension,
+    sector_pattern,
 )
 from .eigensolve import Spectrum, eigh
 from .errors import CapacityError, ValidationError
@@ -140,12 +141,12 @@ def bloch_elements(fold: ClassFold, params: ModelParams, k: MomentumIndex) -> np
     return -params.epsilon * fold.amp * fold.ratio * np.exp(1j * theta)
 
 
-def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None):
+def block_parts(params: ModelParams, k: MomentumIndex):
     """Momentum basis, zero-hopping energies per orbit, and the Bloch hopping matrix.
 
     The hopping matrix is exactly Hermitian by symmetrized construction.
     """
-    basis = momentum_basis(params.f, params.n, k, sector)
+    basis = momentum_basis(params.f, params.n, k)
     dim = basis.dim
     cap = dense_cap()
     if dim > cap:
@@ -163,17 +164,16 @@ def block_parts(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | No
     return basis, diagonal_energy(rows, params), v
 
 
-def assemble_block(params: ModelParams, k: MomentumIndex, sector: SectorOrbits | None = None
-                   ) -> tuple[MomentumBasis, np.ndarray]:
+def assemble_block(params: ModelParams, k: MomentumIndex) -> tuple[MomentumBasis, np.ndarray]:
     """The Bloch orbit basis at momentum k and the Hamiltonian block over it."""
-    basis, diag, v = block_parts(params, k, sector)
+    basis, diag, v = block_parts(params, k)
     v[np.diag_indices(basis.dim)] += diag
     return basis, v
 
 
-def momentum_spectra(params: ModelParams, sector: SectorOrbits | None = None,
-                     grid: list[MomentumIndex] | None = None, pattern=None,
-                     threshold: float = 0.5) -> list[tuple[MomentumBasis, Spectrum]]:
+def momentum_spectra(params: ModelParams, grid: list[MomentumIndex] | None = None,
+                     pattern=None, threshold: float = 0.5
+                     ) -> list[tuple[MomentumBasis, Spectrum]]:
     """The basis and certified eigenpairs of each momentum block, in grid order.
 
     By default every momentum on the canonical grid is solved; pass a
@@ -184,21 +184,15 @@ def momentum_spectra(params: ModelParams, sector: SectorOrbits | None = None,
     gets an empty basis and an empty spectrum.  The block matrix is dropped
     once solved; `assemble_block` rebuilds it.
     """
-    if sector is None:
-        sector = SectorOrbits(params.f, params.n)
     if grid is None:
         grid = momentum_grid(params.f)
-    in_pattern = None
-    if pattern is not None:
-        pat = normalize_pattern(pattern)
-        if pat not in sector.patterns:
-            raise ValidationError(f"pattern {pat} has no orbit in the (f={params.f}, "
-                                  f"n={params.n}) sector")
-        in_pattern = sector.pattern_ids == sector.patterns.index(pat)
+    pat = None if pattern is None else sector_pattern(params.f, params.n, pattern)
     out = []
     for kidx in grid:
-        basis, matrix = assemble_block(params, kidx, sector)
-        rows = None if in_pattern is None else np.flatnonzero(in_pattern[basis.orbit_indices])
+        basis, matrix = assemble_block(params, kidx)
+        sector = basis.sector
+        rows = (None if pat is None else np.flatnonzero(
+            sector.pattern_ids[basis.orbit_indices] == sector.patterns.index(pat)))
         spectrum = (eigh(matrix, want_vectors=True, rows=rows, threshold=threshold)
                     if basis.dim else
                     Spectrum(np.zeros(0), np.zeros((0, 0), complex), 0.0, np.zeros(0, np.intp)))

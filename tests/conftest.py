@@ -1,5 +1,12 @@
 import sys
 
+# (f, n), a pattern that does not fit that sector, and the one message that
+# basis.sector_pattern gives for it at every entry, library and CLI alike
+BAD_PATTERNS = [
+    ((5, 4), (3, 3), "pattern (3, 3) holds 6 bosons, the sector has n = 4"),
+    ((3, 4), (1, 1, 1, 1), "pattern (1, 1, 1, 1) needs more than f = 3 sites"),
+]
+
 
 def points_at(report, l):
     """The points of a `BandReport` at momentum label l, in report order."""

@@ -16,8 +16,6 @@ from qdnls import (
     assemble_block,
     band22_asymptotic,
     bw_second_order_block,
-    coeffs33,
-    continuum42_bounds,
     eigh,
     extract_band,
     full_matrix,
@@ -29,9 +27,9 @@ from qdnls import (
     mass_ratio_report,
     momentum_grid,
     momentum_spectra,
-    pattern_energy,
 )
-from qdnls.bands import pattern_of
+from qdnls.basis import pattern_of
+from qdnls.perturbation import coeffs33, continuum42_bounds, pattern_energy
 
 from conftest import points_at
 

@@ -18,7 +18,6 @@ from qdnls import (
     band22_asymptotic,
     band_mass,
     classify_block,
-    effective_mass,
     extract_band,
     ground_state,
     labelled_spectra,
@@ -28,10 +27,19 @@ from qdnls import (
 )
 import qdnls.bands as bands_module
 import qdnls.basis as basis_module
-from qdnls.basis import MomentumIndex, SectorOrbits, canonical_rows, momentum_basis, momentum_grid
-from qdnls.bands import normalize_pattern, pattern_of
+import qdnls.hamiltonian as hamiltonian_module
+from qdnls.bands import effective_mass
+from qdnls.basis import (
+    MomentumIndex,
+    SectorOrbits,
+    canonical_rows,
+    momentum_basis,
+    momentum_grid,
+    normalize_pattern,
+    pattern_of,
+)
 
-from conftest import points_at
+from conftest import BAD_PATTERNS, points_at
 
 
 def basis_states(basis):
@@ -123,7 +131,7 @@ def test_pure_states_classify_with_full_weight():
 
 
 def test_pure_bloch_state_classifies_by_orbit_representative():
-    basis = momentum_basis(5, 6, momentum_grid(5)[2], SectorOrbits(5, 6))
+    basis = momentum_basis(5, 6, momentum_grid(5)[2])
     target = next(i for i, rep in enumerate(basis_states(basis)) if pattern_of(rep) == (3, 3))
     vec = np.zeros(basis.dim)
     vec[target] = 1.0
@@ -467,6 +475,22 @@ def test_extract_band_rejects_spectra_windowed_on_another_pattern():
     assert extract_band(p, (3, 3), spectra).points
     with pytest.raises(ValidationError):
         labelled_spectra(p, pattern=(5, 2))  # checked before any solve
+
+
+@pytest.mark.parametrize("sector,pattern,message", BAD_PATTERNS)
+def test_every_entry_rejects_a_pattern_with_one_message_before_any_solve(
+        monkeypatch, sector, pattern, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(hamiltonian_module, "eigh", refuse)
+    p = ModelParams(*sector, gamma1=10.0, epsilon=0.5)
+    for entry in (lambda: momentum_spectra(p, pattern=pattern),
+                  lambda: labelled_spectra(p, pattern=pattern),
+                  lambda: extract_band(p, pattern, [])):
+        with pytest.raises(ValidationError) as raised:
+            entry()
+        assert str(raised.value) == message
 
 
 # ------------------------------------------------------------ effective masses

@@ -16,13 +16,21 @@ from qdnls import (
     MomentumIndex,
     SectorOrbits,
     ValidationError,
-    momentum_basis,
     momentum_grid,
     pattern_classes,
     sector_dimension,
 )
 import qdnls.basis as basis_module
-from qdnls.basis import ROW_CHUNK, TranslationOrbit, _occupations, canonical_rows, pattern_of, rank_rows
+from qdnls.basis import (
+    ROW_CHUNK,
+    TranslationOrbit,
+    _occupations,
+    canonical_rows,
+    momentum_basis,
+    pattern_of,
+    rank_rows,
+    sector_orbits,
+)
 
 SMALL_SECTORS = [(2, 1), (3, 2), (4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (7, 5)]
 
@@ -478,7 +486,7 @@ def test_compatibility_condition():
     sector = SectorOrbits(4, 2)
     g = locate(sector, (1, 0, 1, 0))[0]
     for l, carried in ((0, True), (1, False), (2, True), (3, False)):
-        basis = momentum_basis(4, 2, MomentumIndex(l, 4), sector)
+        basis = momentum_basis(4, 2, MomentumIndex(l, 4))
         assert (g in basis.orbit_indices) == carried
 
 
@@ -488,9 +496,20 @@ def test_momentum_dimensions_sum_to_sector(f, n):
     assert total == sector_dimension(f, n)
 
 
+def test_sector_memo_never_serves_an_int_table_for_a_float_or_bool():
+    # an untyped cache key would find the (2, 2) table for 2.0 and (2, 1) for True
+    two, one = sector_orbits(2, 2), sector_orbits(2, 1)
+    assert sector_orbits(2, 2) is two and sector_orbits(2, 1) is one
+    for f, n in ((2.0, 2), (2, True), (2, 2.0), (True, 1), (np.int64(2), 2)):
+        with pytest.raises(ValidationError):
+            sector_orbits(f, n)
+
+
 def test_momentum_basis_needs_a_momentum_index():
     with pytest.raises(ValidationError, match="needs a MomentumIndex, got 0.3"):
         momentum_basis(7, 4, 0.3)
+    with pytest.raises(ValidationError, match="f = 5 ring does not match f = 7"):
+        momentum_basis(7, 4, MomentumIndex(0, 5))
 
 
 def test_block_dimensions_at_figure_sizes():
@@ -508,7 +527,7 @@ def test_every_block_lists_only_compatible_orbits(fn):
     f, n = fn
     sector = SectorOrbits(f, n)
     for k in momentum_grid(f):
-        basis = momentum_basis(f, n, k, sector)
+        basis = momentum_basis(f, n, k)
         assert list(basis.orbit_indices) == sorted(set(basis.orbit_indices.tolist()))
         included = set(basis.orbit_indices.tolist())
         for gi, orb in enumerate(sector.orbits):

@@ -18,6 +18,8 @@ from click.testing import CliRunner
 import qdnls
 from qdnls.cli import CSV_COLUMNS, main
 
+from conftest import BAD_PATTERNS
+
 FIG_FLAGS = ["--f", "7", "--n", "4", "--gamma1", "10", "--eps", "0.5"]
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -293,11 +295,29 @@ def test_compare_scaling_without_residual_reports_no_decay(runner):
     assert table[1]["max_residual"] is not None and table[1]["decay_factor"] is None
 
 
-def test_compare_resonant_parameters_exit_4(runner):
+def test_compare_resonant_parameters_exit_4(runner, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare built a sector table or solved a block")
+
+    # the resonance is found before any table is built or block solved
+    monkeypatch.setattr(qdnls.basis, "SectorOrbits", refuse)
+    monkeypatch.setattr(qdnls.hamiltonian, "eigh", refuse)
+    qdnls.basis.sector_orbits.cache_clear()
     result = runner.invoke(main, ["compare", "--f", "7", "--n", "6", "--gamma1", "3",
                                   "--gamma2", "1", "--eps", "0.1", "--pattern", "4,2"])
     assert result.exit_code == 4
     assert "gamma1 - 3*gamma2" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["band", "compare"])
+@pytest.mark.parametrize("sector,pattern,message", BAD_PATTERNS)
+def test_band_and_compare_reject_a_pattern_with_the_library_message(
+        runner, command, sector, pattern, message):
+    f, n = sector
+    result = runner.invoke(main, [command, "--f", str(f), "--n", str(n), "--gamma1", "10",
+                                  "--eps", "0.5", "--pattern", ",".join(map(str, pattern))])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_compare_even_ring_exits_2(runner):

@@ -305,7 +305,7 @@ def config_blocks():
         pid = sector.patterns.index(CONFIG_PATTERNS[path.stem])
         for k in momentum_grid(params.f):
             if reduced_label(k.l, params.f) >= 0:
-                basis, h = assemble_block(params, k, sector)
+                basis, h = assemble_block(params, k)
                 yield path.stem, k.l, h, np.flatnonzero(sector.pattern_ids[basis.orbit_indices] == pid)
 
 

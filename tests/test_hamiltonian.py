@@ -13,10 +13,8 @@ from qdnls import (
     CapacityError,
     MomentumIndex,
     ModelParams,
-    SectorOrbits,
     ValidationError,
     assemble_block,
-    diagonal_energy,
     eigh,
     classify_block,
     extract_band,
@@ -27,8 +25,8 @@ from qdnls import (
     momentum_spectra,
 )
 import qdnls.basis as basis_module
-from qdnls.basis import hop_moves, momentum_basis
-from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap
+from qdnls.basis import SectorOrbits, hop_moves, momentum_basis, sector_orbits
+from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap, diagonal_energy
 
 
 def test_params_validation():
@@ -135,7 +133,7 @@ def test_blocks_are_bitwise_hermitian():
 
 def test_a_sector_is_folded_once_and_the_oracle_not_at_all(monkeypatch):
     params = ModelParams(f=7, n=3, gamma1=1.3, gamma2=0.4, epsilon=0.7)
-    sector = SectorOrbits(params.f, params.n)  # lists its orbits with canonical_rows too
+    sector_orbits(params.f, params.n)  # the shared table lists its orbits with canonical_rows too
     calls = []
     canonical_rows = basis_module.canonical_rows
 
@@ -147,12 +145,28 @@ def test_a_sector_is_folded_once_and_the_oracle_not_at_all(monkeypatch):
     basis_module.class_fold.cache_clear()
     # prime f, n < f: every orbit has period f, so every momentum has the same
     # basis and all seven blocks read one fold
-    assert len(momentum_spectra(params, sector)) == 7
+    assert len(momentum_spectra(params)) == 7
     assert len(calls) == 1
     calls.clear()
     basis_module.class_fold.cache_clear()
     full_matrix(params)  # the oracle ranks its hops itself
     assert calls == []
+
+
+def test_every_exact_entry_reads_one_shared_read_only_sector_table():
+    params = ModelParams(f=7, n=4, gamma1=10.0, epsilon=0.5)
+    bases = [momentum_basis(7, 4, MomentumIndex(1, 7))]
+    bases += [basis for basis, _ in momentum_spectra(params, momentum_grid(7)[:2])]
+    bases += [ksp.basis for ksp in labelled_spectra(params, pattern=(2, 2))]
+    shared = sector_orbits(7, 4)
+    assert all(basis.sector is shared for basis in bases)
+    fresh = SectorOrbits(7, 4)
+    assert (shared.dim, shared.patterns, shared.orbits) == (fresh.dim, fresh.patterns, fresh.orbits)
+    for name in ("reps", "rep_rows", "periods", "pattern_ids", "adjacent"):
+        array = getattr(shared, name)
+        assert np.array_equal(array, getattr(fresh, name))
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_opposite_momenta_share_eigenvalues():
@@ -247,12 +261,11 @@ def test_momentum_spectra_union_equals_dense_spectrum(params):
 @settings(max_examples=30, deadline=None)
 def test_opposite_momentum_blocks_are_conjugate(params):
     # -l and, on the grid, its partner f - l; l = f/2 is its own partner
-    sector = SectorOrbits(params.f, params.n)
     for k in momentum_grid(params.f):
-        _, plus = assemble_block(params, k, sector)
+        _, plus = assemble_block(params, k)
         partners = [-k.l] + ([params.f - k.l] if 2 * k.l != params.f else [])
         for l in partners:
-            _, minus = assemble_block(params, MomentumIndex(l, params.f), sector)
+            _, minus = assemble_block(params, MomentumIndex(l, params.f))
             assert np.array_equal(minus, plus.conj())
 
 
@@ -275,11 +288,10 @@ def test_labelled_spectra_equal_solving_every_momentum(params, threshold, data):
     grid = momentum_grid(params.f)
     if data is not None:
         grid = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
-    sector = SectorOrbits(params.f, params.n)
-    labelled = labelled_spectra(params, threshold, grid, sector)
+    labelled = labelled_spectra(params, threshold, grid)
     assert [ksp.basis.k for ksp in labelled] == grid
     for got in labelled:
-        [(basis, want)] = momentum_spectra(params, sector=sector, grid=[got.basis.k])
+        [(basis, want)] = momentum_spectra(params, grid=[got.basis.k])
         assert np.array_equal(got.basis.orbit_indices, basis.orbit_indices)
         assert got.basis.k == basis.k
         e_got, e_want = got.eigenvalues, want.eigenvalues
@@ -304,12 +316,12 @@ def test_band_extraction_holds_one_block_of_eigenvectors_at_a_time():
     # each block is classified as soon as it is solved; keeping every
     # block's eigenvectors until the band is read would hold 11 of them here
     params = ModelParams(f=11, n=5, gamma1=10.0, epsilon=0.5)
-    sector = SectorOrbits(params.f, params.n)
-    one_block = max(16 * momentum_basis(11, 5, k, sector).dim ** 2 for k in momentum_grid(11))
+    # momentum_basis builds the shared sector table before tracing starts
+    one_block = max(16 * momentum_basis(11, 5, k).dim ** 2 for k in momentum_grid(11))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        spectra = labelled_spectra(params, sector=sector)
+        spectra = labelled_spectra(params)
         held, peak = (m - before for m in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
@@ -342,12 +354,12 @@ def test_block_assembly_holds_two_block_matrices_at_its_peak():
     # the hopping matrix is symmetrized in place, so assembly holds the block
     # and one conjugate transpose; 0.5 * (v + v.conj().T) would hold three
     params = ModelParams(f=11, n=5, gamma1=10.0, epsilon=0.5)
-    sector = SectorOrbits(params.f, params.n)
+    sector_orbits(params.f, params.n)  # the shared table is built before tracing starts
     k = MomentumIndex(1, params.f)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, block = assemble_block(params, k, sector)
+        _, block = assemble_block(params, k)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

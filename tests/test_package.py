@@ -1,5 +1,6 @@
 """The public surface of the `qdnls` package."""
 
+import ast
 import os
 import re
 import subprocess
@@ -8,9 +9,11 @@ import types
 from pathlib import Path
 
 import qdnls
+import qdnls.errors
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+QBENCH = ROOT / "qbench"
 
 # the five CLI commands on small sectors and one numeric PT block, in a fresh
 # interpreter; prints the scipy and numpy.ma modules they left imported
@@ -42,6 +45,22 @@ def test_all_lists_the_public_names_that_star_import_binds():
     exec("from qdnls import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(qdnls.__all__)
+
+
+def test_all_exports_the_error_classes_and_what_the_readme_and_the_benchmark_use():
+    # the README's Python blocks and inline code, and the benchmark's
+    # `qdnls.<name>` lookups plus the closed forms it looks up by getattr
+    readme = README.read_text(encoding="utf-8")
+    code = re.findall(r"```python\n(.*?)```|`([^`\n]+)`", readme, re.DOTALL)
+    used = set(re.findall(r"\w+", " ".join(block + span for block, span in code)))
+    for path in QBENCH.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        used |= set(re.findall(r"\bqdnls\.(\w+)", text))
+        used |= {name for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["CLOSED_FORMS"]
+                 for name in ast.literal_eval(node.value).values()}
+    errors = {name for name, value in vars(qdnls.errors).items() if isinstance(value, type)}
+    assert sorted(set(qdnls.__all__) - errors - used) == []
 
 
 def test_readme_library_entry_points_run():

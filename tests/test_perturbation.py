@@ -10,22 +10,14 @@ from hypothesis import strategies as st
 
 import qdnls
 from qdnls import (
-    Coeffs22,
     MomentumIndex,
     ModelParams,
     PTValidityWarning,
     ResonanceError,
     SectorOrbits,
-    TranslationOrbit,
     ValidationError,
     band22_asymptotic,
     bw_second_order_block,
-    coeffs22,
-    coeffs33,
-    coeffs42,
-    continuum42,
-    continuum42_bounds,
-    diagonal_energy,
     eigh,
     extract_band,
     h22_matrix,
@@ -34,15 +26,22 @@ from qdnls import (
     labelled_spectra,
     momentum_grid,
     momentum_spectra,
-    onsite_energy,
-    pattern_energy,
     pt_band,
 )
-from qdnls.bands import pattern_of
-from qdnls.basis import rank_rows
+from qdnls.basis import TranslationOrbit, pattern_of, rank_rows
 from qdnls.errors import ResonanceWarning
-from qdnls.hamiltonian import block_parts
-from qdnls.perturbation import resonance_floor
+from qdnls.hamiltonian import block_parts, diagonal_energy
+from qdnls.perturbation import (
+    Coeffs22,
+    coeffs22,
+    coeffs33,
+    coeffs42,
+    continuum42,
+    continuum42_bounds,
+    onsite_energy,
+    pattern_energy,
+    resonance_floor,
+)
 
 from conftest import points_at
 
@@ -294,7 +293,7 @@ def test_first_order_coupling_vanishes_between_pair_classes():
     sector = SectorOrbits(11, 4)
     cls = classes_of(sector, (2, 2))
     for k in momentum_grid(11)[:3]:
-        basis, _, v = block_parts(params, k, sector)
+        basis, _, v = block_parts(params, k)
         orbits = np.searchsorted(sector.reps, rank_rows([orb.rep for orb in cls]))
         rows = [int(np.flatnonzero(basis.orbit_indices == g)[0]) for g in orbits]
         assert np.abs(v[np.ix_(rows, rows)]).max() == 0.0
@@ -369,7 +368,7 @@ def test_near_resonant_parameters_warn():
 def dense_reference(params, k, classes, sector):
     """The numeric reference read off the whole dense Bloch block: the class
     rows of `block_parts` and the sum over every coupled column outside them."""
-    basis, diag, v = block_parts(params, k, sector)
+    basis, diag, v = block_parts(params, k)
     p = []
     for orb in classes:
         g = np.searchsorted(sector.reps, rank_rows([orb.rep])[0])
