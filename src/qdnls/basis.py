@@ -19,7 +19,8 @@ pattern against the sector without a table.
 is built from: the moves out of a family of orbit representatives
 (`hop_moves`) folded onto their destination orbits, memoized.
 A momentum basis is an index array into the shared table's orbits: those,
-in sector order, whose period admits the momentum.
+in sector order, whose period admits the momentum.  `check_momentum` is the
+one check that a momentum belongs to the ring, for every caller.
 
 The Bloch state attached to an orbit with representative |r> and period d at
 crystal momentum k = 2 pi l / f is
@@ -350,14 +351,22 @@ class MomentumIndex:
     f: int
 
     def __post_init__(self):
-        if not isinstance(self.f, int) or self.f < 2:
-            raise ValidationError(f"ring size must be an integer >= 2, got {self.f!r}")
-        if not isinstance(self.l, int):
+        check_sector(self.f, 0)
+        if isinstance(self.l, bool) or not isinstance(self.l, int):
             raise ValidationError(f"momentum label must be an integer, got {self.l!r}")
 
     @property
     def k(self) -> float:
         return 2.0 * math.pi * self.l / self.f
+
+
+def check_momentum(f: int, k) -> MomentumIndex:
+    """`k`, checked to be a `MomentumIndex` of the f-site ring."""
+    if not isinstance(k, MomentumIndex):
+        raise ValidationError(f"a ring momentum needs a MomentumIndex, got {k!r}")
+    if k.f != f:
+        raise ValidationError(f"momentum index on f={k.f} does not match the ring f={f}")
+    return k
 
 
 def momentum_grid(f: int) -> list[MomentumIndex]:
@@ -387,10 +396,7 @@ class MomentumBasis:
 def momentum_basis(f: int, n: int, k: MomentumIndex) -> MomentumBasis:
     """Orbits of the (f, n) sector that carry momentum k (l * period = 0 mod f),
     in sector order."""
-    if not isinstance(k, MomentumIndex):
-        raise ValidationError(f"a momentum basis needs a MomentumIndex, got {k!r}")
-    if k.f != f:
-        raise ValidationError(f"momentum index of an f = {k.f} ring does not match f = {f}")
+    check_momentum(f, k)
     sector = sector_orbits(f, n)
     return MomentumBasis(k=k, sector=sector,
                          orbit_indices=np.flatnonzero(k.l * sector.periods % f == 0))

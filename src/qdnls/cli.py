@@ -38,17 +38,11 @@ import numpy as np
 from click.core import ParameterSource
 
 from .bands import extract_band, ground_state, labelled_spectra
-from .basis import MomentumIndex, momentum_grid, sector_pattern
+from .basis import MomentumIndex, momentum_grid, normalize_pattern, sector_pattern
 from .eigensolve import eigh
 from .errors import CapacityError, NumericalError, QdnlsError, ResonanceError, ValidationError
-from .hamiltonian import ModelParams, full_matrix
-from .perturbation import (
-    band22_asymptotic,
-    coeffs33,
-    continuum42_bounds,
-    pattern_energy,
-    pt_band,
-)
+from .hamiltonian import ModelParams, diagonal_energy, full_matrix
+from .perturbation import band22_asymptotic, coeffs33, continuum42_bounds, pt_band
 
 CSV_COLUMNS = ("l", "k", "index", "energy", "band", "weight")
 MODEL_KEYS = ("f", "n", "gamma1", "gamma2", "epsilon", "model")
@@ -92,7 +86,7 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"cannot parse pattern {text!r}; expected e.g. '2,2'") from exc
-    return tuple(sorted(parts, reverse=True))
+    return normalize_pattern(parts)
 
 
 def _momenta(text: str, f: int) -> list[MomentumIndex]:
@@ -292,7 +286,7 @@ def _asymptotics(params: ModelParams, pattern, k: MomentumIndex) -> dict:
         return {"asym_cont_min": lo, "asym_cont_max": hi}
     if pattern == (3, 3):
         c = coeffs33(params)
-        offset = pattern_energy(pattern, params)
+        offset = diagonal_energy(pattern, params)
         return {
             "asym_line": offset + c.prefactor * (1.0 + c.impurity),
             "asym_cont": offset + c.prefactor,

@@ -6,7 +6,9 @@ Model: bosons on a periodic f-site ring,
         + gamma2 sum_s a+_s a+_s a+_s a_s a_s a_s
 
 so the zero-hopping energy of an occupation vector is
-sum_s [-gamma1 n_s (n_s - 1) + gamma2 n_s (n_s - 1) (n_s - 2)].  The hermitian
+sum_s [-gamma1 n_s (n_s - 1) + gamma2 n_s (n_s - 1) (n_s - 2)], which
+`diagonal_energy` computes for the blocks, the oracle and perturbation
+theory alike (a pattern such as (4, 2) is a row of it).  The hermitian
 conjugate applies to the hopping term only.  The site sum is read literally:
 for f = 2 both bonds 1 -> 2 and 2 -> 1 appear, so the single physical bond
 carries twice the coefficient.
@@ -23,10 +25,11 @@ Every block reads its orbits from the shared sector table
 perturbation reference, takes its elements from one hop table,
 `basis.class_fold`: the single-boson moves out of its orbit
 representatives, each destination folded onto its orbit, memoized per
-family of representatives.  `bloch_elements` turns that fold into the
-per-hop block elements at one momentum.  The dense oracle enumerates every
-state, takes their moves (`basis.hop_moves`) and ranks the destinations
-itself, so it shares no orbit code with the blocks it checks.
+family of representatives.  `bloch_couplings` is the one routine that
+turns that fold into Bloch couplings at one momentum, class to class and
+class to every other orbit that carries it.  The dense oracle enumerates
+every state, takes their moves (`basis.hop_moves`) and ranks the
+destinations itself, so it shares no orbit code with the blocks it checks.
 
 The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
@@ -134,17 +137,31 @@ def reduced_label(l: int, f: int) -> int:
     return l - f * round(l / f)
 
 
-def bloch_elements(fold: ClassFold, params: ModelParams, k: MomentumIndex) -> np.ndarray:
-    """Per hop of `fold`, its Bloch element at momentum k between the class
-    and destination orbits: -epsilon amp sqrt(d_class / d_dest) exp(i k u)."""
+def bloch_couplings(fold: ClassFold, params: ModelParams, k: MomentumIndex):
+    """The hopping couplings at momentum k out of the classes of `fold`, which
+    must carry k, as arrays (p, q, q_rows): p (m, m) from class to class, q
+    from class to each other destination orbit that carries k, and those
+    orbits' representative rows.  A hop adds -epsilon amp sqrt(d_class /
+    d_dest) exp(i k u) to its entry, in hop order."""
     theta = 2 * np.pi * reduced_label(k.l, params.f) * fold.shift / params.f
-    return -params.epsilon * fold.amp * fold.ratio * np.exp(1j * theta)
+    element = -params.epsilon * fold.amp * fold.ratio * np.exp(1j * theta)
+    m = len(fold.p_period)
+    # destination orbits without weight at this momentum drop out; the
+    # others outside the classes are numbered after them
+    out = (fold.slot < 0) & (k.l * fold.period % params.f == 0)
+    to = np.where(out, m - 1 + np.cumsum(out), fold.slot)[fold.row]
+    hit = to >= 0
+    v = np.zeros((m + int(out.sum()), m), dtype=complex)
+    np.add.at(v, (to[hit], fold.src[hit]), element[hit])
+    return v[:m], v[m:], fold.rep_rows[out]
 
 
 def block_parts(params: ModelParams, k: MomentumIndex):
     """Momentum basis, zero-hopping energies per orbit, and the Bloch hopping matrix.
 
     The hopping matrix is exactly Hermitian by symmetrized construction.
+    Every orbit that carries k is a basis class, so the couplings out of
+    the classes have no q part.
     """
     basis = momentum_basis(params.f, params.n, k)
     dim = basis.dim
@@ -152,12 +169,7 @@ def block_parts(params: ModelParams, k: MomentumIndex):
     if dim > cap:
         raise CapacityError(f"momentum block dimension {dim} exceeds the dense cap {cap}")
     rows = basis.sector.rep_rows[basis.orbit_indices]
-    fold = class_fold(params.f, rows.tobytes())
-    # destination orbits without weight at this momentum are not in the basis
-    col = fold.slot[fold.row]
-    keep = col >= 0
-    v = np.zeros((dim, dim), dtype=complex)
-    np.add.at(v, (col[keep], fold.src[keep]), bloch_elements(fold, params, k)[keep])
+    v = bloch_couplings(class_fold(params.f, rows.tobytes()), params, k)[0]
     # in place, so only v and its conjugate transpose are alive at once
     v += v.conj().T
     v *= 0.5

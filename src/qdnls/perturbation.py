@@ -24,15 +24,23 @@ Closed forms implemented here, for odd f = 2 sigma + 1:
   with the adjacent class scaled by 1 + Gamma,
   Gamma = (9/2) (2 gamma2 - gamma1) / (gamma1 - 6 gamma2).
 
-All three return only the order-eps^2 correction; add `pattern_energy` for
-absolute energies, or call `pt_band` for the absolute band energies at every
-momentum.  `bw_second_order_block` builds the same object numerically
-from single-boson hops for any degenerate family of classes and is the
-independent check of the closed forms.  It takes its first-order couplings
-from the hop table the exact Bloch blocks use, `basis.class_fold` over the
-class representatives, and `hamiltonian.bloch_elements`; it needs no sector
+All three return only the order-eps^2 correction; add the zero-hop energy
+`hamiltonian.diagonal_energy(pattern, params)`, the one the exact blocks
+use, for absolute energies, or call `pt_band` for the absolute band
+energies at every momentum.  `bw_second_order_block` builds the same object
+numerically from single-boson hops for any degenerate family of classes and
+is the independent check of the closed forms.  It takes its couplings from
+the routine the exact Bloch blocks use, `hamiltonian.bloch_couplings` over
+the `basis.class_fold` of the class representatives: the class-to-class
+part is its first order and the rest its intermediates.  It needs no sector
 table and no dense block, so the dense cap does not apply and it reaches
 rings no exact solve does.
+
+Every denominator, closed or numeric, passes one resonance policy,
+`_require`: below the floor it raises `ResonanceError`, and within
+WARN_EPS_FACTOR x epsilon it warns "denominator <name> = <value> is within
+10 x epsilon; second-order results may be inaccurate", where the engine's
+name is that of its nearest intermediate, "E0(classes) - E0(<row>)".
 """
 
 from __future__ import annotations
@@ -45,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentumIndex, SectorOrbits, class_fold, momentum_grid, normalize_pattern
+from .basis import (MomentumIndex, SectorOrbits, check_momentum, class_fold, momentum_grid,
+                    normalize_pattern, sector_pattern)
 from .eigensolve import eigh
 from .errors import PTValidityWarning, ResonanceError, ResonanceWarning, ValidationError
-from .hamiltonian import ModelParams, bloch_elements, diagonal_energy
+from .hamiltonian import ModelParams, bloch_couplings, diagonal_energy
 
 RESONANCE_FLOOR_REL = 1e-6
 WARN_EPS_FACTOR = 10.0
@@ -59,15 +68,21 @@ def resonance_floor(params: ModelParams) -> float:
     return RESONANCE_FLOOR_REL * max(params.gamma1, params.gamma2, 1.0)
 
 
-def _require(value: float, name: str, params: ModelParams) -> float:
-    if abs(value) < resonance_floor(params):
-        raise ResonanceError(name, value)
-    if params.epsilon > 0 and abs(value) < WARN_EPS_FACTOR * params.epsilon:
+def _require(value: float, name, params: ModelParams, _stacklevel: int = 2) -> float:
+    """`value`, refused below the resonance floor and warned about within
+    WARN_EPS_FACTOR x epsilon; `name`, or a function formatting it, is called
+    only then.  The warning names the line `_stacklevel` frames up: by default
+    the coefficient function's, shown once whatever calls that function."""
+    resonant = abs(value) < resonance_floor(params)
+    if resonant or params.epsilon > 0 and abs(value) < WARN_EPS_FACTOR * params.epsilon:
+        name = name if isinstance(name, str) else name()
+        if resonant:
+            raise ResonanceError(name, value)
         warnings.warn(
             f"denominator {name} = {value:.6g} is within {WARN_EPS_FACTOR:g} x epsilon; "
             "second-order results may be inaccurate",
             ResonanceWarning,
-            stacklevel=2,  # the coefficient function's line: one warning whatever calls it
+            stacklevel=_stacklevel,
         )
     return value
 
@@ -90,23 +105,7 @@ def _sigma_for_pt(params: ModelParams) -> int:
 
 def _kval(params: ModelParams, k) -> float:
     """k as a float; a MomentumIndex must be a momentum of the ring of `params`."""
-    if not isinstance(k, MomentumIndex):
-        return float(k)
-    if k.f != params.f:
-        raise ValidationError(f"momentum index on f={k.f} does not match the ring f={params.f}")
-    return k.k
-
-
-def onsite_energy(s: int, gamma1: float, gamma2: float) -> float:
-    """Zero-hopping energy of an isolated clump of s bosons."""
-    if not isinstance(s, int) or s < 0:
-        raise ValidationError(f"clump size must be a non-negative integer, got {s!r}")
-    return -gamma1 * s * (s - 1) + gamma2 * s * (s - 1) * (s - 2)
-
-
-def pattern_energy(pattern, params: ModelParams) -> float:
-    """Zero-hopping energy of a multi-clump pattern, e.g. (2, 2) or (4, 2)."""
-    return sum(onsite_energy(int(c), params.gamma1, params.gamma2) for c in pattern)
+    return check_momentum(params.f, k).k if isinstance(k, MomentumIndex) else float(k)
 
 
 # ---------------------------------------------------------------- {2, 2} band
@@ -143,7 +142,7 @@ def h22_matrix(params: ModelParams, k) -> np.ndarray:
     """Order-eps^2 effective matrix of the {2, 2} band at momentum k.
 
     Basis index j = 1 .. sigma is the clump separation; j = 1 is the adjacent
-    class |22>.  Add pattern_energy((2, 2), params) for absolute energies.
+    class |22>.  Add diagonal_energy((2, 2), params) for absolute energies.
     """
     sigma = _sigma_for_pt(params)
     c = coeffs22(params)
@@ -194,7 +193,7 @@ def band22_asymptotic(params: ModelParams, k) -> AsymptoticBand22:
     kv = _kval(params, k)
     kn = math.remainder(kv, 2.0 * math.pi)
     hc = math.cos(0.5 * kn)
-    center = 2.0 * onsite_energy(2, g1, g2)
+    center = diagonal_energy((2, 2), params)
     line = None
     if abs(c.impurity) > hc:
         line = center + c.prefactor * (2.0 + c.impurity + hc * hc / c.impurity)
@@ -245,7 +244,7 @@ def h42_matrix(params: ModelParams, k) -> np.ndarray:
 
     Basis index j = 1 .. 2 sigma is the clockwise separation from the 4-clump
     to the 2-clump, so j = 1 is |42> and j = 2 sigma is |24>.  Add
-    pattern_energy((4, 2), params) for absolute energies.
+    diagonal_energy((4, 2), params) for absolute energies.
     """
     sigma = _sigma_for_pt(params)
     c = coeffs42(params)
@@ -272,9 +271,8 @@ def continuum42(params: ModelParams, theta: float) -> float:
     g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
     _require(g1, "gamma1", params)
     _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
-    zeroth = 24.0 * g2 - 14.0 * g1
-    return zeroth + (2.0 * eps * eps / g1) * ((5.0 * g1 - 9.0 * g2) / (9.0 * g2 - 3.0 * g1)
-                                              - math.cos(theta))
+    return diagonal_energy((4, 2), params) + (2.0 * eps * eps / g1) * (
+        (5.0 * g1 - 9.0 * g2) / (9.0 * g2 - 3.0 * g1) - math.cos(theta))
 
 
 def continuum42_bounds(params: ModelParams) -> tuple[float, float]:
@@ -306,7 +304,7 @@ def h33_matrix(params: ModelParams, k=None) -> np.ndarray:
     """Order-eps^2 effective matrix of the {3, 3} band; diagonal and k independent.
 
     Basis index j = 1 .. sigma is the clump separation; the adjacent class
-    |33> carries the impurity.  Add pattern_energy((3, 3), params) for
+    |33> carries the impurity.  Add diagonal_energy((3, 3), params) for
     absolute energies.  A momentum index from another ring is still rejected.
     """
     sigma = _sigma_for_pt(params)
@@ -336,10 +334,7 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
     if build is None:
         raise ValidationError(
             f"no closed perturbative form for pattern {pattern}; supported: 2,2 / 4,2 / 3,3")
-    if sum(pattern) != params.n:
-        raise ValidationError(
-            f"pattern {pattern} holds {sum(pattern)} bosons, the sector has n = {params.n}")
-    offset = pattern_energy(pattern, params)
+    offset = diagonal_energy(sector_pattern(params.f, params.n, pattern), params)
     if grid is None:
         grid = momentum_grid(params.f)
     return {k.l: np.sort(eigh(build(params, k)).eigenvalues) + offset for k in grid}
@@ -384,21 +379,18 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
     destination onto its orbit with one `canonical_rows` call (one
     `rank_rows` call per `basis.ROW_CHUNK` rows, whatever f), so no sector
     table, dense block or dense cap is involved.  The fold is memoized per
-    class family; each call adds the Bloch elements of the exact blocks
-    (`bloch_elements`) and the denominators.  `sector` is optional and unused
-    beyond a check that it is the (f, n) sector of `params`.
+    class family; each call takes the couplings of the exact blocks
+    (`bloch_couplings`) and adds the denominators.  `sector` is optional and
+    unused beyond a check that it is the (f, n) sector of `params`.
     """
     classes = list(classes)
     f = params.f
-    if not isinstance(k, MomentumIndex):
-        raise ValidationError(f"the numeric reference needs a MomentumIndex, got {k!r}")
-    _kval(params, k)  # k must be a momentum of this ring
+    check_momentum(f, k)
     if sector is not None and (sector.f, sector.n) != (f, params.n):
         raise ValidationError(
             f"sector (f={sector.f}, n={sector.n}) does not match the requested "
             f"(f={f}, n={params.n})")
     p_rows = _class_rows(params, classes)
-    m = len(p_rows)
     fold = class_fold(f, p_rows.tobytes())
     if fold.not_rep >= 0:
         raise ValidationError(
@@ -415,32 +407,16 @@ def bw_second_order_block(params: ModelParams, k: MomentumIndex, classes,
         raise ValidationError("classes are not degenerate at zero hopping")
     e_deg = float(e0[0])
 
-    v = np.zeros((len(fold.period), m), dtype=complex)
-    np.add.at(v, (fold.row, fold.src), bloch_elements(fold, params, k))
-    # destination orbits without weight at this momentum drop out
-    keep = k.l * fold.period % f == 0
-    v, slot, rep_rows = v[keep], fold.slot[keep], fold.rep_rows[keep]
-    in_p = slot >= 0
-    h = np.zeros((m, m), dtype=complex)
-    h[slot[in_p]] = v[in_p]
-
-    v_qp = v[~in_p]
+    h, v_qp, q_rows = bloch_couplings(fold, params, k)
     coupled = np.abs(v_qp).max(axis=1, initial=0.0) > 1e-12 * max(params.epsilon, 1.0)
     if coupled.any():
-        q_rows = rep_rows[~in_p][coupled]
+        q_rows = q_rows[coupled]
         den = e_deg - diagonal_energy(q_rows, params)
-        worst_pos = int(np.argmin(np.abs(den)))
-        worst = float(abs(den[worst_pos]))
-        if worst < resonance_floor(params):
-            rep = tuple(q_rows[worst_pos].tolist())
-            raise ResonanceError(f"E0(classes) - E0({rep})", float(den[worst_pos]))
-        if params.epsilon > 0 and worst < WARN_EPS_FACTOR * params.epsilon:
-            warnings.warn(
-                f"smallest intermediate gap {worst:.6g} is within "
-                f"{WARN_EPS_FACTOR:g} x epsilon",
-                ResonanceWarning,
-                stacklevel=2,
-            )
+        worst = int(np.argmin(np.abs(den)))
+        # on the caller's line, like the coefficient functions' warnings
+        _require(float(den[worst]),
+                 lambda: f"E0(classes) - E0({tuple(q_rows[worst].tolist())})",
+                 params, _stacklevel=3)
         v_pq = v_qp[coupled].conj().T
         h = h + (v_pq / den) @ v_pq.conj().T
     return 0.5 * (h + h.conj().T)

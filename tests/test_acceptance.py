@@ -29,7 +29,8 @@ from qdnls import (
     momentum_spectra,
 )
 from qdnls.basis import pattern_of
-from qdnls.perturbation import coeffs33, continuum42_bounds, pattern_energy
+from qdnls.hamiltonian import diagonal_energy
+from qdnls.perturbation import coeffs33, continuum42_bounds
 
 from conftest import points_at
 
@@ -139,7 +140,7 @@ def test_criterion_4_triplet_flat_band():
     params = ModelParams(**TRIPLET_PARAMS)
     report = extract_band(params, (3, 3), spectra=labelled_spectra(params))
     c = coeffs33(params)
-    offset = pattern_energy((3, 3), params)
+    offset = diagonal_energy((3, 3), params)
     line_ref = offset + c.prefactor * (1.0 + c.impurity)
     cont_ref = offset + c.prefactor
     tol = 5e-3

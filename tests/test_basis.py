@@ -508,8 +508,16 @@ def test_sector_memo_never_serves_an_int_table_for_a_float_or_bool():
 def test_momentum_basis_needs_a_momentum_index():
     with pytest.raises(ValidationError, match="needs a MomentumIndex, got 0.3"):
         momentum_basis(7, 4, 0.3)
-    with pytest.raises(ValidationError, match="f = 5 ring does not match f = 7"):
+    with pytest.raises(ValidationError, match="on f=5 does not match the ring f=7"):
         momentum_basis(7, 4, MomentumIndex(0, 5))
+
+
+def test_momentum_index_rejects_a_bool_label_or_ring_size():
+    # True would pass for the label 1, and build the l = 1 basis
+    with pytest.raises(ValidationError, match="momentum label must be an integer, got True"):
+        MomentumIndex(True, 5)
+    with pytest.raises(ValidationError, match="need an integer ring size f >= 2, got True"):
+        MomentumIndex(0, True)
 
 
 def test_block_dimensions_at_figure_sizes():

@@ -25,8 +25,10 @@ from qdnls import (
     momentum_spectra,
 )
 import qdnls.basis as basis_module
-from qdnls.basis import SectorOrbits, hop_moves, momentum_basis, sector_orbits
-from qdnls.hamiltonian import DENSE_CAP_ENV, dense_cap, diagonal_energy
+from qdnls.basis import SectorOrbits, class_fold, hop_moves, momentum_basis, sector_orbits
+from qdnls.hamiltonian import (DENSE_CAP_ENV, block_parts, bloch_couplings, dense_cap,
+                               diagonal_energy)
+from qdnls.perturbation import _class_rows
 
 
 def test_params_validation():
@@ -365,3 +367,21 @@ def test_block_assembly_holds_two_block_matrices_at_its_peak():
         tracemalloc.stop()
     assert np.array_equal(block, block.conj().T)
     assert peak <= 2.5 * block.nbytes
+
+
+@pytest.mark.parametrize("f, n", [(11, 6), (19, 4), (10, 4)])
+def test_block_couplings_have_no_intermediates_and_equal_the_engine_fold(f, n):
+    # every orbit that carries k is a class of the full momentum basis, so
+    # block_parts may drop q; its p is the one the engine's own fold over
+    # the same class rows gives, entry by entry
+    params = ModelParams(f=f, n=n, gamma1=10.0, gamma2=1.5, epsilon=0.5)
+    for k in momentum_grid(f):
+        basis, _, v = block_parts(params, k)
+        rows = basis.sector.rep_rows[basis.orbit_indices]
+        engine_rows = _class_rows(params, [basis.sector.orbits[g] for g in basis.orbit_indices])
+        assert np.array_equal(engine_rows, rows)
+        # a fold of its own, not the memo block_parts just filled
+        p, q, q_rows = bloch_couplings(class_fold.__wrapped__(f, engine_rows.tobytes()),
+                                       params, k)
+        assert q.shape == (0, basis.dim) and q_rows.shape == (0, f)
+        assert np.array_equal(v, 0.5 * (p + p.conj().T))

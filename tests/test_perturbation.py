@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qdnls import (
     ResonanceError,
     SectorOrbits,
     ValidationError,
+    assemble_block,
     band22_asymptotic,
     bw_second_order_block,
     eigh,
@@ -28,7 +30,7 @@ from qdnls import (
     momentum_spectra,
     pt_band,
 )
-from qdnls.basis import TranslationOrbit, pattern_of, rank_rows
+from qdnls.basis import TranslationOrbit, momentum_basis, pattern_of, rank_rows
 from qdnls.errors import ResonanceWarning
 from qdnls.hamiltonian import block_parts, diagonal_energy
 from qdnls.perturbation import (
@@ -38,8 +40,6 @@ from qdnls.perturbation import (
     coeffs42,
     continuum42,
     continuum42_bounds,
-    onsite_energy,
-    pattern_energy,
     resonance_floor,
 )
 
@@ -78,10 +78,12 @@ def test_triplet_coefficients_at_figure_parameters():
 
 def test_pattern_energy_sums_clumps():
     params = ModelParams(f=11, n=6, gamma1=3.0, gamma2=0.5, epsilon=0.1)
-    assert onsite_energy(2, 3.0, 0.5) == pytest.approx(-6.0)
-    assert pattern_energy((2, 2), params) == pytest.approx(-12.0)
-    assert pattern_energy((4, 2), params) == pytest.approx(
-        onsite_energy(4, 3.0, 0.5) + onsite_energy(2, 3.0, 0.5))
+    assert diagonal_energy((2,), params) == pytest.approx(-6.0)
+    assert diagonal_energy((2, 2), params) == pytest.approx(-12.0)
+    assert diagonal_energy((4, 2), params) == pytest.approx(
+        diagonal_energy((4,), params) + diagonal_energy((2,), params))
+    # a pattern is read as an occupation row, whatever the clumps' sites
+    assert diagonal_energy((4, 2), params) == diagonal_energy((0, 2, 0, 4, 0), params)
 
 
 # ------------------------------------------------------------- matrix structure
@@ -141,6 +143,39 @@ def test_closed_forms_reject_a_momentum_of_another_ring():
         assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
     with pytest.raises(ValidationError, match="does not match the ring"):
         pt_band(pair, (2, 2), momentum_grid(13))
+
+
+PAIR = ModelParams(f=11, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+ALIEN = MomentumIndex(1, 13)
+# every entry that takes a momentum of the f = 11 ring, given one of f = 13
+RING_ENTRIES = {
+    "momentum_basis": lambda: momentum_basis(11, 4, ALIEN),
+    "assemble_block": lambda: assemble_block(PAIR, ALIEN),
+    "momentum_spectra": lambda: momentum_spectra(PAIR, momentum_grid(13)),
+    "bw_second_order_block": lambda: bw_second_order_block(
+        PAIR, ALIEN, classes_of(SectorOrbits(11, 4), (2, 2))),
+    "h22_matrix": lambda: h22_matrix(PAIR, ALIEN),
+    "h42_matrix": lambda: h42_matrix(replace(PAIR, n=6, gamma1=30.0), ALIEN),
+    "h33_matrix": lambda: h33_matrix(replace(PAIR, n=6, gamma2=20.0), ALIEN),
+    "band22_asymptotic": lambda: band22_asymptotic(PAIR, ALIEN),
+    "pt_band": lambda: pt_band(PAIR, (2, 2), momentum_grid(13)),
+}
+
+
+@pytest.mark.parametrize("entry", RING_ENTRIES)
+def test_every_entry_rejects_a_momentum_of_another_ring_with_one_message(entry):
+    with pytest.raises(ValidationError) as info:
+        RING_ENTRIES[entry]()
+    assert str(info.value) == "momentum index on f=13 does not match the ring f=11"
+
+
+def test_momentum_basis_and_engine_need_a_momentum_index_with_one_message():
+    with pytest.raises(ValidationError) as basis_error:
+        momentum_basis(11, 4, 0.3)
+    with pytest.raises(ValidationError) as engine_error:
+        bw_second_order_block(PAIR, 0.3, classes_of(SectorOrbits(11, 4), (2, 2)))
+    assert (str(basis_error.value) == str(engine_error.value)
+            == "a ring momentum needs a MomentumIndex, got 0.3")
 
 
 def test_matrices_conjugate_under_momentum_reversal():
@@ -214,7 +249,7 @@ def test_finite_matrix_converges_to_asymptotic_band():
     diffs_line, diffs_lo = [], []
     for f in (9, 19, 39):
         params = ModelParams(f=f, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-        ev = np.sort(eigh(h22_matrix(params, 0.0)).eigenvalues) + pattern_energy((2, 2), params)
+        ev = np.sort(eigh(h22_matrix(params, 0.0)).eigenvalues) + diagonal_energy((2, 2), params)
         asym = band22_asymptotic(params, 0.0)
         diffs_line.append(abs(ev[-1] - asym.line))   # impurity above: top eigenvalue
         diffs_lo.append(abs(ev[0] - asym.continuum_lo))
@@ -227,7 +262,7 @@ def test_heavy_pair_continuum_identities():
     params = ModelParams(f=11, n=6, gamma1=30.0, gamma2=0.0, epsilon=0.5)
     c = coeffs42(params)
     # theta = pi/2 sits at the center: E4 + E2 + D eps^2
-    center = pattern_energy((4, 2), params) + c.shift
+    center = diagonal_energy((4, 2), params) + c.shift
     assert continuum42(params, 0.5 * math.pi) == pytest.approx(center, rel=1e-14)
     lo, hi = continuum42_bounds(params)
     assert lo == pytest.approx(-420.0 - 8.0 / 180.0, abs=1e-10)
@@ -322,7 +357,7 @@ def test_single_class_reference_matches_exact_band():
     cls = classes_of(sector, (2,))
     assert len(cls) == 1
     spectra = {basis.k.l: spectrum for basis, spectrum in momentum_spectra(params)}
-    offset = pattern_energy((2,), params)
+    offset = diagonal_energy((2,), params)
     for k in momentum_grid(11):
         bw = bw_second_order_block(params, k, cls, sector)
         predicted = float(bw[0, 0].real) + offset
@@ -360,6 +395,10 @@ def test_near_resonant_parameters_warn():
         warnings.simplefilter("always")
         bw_second_order_block(params, momentum_grid(11)[5], cls, sector)
     assert any("epsilon" in str(w.message) for w in caught)
+    # the shared policy names the nearest intermediate, first in rank order
+    assert [str(w.message) for w in caught] == [
+        "denominator E0(classes) - E0((3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)) = 20 is within "
+        "10 x epsilon; second-order results may be inaccurate"]
 
 
 # ------------------------------------------- local engine vs the dense block
