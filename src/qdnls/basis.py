@@ -255,6 +255,14 @@ def class_fold(f: int, key: bytes) -> ClassFold:
     return fold
 
 
+def _orders(sizes: tuple) -> list[tuple]:
+    """Every distinct ordering of the clump sizes `sizes`."""
+    if not sizes:
+        return [()]
+    return [(c, *order) for c in set(sizes)
+            for order in _orders(sizes[:sizes.index(c)] + sizes[sizes.index(c) + 1:])]
+
+
 def _classes(f: int, patterns):
     """The orbits of `patterns` (each largest first) on an f-site ring, as
     arrays (ranks, rep_rows, periods, owner): representative ranks and rows,
@@ -263,15 +271,23 @@ def _classes(f: int, patterns):
     Every such orbit has a rotation with the first clump on site 0 and the
     others on a subset of sites 1 .. f - 1, in some order.  Those rows are
     built per clump count, whose site subsets they share, and folded onto
-    their orbits by one `canonical_rows` call.
+    their orbits by one `canonical_rows` call.  Each row is a distinct state,
+    so they are counted first and refused above DEFAULT_STATE_CAP.
     """
-    groups = {}  # clump count -> (pattern index, clump sizes in site order)
+    groups, count = {}, 0  # clump count -> (pattern index, first clump, the others)
     for i, pattern in enumerate(patterns):
         head, rest = pattern[:1] or (0,), pattern[1:]  # the vacuum as one empty clump
-        groups.setdefault(1 + len(rest), []).extend(
-            (i, head + order) for order in set(itertools.permutations(rest)))
+        # the sites of the others, times their distinct orders
+        count += math.comb(f - 1, len(rest)) * math.factorial(len(rest)) // math.prod(
+            math.factorial(rest.count(c)) for c in set(rest))
+        groups.setdefault(1 + len(rest), []).append((i, head, rest))
+    if count > DEFAULT_STATE_CAP:
+        raise CapacityError(f"the classes of {patterns} on f={f} take {count} rows to list, "
+                            f"above the cap {DEFAULT_STATE_CAP}")
     blocks, owners = [], []
     for clumps, group in groups.items():
+        # (pattern index, clump sizes in site order)
+        group = [(i, head + order) for i, head, rest in group for order in _orders(rest)]
         owner, sizes = (np.array(column, dtype=np.int64) for column in zip(*group))
         sites = np.array([(0, *c) for c in itertools.combinations(range(1, f), clumps - 1)],
                          dtype=np.int64).reshape(-1, clumps)

@@ -12,17 +12,16 @@ A JSON output file embeds its own config and run settings, so it can be fed
 back through --config to reproduce the run bit for bit: its stored k and
 threshold apply wherever those flags are left at their defaults.
 
-`spectrum`, `band` and `compare` solve the momentum blocks through
-`labelled_spectra`, which checks the threshold before the first solve,
-classifies each block's eigenvectors as soon as it is solved and keeps only
-the eigenvalues and the label arrays (pattern id, weight, adjacency); each
-+-k pair of blocks is solved once, and a single --k on its own.  `spectrum`
-labels every eigenvector; `band` and `compare` form and label only those
-that may belong to their pattern, and the lowest of each block.  A band
-overlap is reported once, in the output's `overlap_warnings`.  `compare`
-prints each band point beside the closed-form energy that `extract_band`
-paired with it where the counts agree.  `oracle` asks for eigenvalues only,
-certified by the trace and the Frobenius norm (see `eigensolve`).
+`spectrum`, `band` and `compare` solve and label the momentum blocks through
+`bands.labelled_spectra`, each +-k pair once; `band` and `compare` form only
+the eigenvectors that may belong to their pattern, and report a band
+overlap once, in the output's `overlap_warnings`.  The commands hold no
+model rule of their own: `pt` takes its energies from `perturbation.pt_band`
+and its `asym_*` columns from `perturbation.pt_asymptotics`, the closed-form
+list in its help and in `compare`'s error is the keys of
+`perturbation.PT_BUILDERS`, eigenvalues come in `eigh`'s ascending order
+(`oracle`'s certified by the trace and the Frobenius norm) and `hamiltonian`
+checks the dense cap.
 
 Exit codes: 0 success, 2 validation, 3 capacity, 4 resonance, 5 numerical.
 """
@@ -34,15 +33,14 @@ import sys
 from dataclasses import asdict, replace
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from .bands import extract_band, ground_state, labelled_spectra
 from .basis import MomentumIndex, momentum_grid, normalize_pattern, sector_pattern
 from .eigensolve import eigh
 from .errors import CapacityError, NumericalError, QdnlsError, ResonanceError, ValidationError
-from .hamiltonian import ModelParams, diagonal_energy, full_matrix
-from .perturbation import band22_asymptotic, coeffs33, continuum42_bounds, pt_band
+from .hamiltonian import ModelParams, full_matrix
+from .perturbation import _closed_forms, pt_asymptotics, pt_band
 
 CSV_COLUMNS = ("l", "k", "index", "energy", "band", "weight")
 MODEL_KEYS = ("f", "n", "gamma1", "gamma2", "epsilon", "model")
@@ -271,41 +269,19 @@ def band(params: ModelParams, pattern, threshold: float):
 # ------------------------------------------------------------------------- pt
 
 
-def _asymptotics(params: ModelParams, pattern, k: MomentumIndex) -> dict:
-    """f -> infinity formulas where they exist; None entries mean the line
-    detaches from the continuum only for part of the zone."""
-    if pattern == (2, 2):
-        asym = band22_asymptotic(params, k.k)
-        return {
-            "asym_line": asym.line,
-            "asym_cont_min": asym.continuum_lo,
-            "asym_cont_max": asym.continuum_hi,
-        }
-    if pattern == (4, 2):
-        lo, hi = continuum42_bounds(params)
-        return {"asym_cont_min": lo, "asym_cont_max": hi}
-    if pattern == (3, 3):
-        c = coeffs33(params)
-        offset = diagonal_energy(pattern, params)
-        return {
-            "asym_line": offset + c.prefactor * (1.0 + c.impurity),
-            "asym_cont": offset + c.prefactor,
-        }
-    return {}
-
-
 @_command(PATTERN, MOMENTUM)
 def pt(params: ModelParams, pattern, grid):
-    """Perturbative band energies and their asymptotic formulas.
-
-    Closed forms exist for the patterns 2,2 / 4,2 / 3,3."""
+    """Perturbative band energies and their asymptotic formulas."""
     energies_at = pt_band(params, pattern, grid)
     rows = []
     for kidx in grid:
-        asym = _asymptotics(params, pattern, kidx)
+        asym = pt_asymptotics(params, pattern, kidx)
         rows += [(kidx.l, kidx.k, idx, float(energy), "pt", 1.0, *asym.values())
                  for idx, energy in enumerate(energies_at[kidx.l])]
     return CSV_COLUMNS + tuple(asym), rows, {}
+
+
+pt.help += f"\n\nClosed forms exist for the patterns {_closed_forms()}."
 
 
 # -------------------------------------------------------------------- compare
@@ -337,7 +313,7 @@ def compare(params: ModelParams, pattern, threshold: float, scaling: bool):
     except ValidationError:
         raise ValidationError(
             f"no perturbative reference for pattern {pattern} at f = {params.f}; "
-            f"closed forms need an odd site count and one of 2,2 / 4,2 / 3,3") from None
+            f"closed forms need an odd site count and one of {_closed_forms()}") from None
     rows, extras = _compare_once(params, pattern, threshold)
     if scaling:
         table = [{"epsilon": params.epsilon, "max_residual": extras["max_residual"]}]
@@ -359,8 +335,7 @@ def oracle(params: ModelParams):
     """Dense full-sector eigenvalues, no translation symmetry; a brute-force
     cross-check for the momentum blocks."""
     energies = eigh(full_matrix(params)).eigenvalues
-    rows = [(None, None, idx, float(e), "oracle", None)
-            for idx, e in enumerate(np.sort(energies))]
+    rows = [(None, None, idx, float(e), "oracle", None) for idx, e in enumerate(energies)]
     return CSV_COLUMNS, rows, {}
 
 

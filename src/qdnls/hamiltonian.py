@@ -29,7 +29,8 @@ family of representatives.  `bloch_couplings` is the one routine that
 turns that fold into Bloch couplings at one momentum, class to class and
 class to every other orbit that carries it.  The dense oracle enumerates
 every state, takes their moves (`basis.hop_moves`) and ranks the
-destinations itself, so it shares no orbit code with the blocks it checks.
+destinations itself, so it shares no orbit code with the blocks it checks,
+only the dense cap check, `_check_dense`.
 
 The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
@@ -44,6 +45,7 @@ the other the same eigenvalues and labels.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -75,16 +77,19 @@ MODELS = ("h1", "h2")
 
 def dense_cap() -> int:
     """Largest dense matrix dimension allowed; override with BREATHER_DENSE_CAP."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise ValidationError(f"{DENSE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
+    raw = os.environ.get(DENSE_CAP_ENV, str(DEFAULT_DENSE_CAP))
+    with contextlib.suppress(ValueError):
+        if int(raw) > 0:
+            return int(raw)
+    raise ValidationError(f"{DENSE_CAP_ENV} must be a positive integer, got {raw!r}")
+
+
+def _check_dense(dim: int, what: str) -> None:
+    """Refuse a dense `what` (the oracle's sector or a momentum block) of
+    dimension `dim` above `dense_cap()`, the one place that compares them."""
+    cap = dense_cap()
+    if dim > cap:
+        raise CapacityError(f"{what} dimension {dim} exceeds the dense cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,7 @@ def diagonal_energy(state, params: ModelParams):
 def full_matrix(params: ModelParams) -> np.ndarray:
     """Dense Hamiltonian over the states of `basis._occupations`, in rank
     order: the symmetry-free oracle.  Refuses sectors above the dense cap."""
-    dim = sector_dimension(params.f, params.n)
-    cap = dense_cap()
-    if dim > cap:
-        raise CapacityError(f"sector dimension {dim} exceeds the dense cap {cap}")
+    _check_dense(sector_dimension(params.f, params.n), "sector")
     occ = _occupations(params.f, params.n)
     h = np.diag(diagonal_energy(occ, params))
     src, moved, amp = hop_moves(occ)
@@ -164,10 +166,7 @@ def block_parts(params: ModelParams, k: MomentumIndex):
     the classes have no q part.
     """
     basis = momentum_basis(params.f, params.n, k)
-    dim = basis.dim
-    cap = dense_cap()
-    if dim > cap:
-        raise CapacityError(f"momentum block dimension {dim} exceeds the dense cap {cap}")
+    _check_dense(basis.dim, "momentum block")
     rows = basis.sector.rep_rows[basis.orbit_indices]
     v = bloch_couplings(class_fold(params.f, rows.tobytes()), params, k)[0]
     # in place, so only v and its conjugate transpose are alive at once

@@ -27,9 +27,12 @@ Closed forms implemented here, for odd f = 2 sigma + 1:
 All three return only the order-eps^2 correction; add the zero-hop energy
 `hamiltonian.diagonal_energy(pattern, params)`, the one the exact blocks
 use, for absolute energies, or call `pt_band` for the absolute band
-energies at every momentum.  `bw_second_order_block` builds the same object
-numerically from single-boson hops for any degenerate family of classes and
-is the independent check of the closed forms.  It takes its couplings from
+energies at every momentum, ascending as `eigh` returns them.  Every
+message that lists the closed forms prints the keys of `PT_BUILDERS`, and
+`pt_asymptotics` gives their infinite-ring formulas (`qdnls pt`'s `asym_*`).
+`bw_second_order_block` builds the same object numerically from
+single-boson hops for any degenerate family of classes and is the
+independent check of the closed forms.  It takes its couplings from
 the routine the exact Bloch blocks use, `hamiltonian.bloch_couplings` over
 the `basis.class_fold` of the class representatives: the class-to-class
 part is its first order and the rest its intermediates.  It needs no sector
@@ -104,8 +107,15 @@ def _sigma_for_pt(params: ModelParams) -> int:
 
 
 def _kval(params: ModelParams, k) -> float:
-    """k as a float; a MomentumIndex must be a momentum of the ring of `params`."""
-    return check_momentum(params.f, k).k if isinstance(k, MomentumIndex) else float(k)
+    """k as a float: a MomentumIndex of the ring of `params`, or a finite real
+    number (int, float or numpy real, not bool)."""
+    if isinstance(k, MomentumIndex):
+        return check_momentum(params.f, k).k
+    if isinstance(k, (int, float, np.integer, np.floating)) and not isinstance(k, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(float(k)):
+                return float(k)
+    raise ValidationError(f"a momentum needs a MomentumIndex or a finite real number, got {k!r}")
 
 
 # ---------------------------------------------------------------- {2, 2} band
@@ -319,6 +329,27 @@ def h33_matrix(params: ModelParams, k=None) -> np.ndarray:
 PT_BUILDERS = {(2, 2): h22_matrix, (4, 2): h42_matrix, (3, 3): h33_matrix}
 
 
+def _closed_forms() -> str:
+    """The patterns of PT_BUILDERS, as '2,2 / 4,2 / 3,3'."""
+    return " / ".join(",".join(map(str, pattern)) for pattern in PT_BUILDERS)
+
+
+def pt_asymptotics(params: ModelParams, pattern, k: MomentumIndex) -> dict:
+    """The `asym_*` columns of `qdnls pt`: the infinite-ring formulas of a
+    pattern of PT_BUILDERS, largest first, at momentum k.  A None line
+    detaches from the continuum only for part of the zone."""
+    if pattern == (2, 2):
+        a = band22_asymptotic(params, k)
+        return {"asym_line": a.line, "asym_cont_min": a.continuum_lo,
+                "asym_cont_max": a.continuum_hi}
+    if pattern == (4, 2):
+        lo, hi = continuum42_bounds(params)
+        return {"asym_cont_min": lo, "asym_cont_max": hi}
+    c, offset = coeffs33(params), diagonal_energy(pattern, params)  # h33_matrix's diagonal
+    return {"asym_line": offset + c.prefactor * (1.0 + c.impurity),
+            "asym_cont": offset + c.prefactor}
+
+
 def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = None
             ) -> dict[int, np.ndarray]:
     """Absolute second-order band energies {l: ascending energies} of a pattern
@@ -333,11 +364,11 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
     build = PT_BUILDERS.get(pattern)
     if build is None:
         raise ValidationError(
-            f"no closed perturbative form for pattern {pattern}; supported: 2,2 / 4,2 / 3,3")
+            f"no closed perturbative form for pattern {pattern}; supported: {_closed_forms()}")
     offset = diagonal_energy(sector_pattern(params.f, params.n, pattern), params)
     if grid is None:
         grid = momentum_grid(params.f)
-    return {k.l: np.sort(eigh(build(params, k)).eigenvalues) + offset for k in grid}
+    return {k.l: eigh(build(params, k)).eigenvalues + offset for k in grid}
 
 
 # ------------------------------------------------- numeric second-order block

@@ -25,6 +25,7 @@ from qdnls.basis import (
     ROW_CHUNK,
     TranslationOrbit,
     _occupations,
+    _orders,
     canonical_rows,
     momentum_basis,
     pattern_of,
@@ -460,6 +461,37 @@ def test_pattern_classes_reach_rings_beyond_the_sector_table():
     want = [(4,) + (0,) * (j - 1) + (2,) + (0,) * (f - 1 - j) for j in range(1, f)]
     assert reps.tolist() == [list(rep) for rep in want]
     assert periods.tolist() == [f] * (f - 1)
+
+
+@pytest.mark.parametrize("f,pattern,rows", [(9, (1, 1, 1, 1), 56), (9, (3, 2, 1), 56),
+                                            (9, (2, 1, 1), 28), (5, (2, 2, 1, 1), 12)])
+def test_pattern_classes_refuse_a_listing_above_the_state_cap(monkeypatch, f, pattern, rows):
+    # rows = C(f - 1, clumps - 1) times the distinct orders of the clumps after
+    # the first: one distinct state each, counted before any is listed
+    monkeypatch.setattr("qdnls.basis.DEFAULT_STATE_CAP", rows - 1)
+    monkeypatch.setattr(basis_module, "itertools", None)  # no site subset is listed
+    with pytest.raises(CapacityError) as info:
+        pattern_classes(f, pattern)
+    assert str(info.value) == (f"the classes of [{pattern}] on f={f} take {rows} rows "
+                               f"to list, above the cap {rows - 1}")
+    monkeypatch.undo()
+    monkeypatch.setattr("qdnls.basis.DEFAULT_STATE_CAP", rows)
+    assert len(pattern_classes(f, pattern)[0])  # a listing at the cap is built
+
+
+@pytest.mark.parametrize("sizes", [(), (1,), (1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1),
+                                   (1, 2, 1, 2, 3)])
+def test_orders_are_the_distinct_permutations(sizes):
+    orders = _orders(sizes)
+    assert len(orders) == len(set(orders))
+    assert set(orders) == set(itertools.permutations(sizes))
+
+
+def test_pattern_classes_order_equal_clumps_once():
+    # twenty single bosons on 21 sites are one class; the 19 clumps after
+    # the first have one order, not 19! permutations
+    reps, periods = pattern_classes(21, (1,) * 20)
+    assert reps.tolist() == [[1] * 20 + [0]] and periods.tolist() == [21]
 
 
 @pytest.mark.parametrize("f,pattern", [(1, (2,)), (5, (2, 0)), (5, (2, -1)), (7, (2.9, 2)),

@@ -12,11 +12,13 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qdnls
-from qdnls.cli import CSV_COLUMNS, main
+from qdnls.cli import CSV_COLUMNS, MODEL_KEYS, main
+from qdnls.perturbation import PT_BUILDERS, pt_asymptotics
 
 from conftest import BAD_PATTERNS
 
@@ -256,6 +258,43 @@ def test_pt_unsupported_pattern_exits_2(runner):
     assert "no closed perturbative form" in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    [*FIG_FLAGS, "--pattern", "2,2"],
+    ["--f", "7", "--n", "6", "--gamma1", "30", "--eps", "0.5", "--pattern", "4,2"],
+    ["--f", "7", "--n", "6", "--gamma1", "10", "--gamma2", "20", "--eps", "0.5",
+     "--pattern", "3,3"],
+    ["--config", str(CONFIGS / "band22_n4.json"), "--pattern", "2,2"],
+])
+def test_pt_asymptotic_columns_are_the_perturbation_function_bitwise(runner, args):
+    doc = json.loads(invoke_ok(runner, ["pt", *args, "--format", "json"]).output)
+    params = qdnls.ModelParams(**{key: doc["config"][key] for key in MODEL_KEYS})
+    pattern = tuple(doc["config"]["pattern"])
+    for row in doc["rows"]:
+        asym = pt_asymptotics(params, pattern, qdnls.MomentumIndex(row[0], params.f))
+        assert doc["columns"] == [*CSV_COLUMNS, *asym]
+        assert row[len(CSV_COLUMNS):] == list(asym.values())  # JSON floats round-trip
+
+
+def closed_forms_listed(stderr, after):
+    """The patterns an error message lists after `after`, as tuples."""
+    listed = stderr.strip().split(after)[1].split(" / ")
+    return [tuple(map(int, pattern.split(","))) for pattern in listed]
+
+
+def test_unsupported_pattern_messages_list_the_closed_form_builders(runner, monkeypatch):
+    pt_error = runner.invoke(main, ["pt", *FIG_FLAGS, "--pattern", "3,1"]).stderr
+    compare_error = runner.invoke(main, ["compare", *FIG_FLAGS, "--pattern", "3,1"]).stderr
+    assert closed_forms_listed(pt_error, "supported: ") == list(PT_BUILDERS)
+    assert closed_forms_listed(compare_error, "one of ") == list(PT_BUILDERS)
+    # both follow the builders: without {3,3}, neither lists it
+    monkeypatch.delitem(PT_BUILDERS, (3, 3))
+    flat = ["--f", "7", "--n", "6", "--gamma1", "10", "--gamma2", "20", "--pattern", "3,3"]
+    for command, after in (("pt", "supported: "), ("compare", "one of ")):
+        result = runner.invoke(main, [command, *flat])
+        assert result.exit_code == 2
+        assert closed_forms_listed(result.stderr, after) == [(2, 2), (4, 2)]
+
+
 # -------------------------------------------------------------------- compare
 
 
@@ -338,6 +377,15 @@ def test_oracle_lists_full_sector(runner):
     energies = [row[3] for row in doc["rows"]]
     assert energies == sorted(energies)
     assert doc["rows"][0][0] is None and doc["rows"][0][1] is None
+
+
+def test_oracle_keeps_eigh_ascending_order_bitwise(runner):
+    flags = ["--f", "6", "--n", "4", "--gamma1", "3", "--gamma2", "1", "--eps", "0.7"]
+    doc = json.loads(invoke_ok(runner, ["oracle", *flags, "--format", "json"]).output)
+    params = qdnls.ModelParams(**{key: doc["config"][key] for key in MODEL_KEYS})
+    energies = [row[3] for row in doc["rows"]]
+    assert energies == np.sort(qdnls.eigh(qdnls.full_matrix(params)).eigenvalues).tolist()
+    assert energies == sorted(energies)
 
 
 def test_oracle_respects_dense_cap(runner):

@@ -152,6 +152,7 @@ def test_values_only_certificate_holds_at_extreme_scales():
     for factor in (1e-233, 1e200):
         got = eigh(factor * h).eigenvalues
         assert np.abs(got / factor - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.all(np.diff(got) >= 0)  # the power-of-two rescale keeps the order
     assert np.array_equal(eigh(np.zeros((3, 3))).eigenvalues, np.zeros(3))
 
 
@@ -199,6 +200,7 @@ def test_split_path_holds_at_extreme_scales_windowed_and_full(factor):
         for got, want in ((full, want_full), (window, want_window)):
             scale = np.abs(want.eigenvalues).max()
             assert np.abs(got.eigenvalues / factor - want.eigenvalues).max() <= 1e-12 * scale
+            assert np.all(np.diff(got.eigenvalues) >= 0)
             assert np.array_equal(got.columns, want.columns)
             assert np.abs(got.eigenvectors - want.eigenvectors).max() <= 1e-12
             assert np.isfinite(got.residual_bound)

@@ -34,12 +34,14 @@ from qdnls.basis import TranslationOrbit, momentum_basis, pattern_of, rank_rows
 from qdnls.errors import ResonanceWarning
 from qdnls.hamiltonian import block_parts, diagonal_energy
 from qdnls.perturbation import (
+    PT_BUILDERS,
     Coeffs22,
     coeffs22,
     coeffs33,
     coeffs42,
     continuum42,
     continuum42_bounds,
+    pt_asymptotics,
     resonance_floor,
 )
 
@@ -178,6 +180,38 @@ def test_momentum_basis_and_engine_need_a_momentum_index_with_one_message():
             == "a ring momentum needs a MomentumIndex, got 0.3")
 
 
+# the closed forms at the f = 11 ring, each with the parameters of its pattern
+CLOSED_FORMS = {
+    "h22_matrix": (h22_matrix, PAIR),
+    "h42_matrix": (h42_matrix, replace(PAIR, n=6, gamma1=30.0)),
+    "h33_matrix": (h33_matrix, replace(PAIR, n=6, gamma2=20.0)),
+    "band22_asymptotic": (band22_asymptotic, PAIR),
+}
+BAD_MOMENTA = [True, np.bool_(True), "1", "x", None, 1j, [1.0], np.array([1.0]), MomentumIndex,
+               math.nan, math.inf, -np.float64(math.inf), 10**400]
+
+
+@pytest.mark.parametrize("entry,k", [(entry, k) for entry in CLOSED_FORMS for k in BAD_MOMENTA
+                                     # h33_matrix's k is optional: it never reads it
+                                     if k is not None or entry != "h33_matrix"],
+                         ids=lambda value: repr(value)[:16])
+def test_closed_forms_take_a_momentum_index_or_a_real_number_only(entry, k):
+    build, params = CLOSED_FORMS[entry]
+    with pytest.raises(ValidationError) as info:
+        build(params, k)
+    assert str(info.value) == (
+        f"a momentum needs a MomentumIndex or a finite real number, got {k!r}")
+
+
+@pytest.mark.parametrize("entry", CLOSED_FORMS)
+def test_closed_forms_take_every_real_type_as_its_float(entry):
+    build, params = CLOSED_FORMS[entry]
+    want = build(params, 1.0)
+    for k in (1, np.int64(1), np.int8(1), np.float64(1.0), np.float32(1.0)):
+        got = build(params, k)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
 def test_matrices_conjugate_under_momentum_reversal():
     params = ModelParams(f=11, n=6, gamma1=30.0, gamma2=4.0, epsilon=0.5)
     pair = ModelParams(f=11, n=4, gamma1=30.0, gamma2=4.0, epsilon=0.5)
@@ -275,6 +309,46 @@ def test_pt_band_takes_a_pattern_in_any_order():
     ordered, reversed_ = pt_band(params, (4, 2)), pt_band(params, (2, 4))
     assert ordered.keys() == reversed_.keys()
     assert all(np.array_equal(ordered[l], reversed_[l]) for l in ordered)
+
+
+PT_CASES = [  # (params, pattern): the golden `pt` cases and band22_n4.json
+    (ModelParams(f=7, n=4, gamma1=10.0, epsilon=0.5), (2, 2)),
+    (ModelParams(f=7, n=6, gamma1=30.0, epsilon=0.5), (4, 2)),
+    (ModelParams(f=7, n=6, gamma1=10.0, gamma2=20.0, epsilon=0.5), (3, 3)),
+    (ModelParams(f=19, n=4, gamma1=10.0, epsilon=0.5), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("params,pattern", PT_CASES)
+def test_pt_band_keeps_eigh_ascending_order_bitwise(params, pattern):
+    # eigh's eigenvalues are ascending, so pt_band's energies, which it does
+    # not sort, are bitwise those of the sorted spectrum
+    offset = diagonal_energy(pattern, params)
+    band = pt_band(params, pattern)
+    for k in momentum_grid(params.f):
+        energies = band[k.l]
+        want = np.sort(eigh(PT_BUILDERS[pattern](params, k)).eigenvalues) + offset
+        assert np.array_equal(energies, want)
+        assert np.all(np.diff(energies) >= 0)
+
+
+@pytest.mark.parametrize("params,pattern", PT_CASES)
+def test_pt_asymptotics_read_the_coefficient_functions(params, pattern):
+    center = diagonal_energy(pattern, params)
+    for k in momentum_grid(params.f):
+        asym = pt_asymptotics(params, pattern, k)
+        if pattern == (2, 2):
+            band = band22_asymptotic(params, k.k)
+            assert asym == {"asym_line": band.line, "asym_cont_min": band.continuum_lo,
+                            "asym_cont_max": band.continuum_hi}
+        elif pattern == (4, 2):
+            assert list(asym.values()) == list(continuum42_bounds(params))
+            assert list(asym) == ["asym_cont_min", "asym_cont_max"]
+        else:
+            # the two values of the flat matrix's diagonal, adjacent class first
+            diag = h33_matrix(params).diagonal().real + center
+            assert list(asym) == ["asym_line", "asym_cont"]
+            assert [asym["asym_line"], asym["asym_cont"]] == [diag[0], diag[-1]]
 
 
 def test_closed_form_explains_criterion_3_spread():
