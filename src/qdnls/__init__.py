@@ -35,7 +35,6 @@ from .errors import (
 )
 from .hamiltonian import ModelParams, assemble_block, full_matrix, momentum_spectra
 from .perturbation import (
-    band22_asymptotic,
     bw_second_order_block,
     h22_matrix,
     h33_matrix,
@@ -50,8 +49,8 @@ __all__ = [
     "BandOverlapError", "CapacityError", "LabelledSpectrum", "ModelParams",
     "MomentumBasis", "MomentumIndex", "NumericalError", "PTValidityWarning",
     "ResonanceError", "SectorOrbits", "Spectrum", "ValidationError", "assemble_block",
-    "band22_asymptotic", "band_mass", "bw_second_order_block", "classify_block", "eigh",
-    "extract_band", "full_matrix", "ground_state", "h22_matrix", "h33_matrix", "h42_matrix",
+    "band_mass", "bw_second_order_block", "classify_block", "eigh", "extract_band",
+    "full_matrix", "ground_state", "h22_matrix", "h33_matrix", "h42_matrix",
     "labelled_spectra", "mass_ratio_report", "momentum_grid", "momentum_spectra",
     "pattern_classes", "pattern_of", "pt_band", "sector_dimension",
 ]

@@ -170,7 +170,7 @@ class BandPoint:
 
 @dataclass
 class BandReport:
-    """All eigenvalues attributed to one pattern, tagged per momentum."""
+    """All eigenvalues attributed to one pattern, tagged per momentum, in `extract_band`'s order."""
 
     pattern: tuple[int, ...]
     points: list[BandPoint]
@@ -208,7 +208,9 @@ def extract_band(params: ModelParams, pattern, spectra: list[LabelledSpectrum]) 
     Where a closed perturbative form applies and a momentum holds as many
     selected states as it has energies, those states, in ascending order, take
     them slot by slot as `pt`, and `pt_residuals` holds their worst difference
-    (None at a momentum whose counts differ).
+    (None at a momentum whose counts differ).  Points come in the order of
+    `spectra` and, within a momentum, ascend in energy as `columns` and `eigh`'s
+    eigenvalues do: by (l, energy) on the default grid of `labelled_spectra`.
     """
     pat = sector_pattern(params.f, params.n, pattern)
     for ksp in spectra:

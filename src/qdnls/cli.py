@@ -261,8 +261,7 @@ def band(params: ModelParams, pattern, threshold: float):
     in_band = any(p.l == gs.l and abs(p.energy - gs.energy) <= 1e-12 * max(1.0, abs(gs.energy))
                   for p in report.points)
     extras["global_ground"] = {"l": gs.l, "energy": gs.energy, "in_band": in_band}
-    rows = [(p.l, p.k, p.index, p.energy, p.tag, p.weight)
-            for p in sorted(report.points, key=lambda p: (p.l, p.energy))]
+    rows = [(p.l, p.k, p.index, p.energy, p.tag, p.weight) for p in report.points]
     return CSV_COLUMNS, rows, extras
 
 
@@ -292,8 +291,7 @@ def _compare_once(params: ModelParams, pattern, threshold: float):
     epsilon, with the band extras and the residual statistics."""
     _, report, extras = _solved_band(params, pattern, threshold)
     rows = [(p.l, p.k, p.index, p.energy, p.tag, p.weight, p.pt,
-             abs(p.energy - p.pt) if p.pt is not None else None)
-            for p in sorted(report.points, key=lambda p: (p.l, p.energy))]
+             abs(p.energy - p.pt) if p.pt is not None else None) for p in report.points]
     diffs = [r[7] for r in rows if r[7] is not None]
     extras["max_residual"] = max(diffs) if diffs else None
     extras["mean_residual"] = sum(diffs) / len(diffs) if diffs else None

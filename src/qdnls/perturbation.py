@@ -27,9 +27,11 @@ Closed forms implemented here, for odd f = 2 sigma + 1:
 All three return only the order-eps^2 correction; add the zero-hop energy
 `hamiltonian.diagonal_energy(pattern, params)`, the one the exact blocks
 use, for absolute energies, or call `pt_band` for the absolute band
-energies at every momentum, ascending as `eigh` returns them.  Every
-message that lists the closed forms prints the keys of `PT_BUILDERS`, and
-`pt_asymptotics` gives their infinite-ring formulas (`qdnls pt`'s `asym_*`).
+energies at every momentum, ascending as `eigh` returns them, and
+`pt_asymptotics` for their infinite-ring limits (`qdnls pt`'s `asym_*`),
+the one place that writes those.  Both read a pattern through one lookup
+of `PT_BUILDERS`, whose keys every message that lists the closed forms
+prints.
 `bw_second_order_block` builds the same object numerically from
 single-boson hops for any degenerate family of classes and is the
 independent check of the closed forms.  It takes its couplings from
@@ -174,53 +176,6 @@ def h22_matrix(params: ModelParams, k) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class AsymptoticBand22:
-    """Infinite-ring {2, 2} band at one momentum: bound-pair line and continuum."""
-
-    k: float
-    line: float | None     # present iff |impurity| > cos(k/2)
-    continuum_lo: float    # open interval: theta -> 0 and theta -> pi edges
-    continuum_hi: float
-    exists_all_k: bool     # line present at every k iff |impurity| > 1
-    center: float          # zero-hopping energy 2 E2
-    shift: float
-    half_cos: float
-    impurity: float
-
-    def continuum(self, theta: float) -> float:
-        """Unbound-pair energy at relative phase theta in (0, pi)."""
-        return self.center + self.shift * (1.0 + self.half_cos * math.cos(theta))
-
-
-def band22_asymptotic(params: ModelParams, k) -> AsymptoticBand22:
-    """Closed-form infinite-f {2, 2} band at momentum k (folded into [-pi, pi])."""
-    c = coeffs22(params)
-    g1, g2 = params.gamma1, params.gamma2
-    if abs(3.0 * g2 - 4.0 * g1) < resonance_floor(params):
-        # impurity strength vanishes and the line formula degenerates
-        raise ResonanceError("3*gamma2 - 4*gamma1 (line coupling)", 3.0 * g2 - 4.0 * g1)
-    kv = _kval(params, k)
-    kn = math.remainder(kv, 2.0 * math.pi)
-    hc = math.cos(0.5 * kn)
-    center = diagonal_energy((2, 2), params)
-    line = None
-    if abs(c.impurity) > hc:
-        line = center + c.prefactor * (2.0 + c.impurity + hc * hc / c.impurity)
-    edges = (center + c.shift * (1.0 + hc), center + c.shift * (1.0 - hc))
-    return AsymptoticBand22(
-        k=kn,
-        line=line,
-        continuum_lo=min(edges),
-        continuum_hi=max(edges),
-        exists_all_k=abs(c.impurity) > 1.0,
-        center=center,
-        shift=c.shift,
-        half_cos=hc,
-        impurity=c.impurity,
-    )
-
-
 # ---------------------------------------------------------------- {4, 2} band
 
 
@@ -276,21 +231,6 @@ def h42_matrix(params: ModelParams, k) -> np.ndarray:
     return h
 
 
-def continuum42(params: ModelParams, theta: float) -> float:
-    """Infinite-f {4, 2} continuum energy at relative phase theta; k independent."""
-    g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
-    _require(g1, "gamma1", params)
-    _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
-    return diagonal_energy((4, 2), params) + (2.0 * eps * eps / g1) * (
-        (5.0 * g1 - 9.0 * g2) / (9.0 * g2 - 3.0 * g1) - math.cos(theta))
-
-
-def continuum42_bounds(params: ModelParams) -> tuple[float, float]:
-    """Open interval spanned by continuum42 over theta in (0, pi)."""
-    edges = (continuum42(params, 0.0), continuum42(params, math.pi))
-    return min(edges), max(edges)
-
-
 # ---------------------------------------------------------------- {3, 3} band
 
 
@@ -334,20 +274,49 @@ def _closed_forms() -> str:
     return " / ".join(",".join(map(str, pattern)) for pattern in PT_BUILDERS)
 
 
-def pt_asymptotics(params: ModelParams, pattern, k: MomentumIndex) -> dict:
-    """The `asym_*` columns of `qdnls pt`: the infinite-ring formulas of a
-    pattern of PT_BUILDERS, largest first, at momentum k.  A None line
-    detaches from the continuum only for part of the zone."""
+def _closed_form(pattern):
+    """`pattern` largest first and its builder in PT_BUILDERS; ValidationError,
+    listing the closed forms, for a pattern without one."""
+    pattern = normalize_pattern(pattern)
+    build = PT_BUILDERS.get(pattern)
+    if build is None:
+        raise ValidationError(
+            f"no closed perturbative form for pattern {pattern}; supported: {_closed_forms()}")
+    return pattern, build
+
+
+def pt_asymptotics(params: ModelParams, pattern, k) -> dict:
+    """The `asym_*` columns of `qdnls pt`: the absolute infinite-ring limits of
+    a pattern of PT_BUILDERS, in any order, at momentum k, which is checked
+    like the closed forms' and read by {2, 2} only.  {2, 2}: the bound-pair
+    line, None unless |impurity| > cos(k/2) (at every k iff |impurity| > 1),
+    and the edges of the continuum center + shift (1 + cos(k/2) cos(theta)).
+    {4, 2}: the edges of its continuum.  {3, 3}: h33_matrix's two values."""
+    pattern, _ = _closed_form(pattern)
+    g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
+    center = diagonal_energy(pattern, params)
     if pattern == (2, 2):
-        a = band22_asymptotic(params, k)
-        return {"asym_line": a.line, "asym_cont_min": a.continuum_lo,
-                "asym_cont_max": a.continuum_hi}
+        c = coeffs22(params)
+        if abs(3.0 * g2 - 4.0 * g1) < resonance_floor(params):
+            # impurity strength vanishes and the line formula degenerates
+            raise ResonanceError("3*gamma2 - 4*gamma1 (line coupling)", 3.0 * g2 - 4.0 * g1)
+        hc = math.cos(0.5 * math.remainder(_kval(params, k), 2.0 * math.pi))  # k in [-pi, pi]
+        line = (center + c.prefactor * (2.0 + c.impurity + hc * hc / c.impurity)
+                if abs(c.impurity) > hc else None)
+        edges = (center + c.shift * (1.0 + hc), center + c.shift * (1.0 - hc))
+        return {"asym_line": line, "asym_cont_min": min(edges), "asym_cont_max": max(edges)}
     if pattern == (4, 2):
-        lo, hi = continuum42_bounds(params)
-        return {"asym_cont_min": lo, "asym_cont_max": hi}
-    c, offset = coeffs33(params), diagonal_energy(pattern, params)  # h33_matrix's diagonal
-    return {"asym_line": offset + c.prefactor * (1.0 + c.impurity),
-            "asym_cont": offset + c.prefactor}
+        _require(g1, "gamma1", params)
+        _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
+        _kval(params, k)
+        u = (5.0 * g1 - 9.0 * g2) / (9.0 * g2 - 3.0 * g1)
+        # center + (2 eps^2 / gamma1) (u - cos(theta)) at theta = 0 and pi
+        edges = [center + (2.0 * eps * eps / g1) * (u - cos_theta) for cos_theta in (1.0, -1.0)]
+        return {"asym_cont_min": min(edges), "asym_cont_max": max(edges)}
+    c = coeffs33(params)
+    _kval(params, k)
+    return {"asym_line": center + c.prefactor * (1.0 + c.impurity),
+            "asym_cont": center + c.prefactor}
 
 
 def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = None
@@ -360,11 +329,7 @@ def pt_band(params: ModelParams, pattern, grid: list[MomentumIndex] | None = Non
     other than n, an even ring or a momentum of another ring, and
     ResonanceError for resonant couplings.
     """
-    pattern = normalize_pattern(pattern)
-    build = PT_BUILDERS.get(pattern)
-    if build is None:
-        raise ValidationError(
-            f"no closed perturbative form for pattern {pattern}; supported: {_closed_forms()}")
+    pattern, build = _closed_form(pattern)
     offset = diagonal_energy(sector_pattern(params.f, params.n, pattern), params)
     if grid is None:
         grid = momentum_grid(params.f)

@@ -14,7 +14,6 @@ from qdnls import (
     ModelParams,
     SectorOrbits,
     assemble_block,
-    band22_asymptotic,
     bw_second_order_block,
     eigh,
     extract_band,
@@ -30,7 +29,7 @@ from qdnls import (
 )
 from qdnls.basis import pattern_of
 from qdnls.hamiltonian import diagonal_energy
-from qdnls.perturbation import coeffs33, continuum42_bounds
+from qdnls.perturbation import coeffs33, pt_asymptotics
 
 from conftest import points_at
 
@@ -68,9 +67,9 @@ def test_criterion_1_pair_band_vs_asymptotic_forms():
     for l in report.counts:
         lines, cont = line_and_continuum(report, l)
         one_line &= len(lines) == 1
-        asym = band22_asymptotic(params, 2.0 * math.pi * l / params.f)
-        line_diff = max(line_diff, abs(lines[0].energy - asym.line))
-        contained &= all(asym.continuum_lo - tol <= e <= asym.continuum_hi + tol
+        asym = pt_asymptotics(params, (2, 2), 2.0 * math.pi * l / params.f)
+        line_diff = max(line_diff, abs(lines[0].energy - asym["asym_line"]))
+        contained &= all(asym["asym_cont_min"] - tol <= e <= asym["asym_cont_max"] + tol
                          for e in cont)
     elapsed = time.perf_counter() - started
     record(1, "pair band line and continuum vs asymptotic forms", {
@@ -91,7 +90,7 @@ def test_criterion_2_pair_band_ground_state():
     lines, _ = line_and_continuum(report, gs.l)
     on_line = (len(lines) == 1
                and abs(lines[0].energy - gs.energy) <= 1e-9 * abs(gs.energy))
-    asym = band22_asymptotic(params, 0.0).line
+    asym = pt_asymptotics(params, (2, 2), 0.0)["asym_line"]
     literal = -40.0 - 0.05 * (2.0 + 1.4 + 1.0 / 1.4)
     record(2, "pair-band ground state with the three-body term", {
         "pair band complete at every momentum": not report.overlap_notes,
@@ -113,7 +112,7 @@ def test_criterion_3_heavy_pair_band_flatness():
     two_lines = True
     contained = True
     tol = 5e-3
-    lo, hi = continuum42_bounds(params)
+    lo, hi = pt_asymptotics(params, (4, 2), 0.0).values()
     per_index: list[list[float]] = []
     for l in sorted(report.counts):
         lines, cont = line_and_continuum(report, l)

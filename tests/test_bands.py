@@ -15,7 +15,6 @@ from qdnls import (
     ModelParams,
     NumericalError,
     ValidationError,
-    band22_asymptotic,
     band_mass,
     classify_block,
     extract_band,
@@ -38,6 +37,7 @@ from qdnls.basis import (
     normalize_pattern,
     pattern_of,
 )
+from qdnls.perturbation import pt_asymptotics
 
 from conftest import BAD_PATTERNS, points_at
 
@@ -523,7 +523,7 @@ def test_effective_mass_matches_asymptotic_line_band():
         p = ModelParams(f=19, n=4, gamma1=10.0, gamma2=gamma2, epsilon=0.5)
         delta = 2.0 * math.pi / 201.0
         ks = [j * delta for j in range(-5, 6)]
-        es = [band22_asymptotic(p, k).line for k in ks]
+        es = [pt_asymptotics(p, (2, 2), k)["asym_line"] for k in ks]
         fit = effective_mass(ks, es)
         assert fit.mass == pytest.approx(want, rel=1e-6)
 

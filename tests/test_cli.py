@@ -238,7 +238,7 @@ def test_pt_resonant_parameters_exit_4(runner):
 
 
 def test_pt_prints_each_resonance_warning_once():
-    # h22_matrix and band22_asymptotic both reach coeffs22; a warning that names
+    # h22_matrix and pt_asymptotics both reach coeffs22; a warning that names
     # the coefficient function's own line is shown once under the default filter
     env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(qdnls.__file__).parents[1]),

@@ -61,6 +61,10 @@ def test_all_exports_the_error_classes_and_what_the_readme_and_the_benchmark_use
                  for name in ast.literal_eval(node.value).values()}
     errors = {name for name, value in vars(qdnls.errors).items() if isinstance(value, type)}
     assert sorted(set(qdnls.__all__) - errors - used) == []
+    # and every package name they use is exported
+    taken = {name for name in used if not name.startswith("_") and hasattr(qdnls, name)
+             and not isinstance(getattr(qdnls, name), types.ModuleType)}
+    assert sorted(taken - set(qdnls.__all__)) == []
 
 
 def test_readme_library_entry_points_run():

@@ -18,7 +18,6 @@ from qdnls import (
     SectorOrbits,
     ValidationError,
     assemble_block,
-    band22_asymptotic,
     bw_second_order_block,
     eigh,
     extract_band,
@@ -39,8 +38,6 @@ from qdnls.perturbation import (
     coeffs22,
     coeffs33,
     coeffs42,
-    continuum42,
-    continuum42_bounds,
     pt_asymptotics,
     resonance_floor,
 )
@@ -50,6 +47,19 @@ from conftest import points_at
 
 def classes_of(sector, pattern):
     return [orb for orb in sector.orbits if pattern_of(orb.rep) == pattern]
+
+
+# pt_asymptotics of one pattern, with the closed forms' (params, k) signature
+def asym22(params, k):
+    return pt_asymptotics(params, (2, 2), k)
+
+
+def asym42(params, k):
+    return pt_asymptotics(params, (4, 2), k)
+
+
+def asym33(params, k):
+    return pt_asymptotics(params, (3, 3), k)
 
 
 # ------------------------------------------------------------------ coefficients
@@ -135,7 +145,7 @@ def test_closed_forms_reject_a_momentum_of_another_ring():
     flat = ModelParams(f=11, n=6, gamma1=10.0, gamma2=20.0, epsilon=0.5)
     alien = MomentumIndex(1, 13)
     for build, params in ((h22_matrix, pair), (h42_matrix, heavy), (h33_matrix, flat),
-                          (band22_asymptotic, pair)):
+                          (asym22, pair)):
         with pytest.raises(ValidationError,
                            match="momentum index on f=13 does not match the ring f=11"):
             build(params, alien)  # h33_matrix never reads k, and still rejects it
@@ -159,7 +169,9 @@ RING_ENTRIES = {
     "h22_matrix": lambda: h22_matrix(PAIR, ALIEN),
     "h42_matrix": lambda: h42_matrix(replace(PAIR, n=6, gamma1=30.0), ALIEN),
     "h33_matrix": lambda: h33_matrix(replace(PAIR, n=6, gamma2=20.0), ALIEN),
-    "band22_asymptotic": lambda: band22_asymptotic(PAIR, ALIEN),
+    "pt_asymptotics": lambda: pt_asymptotics(PAIR, (2, 2), ALIEN),
+    "pt_asymptotics_42": lambda: asym42(replace(PAIR, n=6, gamma1=30.0), ALIEN),
+    "pt_asymptotics_33": lambda: asym33(replace(PAIR, n=6, gamma2=20.0), ALIEN),
     "pt_band": lambda: pt_band(PAIR, (2, 2), momentum_grid(13)),
 }
 
@@ -185,7 +197,9 @@ CLOSED_FORMS = {
     "h22_matrix": (h22_matrix, PAIR),
     "h42_matrix": (h42_matrix, replace(PAIR, n=6, gamma1=30.0)),
     "h33_matrix": (h33_matrix, replace(PAIR, n=6, gamma2=20.0)),
-    "band22_asymptotic": (band22_asymptotic, PAIR),
+    "pt_asymptotics": (asym22, PAIR),
+    "pt_asymptotics_42": (asym42, replace(PAIR, n=6, gamma1=30.0)),
+    "pt_asymptotics_33": (asym33, replace(PAIR, n=6, gamma2=20.0)),
 }
 BAD_MOMENTA = [True, np.bool_(True), "1", "x", None, 1j, [1.0], np.array([1.0]), MomentumIndex,
                math.nan, math.inf, -np.float64(math.inf), 10**400]
@@ -242,7 +256,7 @@ def test_line_coupling_resonance_in_asymptotic_band():
     # 3 gamma2 = 4 gamma1 kills the line-coupling ratio itself
     params = ModelParams(f=19, n=4, gamma1=3.0, gamma2=4.0, epsilon=0.1)
     with pytest.raises(ResonanceError) as err:
-        band22_asymptotic(params, 0.0)
+        asym22(params, 0.0)
     assert "3*gamma2 - 4*gamma1" in str(err.value)
 
 
@@ -251,14 +265,32 @@ def test_line_coupling_resonance_in_asymptotic_band():
 
 def test_asymptotic_pair_band_at_figure_parameters():
     params = ModelParams(f=19, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    asym = band22_asymptotic(params, 0.0)
-    assert asym.line == pytest.approx(-39.8875, abs=1e-12)
-    assert asym.continuum_lo == pytest.approx(-40.2, abs=1e-12)
-    assert asym.continuum_hi == pytest.approx(-40.0, abs=1e-12)
-    assert asym.exists_all_k  # |impurity| = 4 > 1
-    # the continuum interpolates the edges through theta
-    assert asym.continuum(0.5) < asym.continuum_hi
-    assert asym.continuum(0.5) > asym.continuum_lo
+    asym = asym22(params, 0.0)
+    assert asym["asym_line"] == pytest.approx(-39.8875, abs=1e-12)
+    assert asym["asym_cont_min"] == pytest.approx(-40.2, abs=1e-12)
+    assert asym["asym_cont_max"] == pytest.approx(-40.0, abs=1e-12)
+
+
+FINE_GRID = np.linspace(-math.pi, math.pi, 401).tolist()
+
+
+@pytest.mark.parametrize("gamma2", [0.0, 7.5, 7.0 / 3.0, 1.0, 5.0])
+def test_asymptotic_pair_continuum_edges_follow_the_half_cosine(gamma2):
+    # the continuum center + shift (1 + cos(k/2) cos(theta)) spans these edges
+    params = ModelParams(f=19, n=4, gamma1=10.0, gamma2=gamma2, epsilon=0.1)
+    c, center = coeffs22(params), diagonal_energy((2, 2), params)
+    for k in FINE_GRID:
+        asym, hc = asym22(params, k), math.cos(0.5 * k)
+        edges = sorted([center + c.shift * (1.0 + hc), center + c.shift * (1.0 - hc)])
+        assert [asym["asym_cont_min"], asym["asym_cont_max"]] == pytest.approx(edges, rel=1e-14)
+
+
+@pytest.mark.parametrize("gamma1,gamma2", [(10.0, 0.0), (10.0, 7.5), (1.0, 7.0 / 3.0),
+                                           (10.0, 2.0), (1.0, 1.0), (10.0, 5.0)])
+def test_asymptotic_line_exists_at_every_momentum_iff_the_impurity_exceeds_one(gamma1, gamma2):
+    params = ModelParams(f=19, n=4, gamma1=gamma1, gamma2=gamma2, epsilon=0.1)
+    lines = [asym22(params, k)["asym_line"] for k in FINE_GRID]
+    assert all(line is not None for line in lines) == (abs(coeffs22(params).impurity) > 1.0)
 
 
 def test_asymptotic_line_detaches_only_past_threshold():
@@ -266,17 +298,15 @@ def test_asymptotic_line_detaches_only_past_threshold():
     params = ModelParams(f=19, n=4, gamma1=1.0, gamma2=7.0 / 3.0, epsilon=0.1)
     c = coeffs22(params)
     assert c.impurity == pytest.approx(-0.5)
-    assert band22_asymptotic(params, 0.0).line is None
-    asym = band22_asymptotic(params, 0.9 * math.pi).line
-    assert asym is not None
-    assert not band22_asymptotic(params, 0.0).exists_all_k
+    assert asym22(params, 0.0)["asym_line"] is None
+    assert asym22(params, 0.9 * math.pi)["asym_line"] is not None
 
 
 def test_asymptotic_band_folds_momentum():
     params = ModelParams(f=19, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
-    a = band22_asymptotic(params, 0.3)
-    b = band22_asymptotic(params, 0.3 + 2.0 * math.pi)
-    assert a.line == pytest.approx(b.line, rel=1e-15)
+    a = asym22(params, 0.3)["asym_line"]
+    b = asym22(params, 0.3 + 2.0 * math.pi)["asym_line"]
+    assert a == pytest.approx(b, rel=1e-15)
 
 
 def test_finite_matrix_converges_to_asymptotic_band():
@@ -284,9 +314,9 @@ def test_finite_matrix_converges_to_asymptotic_band():
     for f in (9, 19, 39):
         params = ModelParams(f=f, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
         ev = np.sort(eigh(h22_matrix(params, 0.0)).eigenvalues) + diagonal_energy((2, 2), params)
-        asym = band22_asymptotic(params, 0.0)
-        diffs_line.append(abs(ev[-1] - asym.line))   # impurity above: top eigenvalue
-        diffs_lo.append(abs(ev[0] - asym.continuum_lo))
+        asym = asym22(params, 0.0)
+        diffs_line.append(abs(ev[-1] - asym["asym_line"]))   # impurity above: top eigenvalue
+        diffs_lo.append(abs(ev[0] - asym["asym_cont_min"]))
     assert diffs_line[1] < 1e-9  # exponential in sigma
     assert diffs_lo[0] > diffs_lo[1] > diffs_lo[2]
     assert diffs_lo[2] < 5e-4
@@ -295,13 +325,23 @@ def test_finite_matrix_converges_to_asymptotic_band():
 def test_heavy_pair_continuum_identities():
     params = ModelParams(f=11, n=6, gamma1=30.0, gamma2=0.0, epsilon=0.5)
     c = coeffs42(params)
-    # theta = pi/2 sits at the center: E4 + E2 + D eps^2
+    # theta = pi/2 sits at the center: E4 + E2 + D eps^2, midway between the edges
     center = diagonal_energy((4, 2), params) + c.shift
-    assert continuum42(params, 0.5 * math.pi) == pytest.approx(center, rel=1e-14)
-    lo, hi = continuum42_bounds(params)
+    lo, hi = pt_asymptotics(params, (4, 2), 0.0).values()
+    assert 0.5 * (lo + hi) == pytest.approx(center, rel=1e-14)
     assert lo == pytest.approx(-420.0 - 8.0 / 180.0, abs=1e-10)
     assert hi == pytest.approx(-420.0 - 2.0 / 180.0, abs=1e-10)
     assert lo < center < hi
+
+
+@pytest.mark.parametrize("gamma1,gamma2", [(30.0, 0.0), (30.0, 2.0), (10.0, 20.0), (2.0, 5.0)])
+def test_heavy_pair_continuum_is_centered_on_the_closed_form_shift(gamma1, gamma2):
+    params = ModelParams(f=11, n=6, gamma1=gamma1, gamma2=gamma2, epsilon=0.1)
+    lo, hi = pt_asymptotics(params, (4, 2), 0.0).values()
+    center = diagonal_energy((4, 2), params) + coeffs42(params).shift
+    assert 0.5 * (lo + hi) == pytest.approx(center, rel=1e-14)
+    # its half-width is 2 eps^2 / gamma1, the bulk hop of h42_matrix twice
+    assert hi - lo == pytest.approx(4.0 * params.epsilon ** 2 / gamma1, rel=1e-9)
 
 
 def test_pt_band_takes_a_pattern_in_any_order():
@@ -338,17 +378,37 @@ def test_pt_asymptotics_read_the_coefficient_functions(params, pattern):
     for k in momentum_grid(params.f):
         asym = pt_asymptotics(params, pattern, k)
         if pattern == (2, 2):
-            band = band22_asymptotic(params, k.k)
-            assert asym == {"asym_line": band.line, "asym_cont_min": band.continuum_lo,
-                            "asym_cont_max": band.continuum_hi}
+            # the line of the coefficients of h22_matrix, k a float or an index
+            c, hc = coeffs22(params), math.cos(0.5 * k.k)
+            assert asym == asym22(params, k.k)
+            assert list(asym) == ["asym_line", "asym_cont_min", "asym_cont_max"]
+            assert asym["asym_line"] == pytest.approx(
+                center + c.prefactor * (2.0 + c.impurity + hc * hc / c.impurity), rel=1e-14)
         elif pattern == (4, 2):
-            assert list(asym.values()) == list(continuum42_bounds(params))
             assert list(asym) == ["asym_cont_min", "asym_cont_max"]
+            assert asym == pt_asymptotics(params, pattern, 0.0)  # k-independent
         else:
             # the two values of the flat matrix's diagonal, adjacent class first
             diag = h33_matrix(params).diagonal().real + center
             assert list(asym) == ["asym_line", "asym_cont"]
             assert [asym["asym_line"], asym["asym_cont"]] == [diag[0], diag[-1]]
+
+
+@pytest.mark.parametrize("pattern", [(5, 1), (2, 1, 1)])
+def test_pt_asymptotics_refuse_a_pattern_without_a_closed_form(pattern):
+    params = ModelParams(f=7, n=sum(pattern), gamma1=10.0, epsilon=0.5)
+    with pytest.raises(ValidationError) as info:
+        pt_asymptotics(params, pattern, MomentumIndex(0, 7))
+    listed = str(info.value).split("supported: ")[1].split(" / ")
+    assert [tuple(map(int, p.split(","))) for p in listed] == list(PT_BUILDERS)
+
+
+def test_pt_asymptotics_take_a_pattern_in_any_order():
+    params = ModelParams(f=7, n=6, gamma1=30.0, epsilon=0.5)
+    k = MomentumIndex(1, 7)
+    ordered, reversed_ = pt_asymptotics(params, (4, 2), k), pt_asymptotics(params, (2, 4), k)
+    assert list(reversed_) == list(ordered) == ["asym_cont_min", "asym_cont_max"]
+    assert [v.hex() for v in reversed_.values()] == [v.hex() for v in ordered.values()]
 
 
 def test_closed_form_explains_criterion_3_spread():
