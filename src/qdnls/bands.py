@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import MomentumBasis, MomentumIndex, momentum_basis, momentum_grid, sector_pattern
-from .eigensolve import Spectrum
+from .eigensolve import Spectrum, validate_threshold
 from .errors import BandOverlapError, NumericalError, ResonanceError, ValidationError
 from .hamiltonian import ModelParams, momentum_spectra, reduced_label
 from .perturbation import coeffs22, pt_band
@@ -51,11 +51,6 @@ DEGENERACY_RTOL = 1e-9
 # five-point mass fits must stay within |k| <= 0.3 pi, i.e. f >= 17
 MAX_MASS_SPACING = 2.0 * math.pi / 17.0
 CURVATURE_AGREE_RTOL = 0.02
-
-
-def validate_threshold(threshold: float) -> None:
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
 
 
 def classify_block(vectors, basis: MomentumBasis, threshold: float = 0.5):

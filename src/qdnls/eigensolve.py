@@ -158,6 +158,24 @@ def _apply_q(trans: bytes, h: np.ndarray, tau: np.ndarray, c: np.ndarray) -> Non
     _call("zunmtr", (b"L", b"L", trans, n, m, h, n, tau, c, n), np.complex128)
 
 
+def validate_threshold(threshold: float) -> None:
+    real = isinstance(threshold, (int, float, np.integer, np.floating))
+    if isinstance(threshold, bool) or not real or not 0.0 < threshold <= 1.0:
+        raise ValidationError(f"threshold must lie in (0, 1], got {threshold!r}")
+
+
+def _window_rows(rows, n: int) -> np.ndarray:
+    """`rows` as an index array, refused unless it lists distinct integers in
+    0 .. n - 1; np.asarray reads [1, True] as integers, so a list is read too."""
+    r = np.asarray(rows)
+    if r.ndim == 1 and (r.dtype.kind in "iu" or not r.size) and (
+            isinstance(rows, np.ndarray) or not any(isinstance(x, (bool, np.bool_)) for x in rows)):
+        r = r.astype(np.intp, copy=False)  # a uint64 beyond it turns negative
+        if ((r >= 0) & (r < n)).all() and (np.bincount(r) < 2).all():
+            return r
+    raise ValidationError(f"window rows must be distinct integer indices in 0 .. {n - 1}")
+
+
 def _window(weights: np.ndarray, count: int, threshold: float) -> np.ndarray:
     """The columns a windowed solve returns, from every column's weight on
     `count` basis rows: the lowest and each whose weight may exceed
@@ -213,12 +231,15 @@ def _solve(a: np.ndarray, want_vectors: bool, rows, threshold: float):
 
 
 def eigh(matrix, want_vectors: bool = False, rows=None, threshold: float = 0.5) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with contract checks.  With
-    vectors and basis `rows`, only the lowest eigenvector and those whose
-    weight on `rows` may exceed `threshold` are formed and returned."""
+    """Eigendecomposition of a Hermitian matrix with contract checks.  With vectors
+    and distinct basis `rows`, only the lowest eigenvector and those whose weight
+    on `rows` may exceed `threshold`, in (0, 1], are formed and returned."""
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValidationError(f"need a non-empty square matrix, got shape {a.shape}")
+    if rows is not None:
+        validate_threshold(threshold)
+        rows = _window_rows(rows, len(a))
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
     unit = float(np.abs(a).max()) or 1.0  # the largest entry, 1 for H = 0

@@ -7,22 +7,27 @@ per pattern.  Treating the hopping as the perturbation and working to second
 order in epsilon yields a small effective matrix per (pattern, k) whose
 eigenvalues approximate the exact band.
 
-Closed forms implemented here, for odd f = 2 sigma + 1:
+Each closed form, for odd f = 2 sigma + 1, is one chain of clump-separation
+classes, built by `_chain` from a `ChainCoeffs` record: a uniform shift plus
+a prefactor times a tridiagonal structure matrix, with an impurity on the
+adjacent class and a ring closure where the chain's ends meet around the
+ring.  Where they meet in one entry, the entries add up:
 
-* {2, 2}: sigma x sigma tridiagonal.  Uniform shift 8 eps^2 / (E2 - 2 E1),
-  bulk hop kappa = exp(i k / 2) cos(k / 2) times 4 eps^2 / (E2 - 2 E1), an
+* {2, 2}: sigma classes.  Shift 8 eps^2 / (E2 - 2 E1), prefactor
+  4 eps^2 / (E2 - 2 E1) on the bulk hop kappa = exp(i k / 2) cos(k / 2), the
   impurity Gamma = (3 gamma2 - 4 gamma1) / (gamma1 - 3 gamma2) on the adjacent
-  class, and cos(sigma k) on the maximal-separation class where the two clumps
-  interact around the ring.
-* {4, 2}: 2 sigma x 2 sigma tridiagonal of ones scaled by -eps^2 / gamma1 plus
-  a uniform shift D eps^2.  The separation-1 ends carry the impurity Gamma,
+  class, and the closure cos(sigma k) on the maximal-separation class, where
+  the two clumps interact around the ring.  At f = 3 (sigma = 1) the one class
+  is both, and holds shift + prefactor (Gamma + cos k).
+* {4, 2}: 2 sigma classes, hops of one scaled by -eps^2 / gamma1 plus a
+  uniform shift D eps^2.  The separation-1 ends carry the impurity Gamma,
   and ring-closure corners p = 6 gamma1 exp(i k) / (gamma1 - 6 gamma2) connect
   |42> to |24>: two sqrt(12) hops through the |33> intermediate lying
   2 (gamma1 - 6 gamma2) away give 12 eps^2 / (-2 (gamma1 - 6 gamma2)), i.e.
   p times the bulk scale, with one Bloch winding phase.
-* {3, 3}: diagonal (flat bands).  Uniform value 6 eps^2 / (3 gamma2 - 2 gamma1)
-  with the adjacent class scaled by 1 + Gamma,
-  Gamma = (9/2) (2 gamma2 - gamma1) / (gamma1 - 6 gamma2).
+* {3, 3}: sigma classes, diagonal (flat bands) and without shift.  Uniform
+  value 6 eps^2 / (3 gamma2 - 2 gamma1) with the adjacent class scaled by
+  1 + Gamma, Gamma = (9/2) (2 gamma2 - gamma1) / (gamma1 - 6 gamma2).
 
 All three return only the order-eps^2 correction; add the zero-hop energy
 `hamiltonian.diagonal_energy(pattern, params)`, the one the exact blocks
@@ -120,134 +125,92 @@ def _kval(params: ModelParams, k) -> float:
     raise ValidationError(f"a momentum needs a MomentumIndex or a finite real number, got {k!r}")
 
 
-# ---------------------------------------------------------------- {2, 2} band
+# ------------------------------------------------- the chain of separation classes
 
 
 @dataclass(frozen=True)
-class Coeffs22:
-    """Coefficients of the {2, 2} effective matrix."""
+class ChainCoeffs:
+    """Coefficients of a closed form's chain of separation classes (`_chain`)."""
 
-    prefactor: float   # 4 eps^2 / (E2 - 2 E1), multiplies the structure matrix
-    shift: float       # 8 eps^2 / (E2 - 2 E1), uniform diagonal shift
-    impurity: float    # (3 gamma2 - 4 gamma1) / (gamma1 - 3 gamma2), adjacent class
-
-    @staticmethod
-    def kappa(k: float) -> complex:
-        """Effective hop between neighboring separation classes."""
-        return np.exp(0.5j * k) * math.cos(0.5 * k)
-
-    @staticmethod
-    def closure(k: float, sigma: int) -> float:
-        """Ring-closure entry on the maximal-separation class."""
-        return math.cos(sigma * k)
+    prefactor: float     # multiplies the structure matrix
+    shift: float         # uniform diagonal shift
+    impurity: float      # on the adjacent class
+    corner: float = 0.0  # magnitude of the {4, 2} winding corner, 0 for the others
 
 
-def coeffs22(params: ModelParams) -> Coeffs22:
+def _chain(c: ChainCoeffs, dim: int, diag: float, hop: complex, last: float,
+           k: float = 0.0) -> np.ndarray:
+    """prefactor * m + shift on the diagonal, m being the chain of `dim` classes:
+    `diag` on the diagonal, `hop` above it and its conjugate below, then the
+    impurity added on the first class, `last` on the last, and the corner
+    c.corner exp(i k) at the lower left, its conjugate at the upper right."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m.flat[::dim + 1] = diag
+    # with the rightward translation and exp(-i k t) Bloch phase used throughout,
+    # the hop and the corner's conjugate phase sit in the upper triangle
+    m.flat[1::dim + 1] = hop
+    m.flat[dim::dim + 1] = np.conj(hop)
+    m[0, 0] += c.impurity
+    m[-1, -1] += last
+    corner = c.corner * np.exp(1j * k)
+    m[0, -1] += np.conj(corner)
+    m[-1, 0] += corner
+    h = c.prefactor * m
+    h.flat[::dim + 1] += c.shift
+    return h
+
+
+def coeffs22(params: ModelParams) -> ChainCoeffs:
     g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
     pair_gap = _require(-2.0 * g1, "-2*gamma1", params)       # E2 - 2 E1
     imp_den = _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
     pref = 4.0 * eps * eps / pair_gap
-    return Coeffs22(prefactor=pref, shift=2.0 * pref, impurity=(3.0 * g2 - 4.0 * g1) / imp_den)
+    return ChainCoeffs(prefactor=pref, shift=2.0 * pref, impurity=(3.0 * g2 - 4.0 * g1) / imp_den)
 
 
 def h22_matrix(params: ModelParams, k) -> np.ndarray:
     """Order-eps^2 effective matrix of the {2, 2} band at momentum k.
 
     Basis index j = 1 .. sigma is the clump separation; j = 1 is the adjacent
-    class |22>.  Add diagonal_energy((2, 2), params) for absolute energies.
+    class |22>, and the closure cos(sigma k) sits on j = sigma.  Add
+    diagonal_energy((2, 2), params) for absolute energies.
     """
     sigma = _sigma_for_pt(params)
     c = coeffs22(params)
     kv = _kval(params, k)
-    if sigma == 1:
-        # adjacent and maximal separation coincide; keep the impurity entry only
-        return np.array([[c.shift + c.prefactor * c.impurity]], dtype=complex)
-    m = np.zeros((sigma, sigma), dtype=complex)
-    m[0, 0] = c.impurity
-    m[sigma - 1, sigma - 1] = c.closure(kv, sigma)
-    kap = c.kappa(kv)
-    # with the rightward translation and exp(-i k t) Bloch phase used throughout,
-    # kappa sits on the superdiagonal and its conjugate below
-    for j in range(sigma - 1):
-        m[j + 1, j] = np.conj(kap)
-        m[j, j + 1] = kap
-    h = c.prefactor * m
-    h[np.diag_indices(sigma)] += c.shift
-    return h
+    return _chain(c, sigma, 0.0, np.exp(0.5j * kv) * math.cos(0.5 * kv), math.cos(sigma * kv))
 
 
-# ---------------------------------------------------------------- {4, 2} band
-
-
-@dataclass(frozen=True)
-class Coeffs42:
-    """Coefficients of the {4, 2} effective matrix."""
-
-    shift: float        # D eps^2, uniform diagonal shift
-    prefactor: float    # -eps^2 / gamma1, multiplies the structure matrix
-    impurity: float     # Gamma on both adjacent ends
-    closure_mag: float  # 6 gamma1 / (gamma1 - 6 gamma2)
-
-    def closure(self, k: float) -> complex:
-        """Ring-closure corner connecting |42> to |24>."""
-        return self.closure_mag * np.exp(1j * k)
-
-
-def coeffs42(params: ModelParams) -> Coeffs42:
+def coeffs42(params: ModelParams) -> ChainCoeffs:
     g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
     _require(g1, "gamma1", params)
     d3 = _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
     d6 = _require(g1 - 6.0 * g2, "gamma1 - 6*gamma2", params)
     du = -(2.0 / 3.0) * (5.0 * g1 - 9.0 * g2) / (g1 * d3)
     gam = (2.0 / 3.0) * (4.0 * g1 * g1 - 27.0 * g2 * g2) / (d3 * d6)
-    return Coeffs42(shift=du * eps * eps, prefactor=-eps * eps / g1,
-                    impurity=gam, closure_mag=6.0 * g1 / d6)
+    return ChainCoeffs(prefactor=-eps * eps / g1, shift=du * eps * eps,
+                       impurity=gam, corner=6.0 * g1 / d6)
 
 
 def h42_matrix(params: ModelParams, k) -> np.ndarray:
     """Order-eps^2 effective matrix of the {4, 2} band at momentum k.
 
     Basis index j = 1 .. 2 sigma is the clockwise separation from the 4-clump
-    to the 2-clump, so j = 1 is |42> and j = 2 sigma is |24>.  Add
+    to the 2-clump, so j = 1 is |42> and j = 2 sigma is |24>; both carry the
+    impurity, and the winding corner connects them.  Add
     diagonal_energy((4, 2), params) for absolute energies.
     """
     sigma = _sigma_for_pt(params)
     c = coeffs42(params)
-    dim = 2 * sigma
-    m = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim - 1):
-        m[j + 1, j] = 1.0
-        m[j, j + 1] = 1.0
-    m[0, 0] = c.impurity
-    m[dim - 1, dim - 1] = c.impurity
-    # With the rightward translation and exp(-i k t) Bloch phase used
-    # throughout, the winding corner carries the conjugate phase in the
-    # upper-right entry, mirroring the kappa orientation of the {2, 2} band.
-    cl = c.closure(_kval(params, k))
-    m[0, dim - 1] += np.conj(cl)
-    m[dim - 1, 0] += cl
-    h = c.prefactor * m
-    h[np.diag_indices(dim)] += c.shift
-    return h
+    return _chain(c, 2 * sigma, 0.0, 1.0, c.impurity, _kval(params, k))
 
 
-# ---------------------------------------------------------------- {3, 3} band
-
-
-@dataclass(frozen=True)
-class Coeffs33:
-    """Coefficients of the {3, 3} effective matrix."""
-
-    prefactor: float   # 6 eps^2 / (3 gamma2 - 2 gamma1), uniform diagonal value
-    impurity: float    # (9/2) (2 gamma2 - gamma1) / (gamma1 - 6 gamma2)
-
-
-def coeffs33(params: ModelParams) -> Coeffs33:
+def coeffs33(params: ModelParams) -> ChainCoeffs:
     g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
     den = _require(3.0 * g2 - 2.0 * g1, "3*gamma2 - 2*gamma1", params)
     d6 = _require(g1 - 6.0 * g2, "gamma1 - 6*gamma2", params)
-    return Coeffs33(prefactor=6.0 * eps * eps / den,
-                    impurity=4.5 * (2.0 * g2 - g1) / d6)
+    return ChainCoeffs(prefactor=6.0 * eps * eps / den, shift=0.0,
+                       impurity=4.5 * (2.0 * g2 - g1) / d6)
 
 
 def h33_matrix(params: ModelParams, k=None) -> np.ndarray:
@@ -260,10 +223,7 @@ def h33_matrix(params: ModelParams, k=None) -> np.ndarray:
     sigma = _sigma_for_pt(params)
     if k is not None:
         _kval(params, k)
-    c = coeffs33(params)
-    diag = np.full(sigma, c.prefactor, dtype=complex)
-    diag[0] = c.prefactor * (1.0 + c.impurity)
-    return np.diag(diag)
+    return _chain(coeffs33(params), sigma, 1.0, 0.0, 0.0)
 
 
 PT_BUILDERS = {(2, 2): h22_matrix, (4, 2): h42_matrix, (3, 3): h33_matrix}

@@ -318,6 +318,19 @@ def test_compare_scaling_shows_quartic_decay(runner):
         assert 10.0 < entry["decay_factor"] < 25.0
 
 
+def test_compare_scaling_at_the_single_class_ring_shows_second_order_agreement(runner):
+    # at f = 3 the {2,2} chain is one class holding both ends, the impurity and
+    # the ring closure; without the closure the residual decays by only ~4
+    with pytest.warns(qdnls.PTValidityWarning):
+        result = invoke_ok(runner, ["compare", "--f", "3", "--n", "4", "--gamma1", "10",
+                                    "--eps", "0.2", "--pattern", "2,2", "--scaling",
+                                    "--format", "json"])
+    table = json.loads(result.stdout)["scaling"]
+    assert [entry["epsilon"] for entry in table] == [0.2, 0.1, 0.05]
+    for entry in table[1:]:
+        assert entry["decay_factor"] > 7.0
+
+
 def test_compare_scaling_without_residual_reports_no_decay(runner):
     # at threshold 0.995 every momentum comes up short at eps, so that row
     # pairs nothing and has no residual, and the next has no decay factor

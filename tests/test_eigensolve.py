@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qdnls.eigensolve as eigensolve
 from qdnls import ModelParams, NumericalError, Spectrum, ValidationError, assemble_block, eigh
-from qdnls import SectorOrbits, extract_band, labelled_spectra, momentum_grid
+from qdnls import SectorOrbits, extract_band, labelled_spectra, momentum_grid, momentum_spectra
 from qdnls.eigensolve import ORTHO_TOL, RESIDUAL_RTOL, SLICE
 from qdnls.hamiltonian import reduced_label
 
@@ -413,6 +413,32 @@ def test_windowed_solve_returns_the_rows_columns_and_every_eigenvalue():
                 assert np.array_equal(window.eigenvalues, full.eigenvalues)
                 assert np.abs(window.eigenvectors - full.eigenvectors[:, columns]).max() <= 1e-13
                 assert window.residual_bound <= RESIDUAL_RTOL * np.linalg.norm(h)
+
+
+# dimension 3 takes numpy's path, and 80 the split path where numpy's BLAS has it
+@pytest.mark.parametrize("dim", [3, 80])
+@pytest.mark.parametrize("rows", [[80], [-1], [0.0], [True], [1, True], np.array([True]),
+                                  np.array([0.5]), [0, 0], [[0]], 0, ["0"], [None]],
+                         ids=repr)
+def test_window_rows_must_be_distinct_indices_of_the_matrix(dim, rows):
+    with pytest.raises(ValidationError) as info:
+        eigh(near_diagonal(dim), want_vectors=True, rows=rows)
+    assert str(info.value) == f"window rows must be distinct integer indices in 0 .. {dim - 1}"
+
+
+@pytest.mark.parametrize("threshold", [0, -1, 1.5, float("nan"), True, "0.5", None], ids=repr)
+def test_window_threshold_must_lie_in_zero_one(threshold):
+    # eigh owns the check, so a window is never silently widened or narrowed,
+    # and a bool or a non-number is no threshold
+    message = f"threshold must lie in (0, 1], got {threshold!r}"
+    for dim in (3, 80):
+        with pytest.raises(ValidationError) as info:
+            eigh(near_diagonal(dim), want_vectors=True, rows=[0], threshold=threshold)
+        assert str(info.value) == message
+    params = ModelParams(f=7, n=4, gamma1=10.0, gamma2=0.0, epsilon=0.5)
+    with pytest.raises(ValidationError) as info:
+        momentum_spectra(params, pattern=(2, 2), threshold=threshold)
+    assert str(info.value) == message
 
 
 def test_windowed_solve_certifies_its_columns_and_every_eigenvalue():
