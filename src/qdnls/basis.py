@@ -6,21 +6,21 @@ A sector (f sites, n bosons) is ordered descending lexicographically, from
 translation T, which moves the occupation of site s to site s + 1 (mod f),
 is represented by its lexicographically maximal rotation (the lowest rank),
 which puts the largest occupation first, as in the class labels |22> or |202>.
-`canonical_rows` is the one orbit finder: it folds rows of any sectors onto
-their orbits, ranking only the rotations that bring a largest entry to site 0.
-`pattern_classes` lists one occupation pattern's orbits from its rows with
-the first clump on site 0; `SectorOrbits` is the union of those lists over a
-sector's patterns, and holds orbits, not states.  Only the dense oracle
-enumerates the states (`_occupations`, f - 1 passes over 1-D arrays).
-The table depends on f and n only, so the exact path builds each one once:
-`sector_orbits(f, n)` is the memo it reads, and `sector_pattern` checks a
-pattern against the sector without a table.
-`class_fold` is the one hop table every Bloch block, exact or perturbative,
-is built from: the moves out of a family of orbit representatives
-(`hop_moves`) folded onto their destination orbits, memoized.
-A momentum basis is an index array into the shared table's orbits: those,
-in sector order, whose period admits the momentum.  `check_momentum` is the
-one check that a momentum belongs to the ring, for every caller.
+One generator, `_necklaces`, grows the representatives, each once and in rank
+order, by the Fredricksen-Kessler-Maiorana prenecklace rule (Ruskey, Savage &
+Wang, J. Algorithms 13, 414 (1992); Sawada, Theor. Comput. Sci. 301, 477
+(2003)): a sector's in `SectorOrbits`, which holds orbits, not states, and one
+pattern's in `pattern_classes`.  `canonical_rows` folds arbitrary rows, such as
+hop destinations, onto their orbits.  Only the dense oracle enumerates the
+states (`_occupations`, f - 1 passes over 1-D arrays).  The table depends on
+f and n only, so the exact path builds each one once: `sector_orbits(f, n)` is
+the memo it reads, and `sector_pattern` checks a pattern without a table.
+`class_fold` is the one hop table every Bloch block, exact or perturbative, is
+built from: the moves out of a family of orbit representatives (`hop_moves`)
+folded onto their destination orbits, memoized.  A momentum basis is an index
+array into the shared table's orbits: those, in sector order, whose period
+admits the momentum.  `check_momentum` is the one check that a momentum
+belongs to the ring, for every caller.
 
 The Bloch state attached to an orbit with representative |r> and period d at
 crystal momentum k = 2 pi l / f is
@@ -33,7 +33,6 @@ and exists exactly when l * d = 0 (mod f).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,6 +128,17 @@ def sector_pattern(f: int, n: int, pattern) -> tuple[int, ...]:
     return pat
 
 
+def _occupation_rows(rows) -> np.ndarray:
+    """`rows` as int64, checked to be a 2-D integer (not bool) array, not empty nor negative."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu" or not rows.shape[1]:
+        raise ValidationError("occupation rows must be a 2-D integer array with a column, "
+                              f"got {rows.dtype} of shape {rows.shape}")
+    if (rows := rows.astype(np.int64, copy=False)).min(initial=0) < 0:
+        raise ValidationError("occupation rows must not hold negative entries")
+    return rows
+
+
 def rank_rows(rows) -> np.ndarray:
     """Index of each occupation row in the descending-lex enumeration of its sector.
 
@@ -137,9 +147,7 @@ def rank_rows(rows) -> np.ndarray:
     there are comb(t - 1 + m, m) such states; the rank sums them over j, one
     column at a time with a running count `after` of the bosons after site j.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.min(initial=0) < 0:
-        raise ValidationError("occupation rows must not hold negative entries")
+    rows = _occupation_rows(rows)
     f = rows.shape[1]
     after = rows[:, 1:].sum(axis=1)  # bosons on the sites after site 0
     # one table per largest boson count, shared by every chunk of a sector
@@ -162,7 +170,7 @@ def canonical_rows(rows):
     `rank_rows` call, whatever f.  f / period of them reach the
     representative, and each one's site h gives row == T^h rep.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = _occupation_rows(rows)
     f = rows.shape[1]
     rep_rank, shift, period = (np.empty(len(rows), dtype=np.int64) for _ in range(3))
     turn = (np.arange(f) + np.arange(f)[:, None]) % f  # row[turn[h]] is T^(-h) row
@@ -255,68 +263,54 @@ def class_fold(f: int, key: bytes) -> ClassFold:
     return fold
 
 
-def _orders(sizes: tuple) -> list[tuple]:
-    """Every distinct ordering of the clump sizes `sizes`."""
-    if not sizes:
-        return [()]
-    return [(c, *order) for c in set(sizes)
-            for order in _orders(sizes[:sizes.index(c)] + sizes[sizes.index(c) + 1:])]
-
-
-def _classes(f: int, patterns):
-    """The orbits of `patterns` (each largest first) on an f-site ring, as
-    arrays (ranks, rep_rows, periods, owner): representative ranks and rows,
-    periods and the index of each orbit's pattern, in rank order.
-
-    Every such orbit has a rotation with the first clump on site 0 and the
-    others on a subset of sites 1 .. f - 1, in some order.  Those rows are
-    built per clump count, whose site subsets they share, and folded onto
-    their orbits by one `canonical_rows` call.  Each row is a distinct state,
-    so they are counted first and refused above DEFAULT_STATE_CAP.
-    """
-    groups, count = {}, 0  # clump count -> (pattern index, first clump, the others)
-    for i, pattern in enumerate(patterns):
-        head, rest = pattern[:1] or (0,), pattern[1:]  # the vacuum as one empty clump
-        # the sites of the others, times their distinct orders
-        count += math.comb(f - 1, len(rest)) * math.factorial(len(rest)) // math.prod(
-            math.factorial(rest.count(c)) for c in set(rest))
-        groups.setdefault(1 + len(rest), []).append((i, head, rest))
-    if count > DEFAULT_STATE_CAP:
-        raise CapacityError(f"the classes of {patterns} on f={f} take {count} rows to list, "
-                            f"above the cap {DEFAULT_STATE_CAP}")
-    blocks, owners = [], []
-    for clumps, group in groups.items():
-        # (pattern index, clump sizes in site order)
-        group = [(i, head + order) for i, head, rest in group for order in _orders(rest)]
-        owner, sizes = (np.array(column, dtype=np.int64) for column in zip(*group))
-        sites = np.array([(0, *c) for c in itertools.combinations(range(1, f), clumps - 1)],
-                         dtype=np.int64).reshape(-1, clumps)
-        rows = np.zeros((len(sites), len(group), f), dtype=np.int64)
-        rows[np.arange(len(sites))[:, None, None], np.arange(len(group))[:, None],
-             sites[:, None]] = sizes
-        blocks.append(rows.reshape(-1, f))
-        owners.append(np.tile(owner, len(sites)))
-    rows = np.concatenate(blocks)
-    rank, shift, period = canonical_rows(rows)
-    ranks, first = np.unique(rank, return_index=True)
-    # rep[s] = row[s + u]
-    rep_rows = rows[first[:, None], (np.arange(f) + shift[first, None]) % f]
-    return ranks, rep_rows, period[first], np.concatenate(owners)[first]
+def _necklaces(f: int, n: int, counts=None):
+    """The representatives (lex-max rotations) of the (f, n) sector's orbits
+    and their periods, in rank order; given `counts`, only those with
+    occupation v on counts[v] sites.  The prenecklace rule, largest digit
+    first, grows all prefixes a site at a time: with its Lyndon-prefix length
+    p, a prefix's digit at site t is at most a[t - p] (p stays on equality and
+    becomes t + 1 below it) and the bosons left, and at least what the sites
+    after t cannot hold at a[0].  Children come out in descending digit order,
+    and the rows with f % p == 0 are kept, with period p."""
+    rows, period = np.zeros((1, f), dtype=np.int64), np.ones(1, dtype=np.int64)
+    left, have = np.full(1, n), None if counts is None else counts[None]
+    for t in range(f):
+        ref = rows[np.arange(len(rows)), t - period] if t else left
+        top = np.minimum(ref, left)  # a[0] runs from n down to ceil(n / f)
+        low = np.maximum(left - (f - 1 - t) * rows[:, 0], 0) if t else -(-n // f)
+        width = (top - low + 1).clip(min=0)
+        parent = np.repeat(np.arange(len(rows)), width)
+        digit = top[parent] - (np.arange(len(parent)) - (np.cumsum(width) - width)[parent])
+        if have is not None:
+            keep = have[parent, digit] > 0
+            parent, digit = parent[keep], digit[keep]
+            have = have[parent]
+            have[np.arange(len(parent)), digit] -= 1
+        period = np.where(digit == ref[parent], period[parent], t + 1)
+        rows = rows[parent]
+        rows[:, t] = digit
+        left = left[parent] - digit
+    keep = f % period == 0
+    return rows[keep], period[keep]
 
 
 def pattern_classes(f: int, pattern):
     """The orbits of one occupation pattern (clump sizes in any order) on an
-    f-site ring, without a sector table, as arrays (reps, periods): the
-    representative rows and their periods, in sector order."""
+    f-site ring, as arrays (reps, periods) in sector order: `_necklaces`, the
+    Fredricksen-Kessler-Maiorana prenecklace rule (Ruskey, Savage & Wang 1992;
+    Sawada 2003), filtered by the pattern's clump counts left.  Their rotations
+    with the first clump on site 0 are counted and refused above the cap."""
     check_sector(f, 0)
     pattern = tuple(pattern)
-    return _classes(f, [normalize_pattern(pattern) if pattern else ()])[1:3]
-
-
-def _patterns(n: int, clumps: int, largest: int) -> list[tuple[int, ...]]:
-    """Every pattern of n in at most `clumps` clumps of at most `largest`, in descending order."""
-    return [(c,) + rest for c in range(min(n, largest), -(-n // clumps) - 1, -1)
-            for rest in _patterns(n - c, clumps - 1, c)] if n else [()]
+    pattern = normalize_pattern(pattern) if pattern else ()
+    rest = pattern[1:]  # on sites 1 .. f - 1, in their distinct orders
+    count = math.perm(f - 1, len(rest)) // math.prod(
+        map(math.factorial, map(rest.count, set(rest))))
+    if count > DEFAULT_STATE_CAP:
+        raise CapacityError(f"the classes of {[pattern]} on f={f} take {count} rows to list, "
+                            f"above the cap {DEFAULT_STATE_CAP}")
+    counts = np.bincount(pattern + (0,) * (f - len(pattern)), minlength=sum(pattern) + 1)
+    return _necklaces(f, sum(pattern), counts)
 
 
 class TranslationOrbit(NamedTuple):
@@ -327,20 +321,25 @@ class TranslationOrbit(NamedTuple):
 
 
 class SectorOrbits:
-    """The translation orbits of one (f, n) sector, not its `dim` states: the
-    union of the class lists of its patterns, every pattern of n with at most
-    f clumps, listed largest first in `patterns`.  Orbit g, in rank order, has
-    the representative of rank `reps[g]` and row `rep_rows[g]`, period
-    `periods[g]` (both in `orbits[g]`) and pattern `patterns[pattern_ids[g]]`;
-    `adjacent[g]` holds when it is two clumps on neighbouring sites.  The
-    arrays are read-only: the exact path shares one table per (f, n),
-    `sector_orbits(f, n)`.
-    """
+    """The translation orbits of one (f, n) sector, not its `dim` states, each
+    generated once and in rank order by `_necklaces`, the Fredricksen-Kessler-
+    Maiorana prenecklace rule (Ruskey, Savage & Wang 1992; Sawada 2003).
+    Orbit g has the representative of rank `reps[g]` and row `rep_rows[g]`,
+    period `periods[g]` (both in `orbits[g]`) and pattern
+    `patterns[pattern_ids[g]]`, where `patterns` lists every pattern of n with
+    at most f clumps, largest first; `adjacent[g]` holds when it is two clumps
+    on neighbouring sites.  The arrays are read-only: the exact path shares one
+    table per (f, n), `sector_orbits(f, n)`."""
 
     def __init__(self, f: int, n: int):
         self.f, self.n, self.dim = f, n, _capped_dimension(f, n)
-        self.patterns = _patterns(n, f, n)
-        self.reps, self.rep_rows, self.periods, self.pattern_ids = _classes(f, self.patterns)
+        self.rep_rows, self.periods = _necklaces(f, n)
+        self.reps = rank_rows(self.rep_rows)
+        # each orbit's pattern, zero-padded: the ranks rise as the patterns fall
+        sizes = -np.sort(-self.rep_rows, axis=1)
+        _, first, self.pattern_ids = np.unique(rank_rows(sizes), return_index=True,
+                                               return_inverse=True)
+        self.patterns = [tuple(filter(None, row)) for row in sizes[first].tolist()]
         self.orbits = list(map(TranslationOrbit, map(tuple, self.rep_rows.tolist()),
                                self.periods.tolist()))
         # a representative holds its largest clump on site 0, so a second clump

@@ -25,7 +25,6 @@ from qdnls.basis import (
     ROW_CHUNK,
     TranslationOrbit,
     _occupations,
-    _orders,
     canonical_rows,
     momentum_basis,
     pattern_of,
@@ -147,8 +146,8 @@ def test_occupations_equal_the_column_stack_construction(f, n):
 
 @pytest.mark.parametrize("f,n", [(23, 4), (13, 6)])
 def test_sector_tables_build_in_memory_of_a_few_tables(f, n):
-    # the orbits are listed from their patterns' class rows, so the build
-    # holds less than one (dim, f) table of the sector's states
+    # only the orbits' representatives are generated, so the build holds
+    # less than one (dim, f) table of the sector's states
     tracemalloc.start()
     try:
         sector = SectorOrbits(f, n)
@@ -198,6 +197,27 @@ def test_rank_rows_rejects_negative_entries():
         rank_rows([[3, -1, 2]])
     with pytest.raises(ValidationError, match="negative"):
         canonical_rows(np.array([[0, 2, 1], [1, 1, -1]]))
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 0.5]], np.array([[1.0, 0.0]]), [1, 2, 0], [],
+                                  [[True, False]], np.ones((1, 2, 2), dtype=np.int64),
+                                  np.zeros((2, 0), dtype=np.int64), [["1", "0"]]],
+                         ids=["fractions", "float-array", "1-D", "empty-list", "bools", "3-D",
+                              "no-column", "strings"])
+@pytest.mark.parametrize("fold", [rank_rows, canonical_rows])
+def test_rank_rows_refuse_rows_they_cannot_rank(fold, rows):
+    # [[1.5, 0.5]] was truncated to the rank of (1, 0); a 1-D row or an
+    # empty list raised a bare IndexError
+    with pytest.raises(ValidationError, match="2-D integer array"):
+        fold(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_rank_rows_take_any_integer_dtype_and_no_rows(dtype):
+    assert rank_rows(np.array([[1, 0], [0, 1]], dtype=dtype)).tolist() == [0, 1]
+    for got in (rank_rows(np.zeros((0, 4), dtype=dtype)), *canonical_rows(
+            np.zeros((0, 4), dtype=dtype))):
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def test_one_rank_table_serves_every_chunk_of_a_sector(monkeypatch):
@@ -467,24 +487,16 @@ def test_pattern_classes_reach_rings_beyond_the_sector_table():
                                             (9, (2, 1, 1), 28), (5, (2, 2, 1, 1), 12)])
 def test_pattern_classes_refuse_a_listing_above_the_state_cap(monkeypatch, f, pattern, rows):
     # rows = C(f - 1, clumps - 1) times the distinct orders of the clumps after
-    # the first: one distinct state each, counted before any is listed
+    # the first: one distinct state each, counted before any class is generated
     monkeypatch.setattr("qdnls.basis.DEFAULT_STATE_CAP", rows - 1)
-    monkeypatch.setattr(basis_module, "itertools", None)  # no site subset is listed
+    monkeypatch.setattr(basis_module, "_necklaces", None)  # no class is generated
     with pytest.raises(CapacityError) as info:
         pattern_classes(f, pattern)
     assert str(info.value) == (f"the classes of [{pattern}] on f={f} take {rows} rows "
                                f"to list, above the cap {rows - 1}")
     monkeypatch.undo()
     monkeypatch.setattr("qdnls.basis.DEFAULT_STATE_CAP", rows)
-    assert len(pattern_classes(f, pattern)[0])  # a listing at the cap is built
-
-
-@pytest.mark.parametrize("sizes", [(), (1,), (1, 1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1),
-                                   (1, 2, 1, 2, 3)])
-def test_orders_are_the_distinct_permutations(sizes):
-    orders = _orders(sizes)
-    assert len(orders) == len(set(orders))
-    assert set(orders) == set(itertools.permutations(sizes))
+    assert len(pattern_classes(f, pattern)[0])  # a pattern at the cap is built
 
 
 def test_pattern_classes_order_equal_clumps_once():
@@ -492,6 +504,80 @@ def test_pattern_classes_order_equal_clumps_once():
     # the first have one order, not 19! permutations
     reps, periods = pattern_classes(21, (1,) * 20)
     assert reps.tolist() == [[1] * 20 + [0]] and periods.tolist() == [21]
+
+
+def necklace_count(f, n):
+    """Orbits of the (f, n) sector: (1/f) sum over d | gcd(f, n) of
+    phi(d) C(f/d + n/d - 1, n/d), Burnside's count of rotation classes."""
+    g = math.gcd(f, n)
+    return sum(euler_phi(d) * math.comb(f // d + n // d - 1, n // d)
+               for d in range(1, g + 1) if g % d == 0) // f
+
+
+def pattern_count(f, pattern):
+    """Classes of a pattern with clump multiplicities m_c and f - clumps zeros:
+    (1/f) sum over d | gcd(m) of phi(d) (f/d)! / prod (m_c/d)!."""
+    mult = [pattern.count(c) for c in set(pattern)] + [f - len(pattern)]
+    g = math.gcd(*mult)
+    return sum(euler_phi(d) * math.factorial(f // d)
+               // math.prod(math.factorial(m // d) for m in mult)
+               for d in range(1, g + 1) if g % d == 0) // f
+
+
+def euler_phi(d):
+    return sum(math.gcd(d, j) == 1 for j in range(1, d + 1))
+
+
+@pytest.mark.parametrize("f,n", sorted(
+    {(f, n) for f in range(2, 16) for n in range(8) if sector_dimension(f, n) <= 3 * 10**5}
+    | {(19, 4), (23, 4), (11, 6), (13, 6), (3, 400), (2, 2000)}))
+def test_sector_orbit_count_is_burnsides(f, n):
+    # independent of any enumeration: Burnside's count of the rings of f
+    # sites holding n bosons, and the orbits' periods partition the states
+    sector = SectorOrbits(f, n)
+    assert len(sector.reps) == len(sector.orbits) == necklace_count(f, n)
+    assert sector.periods.sum() == sector.dim
+    assert len(set(sector.reps.tolist())) == len(sector.reps)
+
+
+@pytest.mark.parametrize("f", [5, 9, 13, 41, 101])
+@pytest.mark.parametrize("pattern", [(4, 2), (2, 2), (3, 3), (2, 1, 1), (3, 2, 1), (1, 1, 1, 1)])
+def test_pattern_class_count_is_burnsides(f, pattern):
+    reps, periods = pattern_classes(f, pattern)
+    assert len(reps) == pattern_count(f, pattern)
+    # the orbits' sizes sum to the pattern's distinct arrangements on the ring
+    assert periods.sum() == math.factorial(f) // math.prod(
+        math.factorial(m) for m in [pattern.count(c) for c in set(pattern)] + [f - len(pattern)])
+    assert {pattern_of(tuple(rep)) for rep in reps.tolist()} == {pattern}
+
+
+@pytest.mark.parametrize("f", [2, 3, 7])
+def test_vacuum_sector_and_empty_pattern_are_one_class(f):
+    sector = SectorOrbits(f, 0)
+    assert sector.rep_rows.tolist() == [[0] * f] and sector.reps.tolist() == [0]
+    assert sector.periods.tolist() == [1] and sector.patterns == [()]
+    assert sector.pattern_ids.tolist() == [0] and sector.orbits == [((0,) * f, 1)]
+    reps, periods = pattern_classes(f, ())
+    assert reps.tolist() == [[0] * f] and periods.tolist() == [1]
+    assert reps.dtype == periods.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6])
+def test_two_site_sectors_pair_each_split_with_its_mirror(n):
+    # on f = 2 the orbit of (a, n - a) is {(a, n - a), (n - a, a)}, with the
+    # larger share first; it has period 1 only when the shares are equal
+    sector = SectorOrbits(2, n)
+    tops = range(n, (n - 1) // 2, -1)
+    assert sector.rep_rows.tolist() == [[a, n - a] for a in tops]
+    assert sector.periods.tolist() == [1 if 2 * a == n else 2 for a in tops]
+    assert sector.patterns == [tuple(filter(None, (a, n - a))) for a in tops]
+
+
+@pytest.mark.parametrize("f,pattern", [(2, (1, 1, 1)), (3, (2, 1, 1, 1)), (4, (1,) * 6)])
+def test_more_clumps_than_sites_have_no_class(f, pattern):
+    reps, periods = pattern_classes(f, pattern)
+    assert reps.dtype == periods.dtype == np.int64
+    assert reps.shape == (0, f) and periods.shape == (0,)
 
 
 @pytest.mark.parametrize("f,pattern", [(1, (2,)), (5, (2, 0)), (5, (2, -1)), (7, (2.9, 2)),
