@@ -130,7 +130,10 @@ def sector_pattern(f: int, n: int, pattern) -> tuple[int, ...]:
 
 def _occupation_rows(rows) -> np.ndarray:
     """`rows` as int64, checked to be a 2-D integer (not bool) array, not empty nor negative."""
-    rows = np.asarray(rows)
+    try:
+        rows = np.asarray(rows)
+    except ValueError:
+        raise ValidationError("occupation rows must be a 2-D integer array, not ragged") from None
     if rows.ndim != 2 or rows.dtype.kind not in "iu" or not rows.shape[1]:
         raise ValidationError("occupation rows must be a 2-D integer array with a column, "
                               f"got {rows.dtype} of shape {rows.shape}")

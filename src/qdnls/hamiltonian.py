@@ -41,6 +41,15 @@ as (basis, Spectrum) pairs, all eigenvectors or those of one pattern's
 window, and is the one routine that solves blocks;
 `bands.labelled_spectra` calls it for one member of each +-k pair and gives
 the other the same eigenvalues and labels.
+
+A block solved whole is solved in its real symmetric form (Sandvik's
+semi-momentum states, arXiv:1101.3281).  The mirror s -> f - 1 - s with complex
+conjugation takes orbit g's Bloch state to exp(i k u) times that of the orbit
+g' with reversed rep(g) = T^u rep(g'): U conj(H) U^H = H, U[g', g] = exp(i k u).
+`_real_form` builds the Takagi factor W, U = W W^T (Horn & Johnson, Matrix
+Analysis, sec. 4.4), in orbit order: exp(i k u / 2) on an orbit that is its own
+mirror, that phase times (1, i t; 1, -i t) / sqrt 2 on a mirror pair, t = -1 if
+k < 0 else 1.  M = W^H H W is real; `dsyevd` solves it, and V = W x comes back.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .basis import (
     MomentumBasis,
     MomentumIndex,
     _occupations,
+    canonical_rows,
     check_sector,
     class_fold,
     hop_moves,
@@ -66,8 +76,8 @@ from .basis import (
     sector_dimension,
     sector_pattern,
 )
-from .eigensolve import Spectrum, eigh
-from .errors import CapacityError, ValidationError
+from .eigensolve import HERMITICITY_RTOL, SAFE_MIN, Spectrum, _slices, eigh
+from .errors import CapacityError, NumericalError, ValidationError
 
 DEFAULT_DENSE_CAP = 4000
 DENSE_CAP_ENV = "BREATHER_DENSE_CAP"
@@ -182,6 +192,45 @@ def assemble_block(params: ModelParams, k: MomentumIndex) -> tuple[MomentumBasis
     return basis, v
 
 
+def _real_form(basis: MomentumBasis, h: np.ndarray):
+    """(M, half, (mate, t, w)): M = W^H (half^2 H) W, half^2 taking max |H| near 1 if outside
+    [SAFE_MIN, 1 / SAFE_MIN].  Row g of W is w_g (e_g + i t_g e_mate(g)) and of W^H rho_g (e_g +
+    sign_g e_mate(g)); on a mirror pair t is the label's sign and sign +1, -1, else both are 0."""
+    rank, shift, _ = canonical_rows(basis.sector.rep_rows[basis.orbit_indices, ::-1])
+    mate = np.searchsorted(basis.sector.reps[basis.orbit_indices], rank)
+    f, at = basis.sector.f, np.arange(basis.dim)
+    sign, r = np.sign(mate - at).astype(float), reduced_label(basis.k.l, f)
+    t = np.abs(sign) * (-1.0 if r < 0 else 1.0)  # so W(-r) is conj W(r) and M(-r) is M(r)
+    rho = (np.exp(-1j * np.pi * r * shift[np.minimum(at, mate)] / f)
+           * np.where(sign < 0, 1j * t, 1.0) * np.where(sign, math.sqrt(0.5), 1.0))
+    diag = h.diagonal().real.copy()
+    h[at, at] = 0.0
+    unit, half = float(np.abs(diag).max()), 1.0
+    if not SAFE_MIN <= unit <= 1.0 / SAFE_MIN:
+        half = 2.0 ** (-math.frexp(max(unit, float(np.abs(h).max())))[1] // 2)
+        for a in (h, h, diag, diag):
+            a *= half  # exact, in two factors that neither over- nor underflow
+        unit = float(np.abs(diag).max())
+    m, dropped, w = np.empty(h.shape), 0.0, rho.conj()
+    for s in _slices(basis.dim):  # rows s of W^H H, then of W^H H W
+        y = h.take(mate[s], axis=0)  # in place from here: temporaries cost more than the sums
+        y *= sign[s, None]
+        y += h[s]
+        y *= rho[s, None]
+        z = y.take(mate, axis=1)
+        z *= sign
+        z += y
+        z *= w
+        np.add(z.real, 0.0, out=m[s])  # no -0.0, where the conjugate block has 0.0
+        dropped = max(dropped, float(np.abs(z.imag).max()))
+    slack = 4.0 * np.finfo(float).smallest_subnormal * half * half  # H's rounding if subnormal
+    if (dropped > HERMITICITY_RTOL * unit + slack  # |H| is read only if the diagonal falls short
+            and dropped > HERMITICITY_RTOL * float(np.abs(h).max()) + slack):
+        raise NumericalError(f"real form's imaginary part {dropped:.3e} > {HERMITICITY_RTOL:g} max|H|")
+    m[at, at] += diag
+    return m, half, (mate, t, w)
+
+
 def momentum_spectra(params: ModelParams, grid: list[MomentumIndex] | None = None,
                      pattern=None, threshold: float = 0.5
                      ) -> list[tuple[MomentumBasis, Spectrum]]:
@@ -191,9 +240,9 @@ def momentum_spectra(params: ModelParams, grid: list[MomentumIndex] | None = Non
     subset of grid labels to restrict the work.  With a `pattern`, each
     block's solve is windowed on the orbits of that pattern: it returns the
     lowest eigenvector and those that may carry more than `threshold` of
-    their weight there (see `eigensolve`).  A momentum that no orbit carries
-    gets an empty basis and an empty spectrum.  The block matrix is dropped
-    once solved; `assemble_block` rebuilds it.
+    their weight there (see `eigensolve`); without one, in its real form.  A
+    momentum that no orbit carries gets an empty basis and an empty spectrum.
+    The block matrix is dropped once solved; `assemble_block` rebuilds it.
     """
     if grid is None:
         grid = momentum_grid(params.f)
@@ -201,11 +250,19 @@ def momentum_spectra(params: ModelParams, grid: list[MomentumIndex] | None = Non
     out = []
     for kidx in grid:
         basis, matrix = assemble_block(params, kidx)
-        sector = basis.sector
-        rows = (None if pat is None else np.flatnonzero(
-            sector.pattern_ids[basis.orbit_indices] == sector.patterns.index(pat)))
-        spectrum = (eigh(matrix, want_vectors=True, rows=rows, threshold=threshold)
-                    if basis.dim else
-                    Spectrum(np.zeros(0), np.zeros((0, 0), complex), 0.0, np.zeros(0, np.intp)))
+        if not basis.dim:
+            spectrum = Spectrum(np.zeros(0), np.zeros((0, 0), complex), 0.0, np.zeros(0, np.intp))
+        elif pat is None:
+            matrix, half, (mate, t, w) = _real_form(basis, matrix)  # drops the complex block
+            x, v = eigh(matrix, want_vectors=True), np.empty(matrix.shape, complex)
+            for s in _slices(basis.dim):  # V = W x: row g is w_g (x[g] + i t_g x[mate(g)])
+                v[s].real = x.eigenvectors[s]
+                np.multiply(x.eigenvectors.take(mate[s], axis=0), t[s, None], out=v[s].imag)
+                v[s] *= w[s, None]
+            spectrum = Spectrum(x.eigenvalues / half / half, v, x.residual_bound / half / half, x.columns)
+        else:
+            ids = basis.sector.pattern_ids[basis.orbit_indices]
+            rows = np.flatnonzero(ids == basis.sector.patterns.index(pat))
+            spectrum = eigh(matrix, want_vectors=True, rows=rows, threshold=threshold)
         out.append((basis, spectrum))
     return out

@@ -201,9 +201,9 @@ def test_rank_rows_rejects_negative_entries():
 
 @pytest.mark.parametrize("rows", [[[1.5, 0.5]], np.array([[1.0, 0.0]]), [1, 2, 0], [],
                                   [[True, False]], np.ones((1, 2, 2), dtype=np.int64),
-                                  np.zeros((2, 0), dtype=np.int64), [["1", "0"]]],
+                                  np.zeros((2, 0), dtype=np.int64), [["1", "0"]], [[1, 2], [3]]],
                          ids=["fractions", "float-array", "1-D", "empty-list", "bools", "3-D",
-                              "no-column", "strings"])
+                              "no-column", "strings", "ragged"])
 @pytest.mark.parametrize("fold", [rank_rows, canonical_rows])
 def test_rank_rows_refuse_rows_they_cannot_rank(fold, rows):
     # [[1.5, 0.5]] was truncated to the rank of (1, 0); a 1-D row or an

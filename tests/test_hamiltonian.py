@@ -13,6 +13,7 @@ from qdnls import (
     CapacityError,
     MomentumIndex,
     ModelParams,
+    NumericalError,
     ValidationError,
     assemble_block,
     eigh,
@@ -25,9 +26,12 @@ from qdnls import (
     momentum_spectra,
 )
 import qdnls.basis as basis_module
-from qdnls.basis import SectorOrbits, class_fold, hop_moves, momentum_basis, sector_orbits
-from qdnls.hamiltonian import (DENSE_CAP_ENV, block_parts, bloch_couplings, dense_cap,
-                               diagonal_energy)
+import qdnls.hamiltonian as hamiltonian_module
+from qdnls.basis import (SectorOrbits, canonical_rows, class_fold, hop_moves, momentum_basis,
+                         sector_orbits)
+from qdnls.eigensolve import ORTHO_TOL, RESIDUAL_RTOL
+from qdnls.hamiltonian import (DENSE_CAP_ENV, _real_form, block_parts, bloch_couplings,
+                               dense_cap, diagonal_energy)
 from qdnls.perturbation import _class_rows
 
 
@@ -304,6 +308,58 @@ def test_labelled_spectra_equal_solving_every_momentum(params, threshold, data):
         for array, want_array in zip((got.pattern_ids, got.weights, got.adjacent),
                                      classify_block(want.eigenvectors, basis, threshold)):
             assert np.array_equal(array, want_array)
+
+
+@given(st.integers(2, 9).flatmap(lambda f: st.tuples(st.just(f), st.integers(0, f - 1))),
+       st.integers(0, 5), st.floats(0.0, 40.0), st.floats(0.0, 5.0), st.floats(0.0, 3.0))
+@example((6, 0), 4, 3.0, 0.5, 1.0)
+@example((6, 3), 4, 3.0, 0.5, 1.0)  # l = f / 2 on an even ring
+@example((2, 1), 5, 1.0, 0.0, 2.0)
+@example((9, 4), 0, 1.0, 0.0, 2.0)  # the vacuum: no orbit carries l = 4
+@settings(max_examples=80, deadline=None)
+def test_full_solves_keep_the_complex_blocks_eigenvalues_and_vectors(fl, n, g1, g2, eps):
+    # every unwindowed block is solved in its real form M = W^H H W and its
+    # vectors are mapped back: they are the complex block's eigenpairs
+    f, l = fl
+    k = MomentumIndex(l, f)
+    params = ModelParams(f=f, n=n, gamma1=g1, gamma2=g2, epsilon=eps)
+    (basis, spectrum), = momentum_spectra(params, [k])
+    _, h = assemble_block(params, k)
+    if not basis.dim:
+        assert spectrum.eigenvalues.size == 0
+        return
+    want = np.linalg.eigvalsh(h)
+    assert np.abs(spectrum.eigenvalues - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    v, w = spectrum.eigenvectors, spectrum.eigenvalues
+    assert v.dtype == complex and spectrum.columns.tolist() == list(range(basis.dim))
+    assert np.linalg.norm(h @ v - v * w, axis=0).max() <= RESIDUAL_RTOL * np.linalg.norm(h)
+    assert np.abs(v.conj().T @ v - np.eye(basis.dim)).max() <= ORTHO_TOL
+
+
+def test_real_form_keeps_zero_hop_energies_exactly_on_its_diagonal():
+    # a phase product on the diagonal read -120.00000000000001 here
+    params = ModelParams(f=7, n=6, gamma1=10.0, gamma2=0.5, epsilon=0.0)
+    for k in momentum_grid(7):
+        basis, h = assemble_block(params, k)
+        energies = diagonal_energy(basis.sector.rep_rows[basis.orbit_indices], params)
+        assert np.array_equal(_real_form(basis, h)[0], np.diag(energies))
+        (_, spectrum), = momentum_spectra(params, [k])
+        assert np.array_equal(spectrum.eigenvalues, np.sort(energies))
+
+
+def test_a_wrong_mirror_phase_fails_the_imaginary_part_guard(monkeypatch):
+    # reading every mirror shift u as 0 leaves W^H H W complex at l != 0
+    def no_shift(rows):
+        rank, shift, period = canonical_rows(rows)
+        return rank, 0 * shift, period
+
+    monkeypatch.setattr(hamiltonian_module, "canonical_rows", no_shift)
+    params = ModelParams(f=7, n=4, gamma1=3.0, epsilon=0.5)
+    with pytest.raises(NumericalError, match="imaginary part"):
+        momentum_spectra(params, [MomentumIndex(1, 7)])
+    # at l = 0 every phase is 1, and a windowed solve stays complex
+    momentum_spectra(params, [MomentumIndex(0, 7)])
+    momentum_spectra(params, [MomentumIndex(1, 7)], pattern=(2, 2))
 
 
 def test_ground_state_keeps_the_first_of_degenerate_momenta():
