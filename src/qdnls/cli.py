@@ -107,7 +107,7 @@ def _resolve(config_path: str | None, options: dict) -> tuple[ModelParams, dict,
     stored with the output.  Flags override the config file; a previous JSON
     output also restores k and threshold where those flags kept their defaults."""
     config = _load_config_file(config_path) if config_path is not None else {}
-    values: dict = {"gamma2": 0.0, "epsilon": 0.0, "model": "h2"}
+    values: dict = {}  # ModelParams holds the defaults of gamma2, epsilon and model
     for key in MODEL_KEYS:
         flag = options.pop(key)
         if flag is not None:
@@ -166,8 +166,11 @@ def _write_output(settings: dict, out: str | None, fmt: str, columns, rows,
         # redirected stream to itself, which keeps every in-process output alive
         click.echo(text, nl=False, file=sys.stdout)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output {out}: {exc}") from exc
 
 
 MODEL_OPTIONS = (

@@ -1,21 +1,19 @@
 """Dense Hermitian eigensolver with certified results.
 
-Thin wrapper over LAPACK:
+Thin wrapper over LAPACK, one route per request and matrix kind:
 
 - without vectors, numpy.linalg.eigvalsh;
-- with vectors, for a complex128 matrix of dimension above _NUMPY_DIM, the
-  three steps of `zheevd` from the OpenBLAS that numpy has loaded, each
-  called through ctypes by `_lapack`, the one place that calls them.
-  `zhetrd` reduces an F-order copy of H to a real tridiagonal T = Q^H H Q,
-  `dstedc` finds the eigenvalues w and the real eigenvectors Z of T, and
-  `zunmtr` forms the eigenvectors V = Q Z of the columns asked for.  These
-  are the calls `zheevd` makes (its `zstedc` hands a problem of this size to
-  `dstedc`), on the same input and with the same block sizes, so w is
-  bitwise numpy's;
+- with vectors, for a complex128 matrix, the three steps of `zheevd` from
+  the OpenBLAS that numpy has loaded, each called through ctypes by
+  `_lapack`, the one place that calls them.  `zhetrd` reduces an F-order
+  copy of H to a real tridiagonal T = Q^H H Q, `dstedc` finds the
+  eigenvalues w and the real eigenvectors Z of T, and `zunmtr` forms the
+  eigenvectors V = Q Z of the columns asked for.  These are the calls
+  `zheevd` makes (its `zstedc` hands a problem of this size to `dstedc`),
+  on the same input and with the same block sizes, so w is bitwise numpy's;
   `zunmtr` gets its own blocked workspace, so V differs from numpy's in
   rounding only;
-- with vectors otherwise, numpy.linalg.eigh: up to _NUMPY_DIM it runs the
-  same LAPACK path without ctypes' call overhead, real matrices keep numpy's
+- with vectors otherwise, numpy.linalg.eigh: real matrices keep numpy's
   `dsyevd` (the real form of each unwindowed momentum block: within 1e-12 of
   the complex block's eigenvalues, not bitwise), and it is the fallback when
   numpy's BLAS does not export the three routines, looked up on first use.
@@ -71,7 +69,6 @@ ORTHO_TOL = 1e-10          # max |V^dag V - I|, and the slack of a window's P-we
 HERMITICITY_RTOL = 1e-12   # max |H - H^dag| <= HERMITICITY_RTOL * max |H|
 SAFE_MIN = 2.0 ** -485     # zheevd's sqrt(safmin / eps): it scales max |H| outside [it, 1 / it]
 SLICE = 64                 # rows or columns per slice of a check's temporaries
-_NUMPY_DIM = 64            # up to this dimension numpy.linalg.eigh is the faster call
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _CHAR, _PTR = ctypes.c_char_p, ctypes.c_void_p
@@ -99,6 +96,13 @@ class Spectrum:
 
 def _slices(n: int) -> list[slice]:
     return [slice(s, s + SLICE) for s in range(0, n, SLICE)]
+
+
+def _unit_scale(a: np.ndarray) -> tuple[float, float]:
+    """The largest |entry| of `a` (1 if a = 0) and 1 if that lies in [SAFE_MIN, 1 / SAFE_MIN],
+    else the power of two `half` that takes half^2 max |a| into [1/4, 1), applied twice."""
+    unit = float(np.abs(a).max()) or 1.0
+    return unit, 1.0 if SAFE_MIN <= unit <= 1.0 / SAFE_MIN else 2.0 ** (-math.frexp(unit)[1] // 2)
 
 
 def _value_deviation(a: np.ndarray, w: np.ndarray, unit: float, fro: float) -> float:
@@ -219,7 +223,7 @@ def _solve(a: np.ndarray, want_vectors: bool, rows, threshold: float):
     try:
         if not want_vectors:
             return np.linalg.eigvalsh(a), None, np.zeros(0, np.intp)
-        if a.dtype == np.complex128 and len(a) > _NUMPY_DIM and _routines() is not None:
+        if a.dtype == np.complex128 and _routines() is not None:
             return _split_pairs(a, rows, threshold)
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -242,10 +246,8 @@ def eigh(matrix, want_vectors: bool = False, rows=None, threshold: float = 0.5) 
         rows = _window_rows(rows, len(a))
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
-    unit = float(np.abs(a).max()) or 1.0  # the largest entry, 1 for H = 0
-    if not SAFE_MIN <= unit <= 1.0 / SAFE_MIN:
-        # exact, in two factors so that neither over- or underflows
-        half = 2.0 ** (-math.frexp(unit)[1] // 2)
+    unit, half = _unit_scale(a)
+    if half != 1.0:  # scaled in two factors, so that neither over- nor underflows
         s = eigh(a * half * half, want_vectors, rows, threshold)
         return Spectrum(eigenvalues=s.eigenvalues / half / half, eigenvectors=s.eigenvectors,
                         residual_bound=s.residual_bound / half / half, columns=s.columns)

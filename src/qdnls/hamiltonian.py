@@ -34,8 +34,9 @@ only the dense cap check, `_check_dense`.
 
 The Bloch phase uses the label reduced to r = l - f round(l / f) (halves
 rounded to even), which is congruent to l mod f and odd in l.  So
-block(-l), and on an even ring block(f - l), is bitwise the complex
-conjugate of block(l): its eigenvalues are the same and its eigenvectors are
+block(-l), and on an even ring block(f - l), is the complex conjugate of
+block(l) in value (a zero imaginary part may differ in sign, and the real
+form clears -0.0): its eigenvalues are the same and its eigenvectors are
 the conjugates.  `momentum_spectra` solves exactly the momenta it is given,
 as (basis, Spectrum) pairs, all eigenvectors or those of one pattern's
 window, and is the one routine that solves blocks;
@@ -76,7 +77,7 @@ from .basis import (
     sector_dimension,
     sector_pattern,
 )
-from .eigensolve import HERMITICITY_RTOL, SAFE_MIN, Spectrum, _slices, eigh
+from .eigensolve import HERMITICITY_RTOL, Spectrum, _slices, _unit_scale, eigh
 from .errors import CapacityError, NumericalError, ValidationError
 
 DEFAULT_DENSE_CAP = 4000
@@ -193,9 +194,9 @@ def assemble_block(params: ModelParams, k: MomentumIndex) -> tuple[MomentumBasis
 
 
 def _real_form(basis: MomentumBasis, h: np.ndarray):
-    """(M, half, (mate, t, w)): M = W^H (half^2 H) W, half^2 taking max |H| near 1 if outside
-    [SAFE_MIN, 1 / SAFE_MIN].  Row g of W is w_g (e_g + i t_g e_mate(g)) and of W^H rho_g (e_g +
-    sign_g e_mate(g)); on a mirror pair t is the label's sign and sign +1, -1, else both are 0."""
+    """(M, half, (mate, t, w)): M = W^H (half^2 H) W, half being the power of two of `_unit_scale`.
+    Row g of W is w_g (e_g + i t_g e_mate(g)) and of W^H rho_g (e_g + sign_g e_mate(g)); on a
+    mirror pair t is the label's sign and sign +1, -1, else both are 0."""
     rank, shift, _ = canonical_rows(basis.sector.rep_rows[basis.orbit_indices, ::-1])
     mate = np.searchsorted(basis.sector.reps[basis.orbit_indices], rank)
     f, at = basis.sector.f, np.arange(basis.dim)
@@ -203,14 +204,12 @@ def _real_form(basis: MomentumBasis, h: np.ndarray):
     t = np.abs(sign) * (-1.0 if r < 0 else 1.0)  # so W(-r) is conj W(r) and M(-r) is M(r)
     rho = (np.exp(-1j * np.pi * r * shift[np.minimum(at, mate)] / f)
            * np.where(sign < 0, 1j * t, 1.0) * np.where(sign, math.sqrt(0.5), 1.0))
+    unit, half = _unit_scale(h)  # max |H| and the power of two that eigh would scale it by
     diag = h.diagonal().real.copy()
     h[at, at] = 0.0
-    unit, half = float(np.abs(diag).max()), 1.0
-    if not SAFE_MIN <= unit <= 1.0 / SAFE_MIN:
-        half = 2.0 ** (-math.frexp(max(unit, float(np.abs(h).max())))[1] // 2)
+    if half != 1.0:
         for a in (h, h, diag, diag):
             a *= half  # exact, in two factors that neither over- nor underflow
-        unit = float(np.abs(diag).max())
     m, dropped, w = np.empty(h.shape), 0.0, rho.conj()
     for s in _slices(basis.dim):  # rows s of W^H H, then of W^H H W
         y = h.take(mate[s], axis=0)  # in place from here: temporaries cost more than the sums
@@ -223,9 +222,8 @@ def _real_form(basis: MomentumBasis, h: np.ndarray):
         z *= w
         np.add(z.real, 0.0, out=m[s])  # no -0.0, where the conjugate block has 0.0
         dropped = max(dropped, float(np.abs(z.imag).max()))
-    slack = 4.0 * np.finfo(float).smallest_subnormal * half * half  # H's rounding if subnormal
-    if (dropped > HERMITICITY_RTOL * unit + slack  # |H| is read only if the diagonal falls short
-            and dropped > HERMITICITY_RTOL * float(np.abs(h).max()) + slack):
+    slack = 4.0 * np.finfo(float).smallest_subnormal  # H's rounding if subnormal
+    if dropped > HERMITICITY_RTOL * (unit * half * half) + slack * half * half:
         raise NumericalError(f"real form's imaginary part {dropped:.3e} > {HERMITICITY_RTOL:g} max|H|")
     m[at, at] += diag
     return m, half, (mate, t, w)

@@ -67,7 +67,7 @@ from .basis import (MomentumIndex, SectorOrbits, check_momentum, class_fold, mom
                     normalize_pattern, sector_pattern)
 from .eigensolve import eigh
 from .errors import PTValidityWarning, ResonanceError, ResonanceWarning, ValidationError
-from .hamiltonian import ModelParams, bloch_couplings, diagonal_energy
+from .hamiltonian import ModelParams, _check_dense, bloch_couplings, diagonal_energy
 
 RESONANCE_FLOOR_REL = 1e-6
 WARN_EPS_FACTOR = 10.0
@@ -143,7 +143,9 @@ def _chain(c: ChainCoeffs, dim: int, diag: float, hop: complex, last: float,
     """prefactor * m + shift on the diagonal, m being the chain of `dim` classes:
     `diag` on the diagonal, `hop` above it and its conjugate below, then the
     impurity added on the first class, `last` on the last, and the corner
-    c.corner exp(i k) at the lower left, its conjugate at the upper right."""
+    c.corner exp(i k) at the lower left, its conjugate at the upper right.  A
+    `dim` above the dense cap raises CapacityError before anything is allocated."""
+    _check_dense(dim, "closed-form matrix")
     m = np.zeros((dim, dim), dtype=complex)
     m.flat[::dim + 1] = diag
     # with the rightward translation and exp(-i k t) Bloch phase used throughout,
@@ -253,7 +255,7 @@ def pt_asymptotics(params: ModelParams, pattern, k) -> dict:
     and the edges of the continuum center + shift (1 + cos(k/2) cos(theta)).
     {4, 2}: the edges of its continuum.  {3, 3}: h33_matrix's two values."""
     pattern, _ = _closed_form(pattern)
-    g1, g2, eps = params.gamma1, params.gamma2, params.epsilon
+    g1, g2 = params.gamma1, params.gamma2
     center = diagonal_energy(pattern, params)
     if pattern == (2, 2):
         c = coeffs22(params)
@@ -266,12 +268,10 @@ def pt_asymptotics(params: ModelParams, pattern, k) -> dict:
         edges = (center + c.shift * (1.0 + hc), center + c.shift * (1.0 - hc))
         return {"asym_line": line, "asym_cont_min": min(edges), "asym_cont_max": max(edges)}
     if pattern == (4, 2):
-        _require(g1, "gamma1", params)
-        _require(g1 - 3.0 * g2, "gamma1 - 3*gamma2", params)
+        c = coeffs42(params)
         _kval(params, k)
-        u = (5.0 * g1 - 9.0 * g2) / (9.0 * g2 - 3.0 * g1)
-        # center + (2 eps^2 / gamma1) (u - cos(theta)) at theta = 0 and pi
-        edges = [center + (2.0 * eps * eps / g1) * (u - cos_theta) for cos_theta in (1.0, -1.0)]
+        # the bulk hop's band: center + shift + 2 prefactor cos(theta), theta in [0, pi]
+        edges = [center + c.shift + 2.0 * c.prefactor, center + c.shift - 2.0 * c.prefactor]
         return {"asym_cont_min": min(edges), "asym_cont_max": max(edges)}
     c = coeffs33(params)
     _kval(params, k)

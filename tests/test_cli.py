@@ -109,6 +109,19 @@ def test_validation_failure_leaves_no_file(runner, tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_output_path_exits_2_without_a_traceback(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(qdnls.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "qdnls.cli", "oracle", "--f", "3", "--n", "2",
+                          "--gamma1", "1", "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: cannot write output {out}: ")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_missing_parameters_fail_cleanly(runner):
     result = runner.invoke(main, ["spectrum", "--f", "5"])
     assert result.exit_code == 2
@@ -408,6 +421,16 @@ def test_oracle_respects_dense_cap(runner):
     assert "dense cap" in result.stderr
     result = runner.invoke(main, ["oracle", "--f", "19", "--n", "4", "--gamma1", "10"])
     assert result.exit_code == 3
+
+
+def test_closed_form_commands_respect_the_dense_cap(runner):
+    # the {2,2} matrix at f = 41 has 20 classes, above a cap of 10
+    flags = ["--f", "41", "--n", "4", "--gamma1", "10", "--eps", "0.5", "--pattern", "2,2"]
+    for command in (["pt", *flags, "--k", "0"], ["compare", *flags]):
+        result = runner.invoke(main, command, env={"BREATHER_DENSE_CAP": "10"})
+        assert result.exit_code == 3, command
+        assert "closed-form matrix dimension 20 exceeds the dense cap 10" in result.stderr
+        assert result.stdout == ""
 
 
 def test_oracle_matches_spectrum_multiset(runner):

@@ -59,7 +59,6 @@ def lapack_path(path):
         if path == "numpy":
             mp.setattr(eigensolve, "_routines", lambda: None)
         else:
-            mp.setattr(eigensolve, "_NUMPY_DIM", 0)
             mp.setattr(np.linalg, "eigh", numpy_eigh_not_called)
         yield mp
 
@@ -324,7 +323,6 @@ def test_config_blocks_solve_to_numpys_eigenvalues_bitwise():
     # band42_n6's E(-1) = E(0) = E(1) as they are
     blocks = 0
     for name, l, h, rows in config_blocks():
-        assert len(h) > eigensolve._NUMPY_DIM  # every one takes the split path
         w, v = np.linalg.eigh(h)
         full = eigh(h, want_vectors=True)
         window = eigh(h, want_vectors=True, rows=rows, threshold=0.5)
@@ -400,6 +398,24 @@ def test_contract_on_random_matrices_on_the_split_path(monkeypatch):
         fro = np.linalg.norm(h)
         assert np.linalg.norm(h @ v - v * w, axis=0).max() <= RESIDUAL_RTOL * fro
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= ORTHO_TOL
+
+
+@needs_split
+def test_split_path_gives_numpys_eigenvalues_bitwise_at_small_dimensions(monkeypatch):
+    # every complex vector solve takes the split steps, down to dimension 1
+    rng = np.random.default_rng(23)
+    cases = [(random_hermitian(rng, dim), rng.permutation(dim)[:(dim + 2) // 3])
+             for dim in range(1, SLICE + 1)]
+    wants = [np.linalg.eigh(h)[0] for h, _ in cases]
+    monkeypatch.setattr(np.linalg, "eigh", numpy_eigh_not_called)
+    for (h, rows), want in zip(cases, wants):
+        fro = np.linalg.norm(h)
+        for spec in (eigh(h, want_vectors=True),
+                     eigh(h, want_vectors=True, rows=rows, threshold=0.5)):
+            assert np.array_equal(spec.eigenvalues, want), len(h)
+            v, w = spec.eigenvectors, spec.eigenvalues[spec.columns]
+            assert np.linalg.norm(h @ v - v * w, axis=0).max() <= RESIDUAL_RTOL * fro
+            assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= ORTHO_TOL
 
 
 def test_windowed_solve_returns_the_rows_columns_and_every_eigenvalue():

@@ -347,6 +347,21 @@ def test_real_form_keeps_zero_hop_energies_exactly_on_its_diagonal():
         assert np.array_equal(spectrum.eigenvalues, np.sort(energies))
 
 
+@pytest.mark.parametrize("f", [3, 7])
+def test_full_solves_at_opposite_momenta_are_bitwise_conjugate(f):
+    # block(-l) is conj(block(l)) in value only: where an imaginary part is
+    # zero, one holds +0.0 and the other -0.0, and LAPACK reads the sign of a
+    # zero.  The real form clears -0.0 from M, so both momenta solve the same
+    # M bitwise, which the +-k reuse of labelled_spectra relies on
+    params = ModelParams(f=f, n=4, gamma1=10.0, epsilon=0.5)
+    for l in range(1, f // 2 + 1):
+        (_, plus), (_, minus) = momentum_spectra(params, [MomentumIndex(l, f),
+                                                          MomentumIndex(-l, f)])
+        assert plus.eigenvalues.tobytes() == minus.eigenvalues.tobytes(), l
+        assert plus.residual_bound == minus.residual_bound, l
+        assert np.array_equal(minus.eigenvectors, plus.eigenvectors.conj()), l
+
+
 def test_a_wrong_mirror_phase_fails_the_imaginary_part_guard(monkeypatch):
     # reading every mirror shift u as 0 leaves W^H H W complex at l != 0
     def no_shift(rows):

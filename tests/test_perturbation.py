@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qdnls
 from qdnls import (
+    CapacityError,
     MomentumIndex,
     ModelParams,
     PTValidityWarning,
@@ -347,6 +348,18 @@ def test_heavy_pair_continuum_is_centered_on_the_closed_form_shift(gamma1, gamma
     assert 0.5 * (lo + hi) == pytest.approx(center, rel=1e-14)
     # its half-width is 2 eps^2 / gamma1, the bulk hop of h42_matrix twice
     assert hi - lo == pytest.approx(4.0 * params.epsilon ** 2 / gamma1, rel=1e-9)
+
+
+@pytest.mark.parametrize("build,pattern,dim", [(h22_matrix, (2, 2), 20), (h42_matrix, (4, 2), 40),
+                                               (h33_matrix, (3, 3), 20)])
+def test_closed_form_matrices_respect_the_dense_cap(monkeypatch, build, pattern, dim):
+    params = ModelParams(f=41, n=sum(pattern), gamma1=10.0, epsilon=0.5)
+    monkeypatch.setenv("BREATHER_DENSE_CAP", str(dim - 1))
+    for call in (lambda: build(params, 0.0), lambda: pt_band(params, pattern)):
+        with pytest.raises(CapacityError, match=f"closed-form matrix dimension {dim} exceeds"):
+            call()
+    monkeypatch.setenv("BREATHER_DENSE_CAP", str(dim))
+    assert build(params, 0.0).shape == (dim, dim)
 
 
 def test_pt_band_takes_a_pattern_in_any_order():
